@@ -28,11 +28,14 @@ def bary_weights(m):
 def bary_matrix(nodes, targets):
     """Rows of barycentric interpolation weights: (P @ values) interpolates.
 
-    Exact (a cardinal row) when a target coincides with a node.
+    ``nodes`` is one set of m Chebyshev points shared by every target, or
+    an (n_targets, m) array holding each target's own node set.  Exact (a
+    cardinal row) when a target coincides with a node.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    w = bary_weights(len(nodes))
-    d = targets[:, None] - nodes[None, :]
+    nodes = np.asarray(nodes)
+    w = bary_weights(nodes.shape[-1])
+    d = targets[:, None] - nodes
     exact = np.abs(d) < 1e-300
     d = np.where(exact, 1.0, d)
     P = w / d

@@ -19,15 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebgrid import bary_weights, cheb_nodes
+from .chebgrid import bary_matrix, cheb_nodes
 from .layers import gamma
 from .nufft import Nufft3Plan
 from .special import bessel_j, bessel_j_prime
 
 __all__ = ["SpectralUpdate", "InterpGrid", "sommerfeld_to_local_direct",
            "multipole_to_sommerfeld_direct", "SommerfeldGridPlan",
-           "build_interp_grid", "sommerfeld_to_local_nufft",
-           "MultipoleToSommerfeldPlan", "multipole_to_sommerfeld_nufft",
+           "sommerfeld_to_local_nufft", "MultipoleToSommerfeldPlan",
            "local_coefficients_from_samples"]
 
 
@@ -82,8 +81,8 @@ def _density_weights(densities, contour, layers, y):
 
 
 def sommerfeld_to_local_direct(densities, contour, layers, centers, p):
-    """Local J-expansion coefficients of u2t + u2b about each center,
-    via the Jacobi-Anger factors; O(M N_S (2p+1))."""
+    """Local J-expansion coefficients of the middle-layer interface field
+    about each center, via the Jacobi-Anger factors; O(M N_S (2p+1))."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     lam = contour.nodes
     g2 = gamma(lam, layers.k2)
@@ -118,8 +117,8 @@ def multipole_to_sommerfeld_direct(betas, centers, contour, layers):
 
 @dataclass
 class InterpGrid:
-    """Tensor-product Chebyshev samples of u2t + u2b (and gradient) on a
-    grid of boxes covering all enclosing disks."""
+    """Tensor-product Chebyshev samples of the middle-layer interface field
+    (and gradient) on a grid of boxes covering all enclosing disks."""
     x0: float
     y0: float
     wx: float                  # box width
@@ -139,20 +138,6 @@ class InterpGrid:
         by = np.clip(((y - self.y0) / self.wy).astype(int), 0, self.n2 - 1)
         return bx, by
 
-    def _bary_rows(self, nodes_per_box, box_idx, coords):
-        """Barycentric weight rows for every point against its own box's
-        nodes, fully vectorized (the Chebyshev weight pattern is the same
-        in every box)."""
-        w = bary_weights(self.m)
-        d = coords[:, None] - nodes_per_box[box_idx]
-        exact = np.abs(d) < 1e-300
-        P = w[None, :] / np.where(exact, 1.0, d)
-        P /= P.sum(axis=1, keepdims=True)
-        hit = exact.any(axis=1)
-        if np.any(hit):
-            P[hit] = exact[hit].astype(float)
-        return P
-
     def eval(self, points):
         """Barycentric evaluation of (u, ux, uy) at an (n, 2) point array.
 
@@ -161,8 +146,8 @@ class InterpGrid:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         bx, by = self.box_of(pts[:, 0], pts[:, 1])
         m = self.m
-        px = self._bary_rows(self.xnodes.reshape(self.n1, m), bx, pts[:, 0])
-        py = self._bary_rows(self.ynodes.reshape(self.n2, m), by, pts[:, 1])
+        px = bary_matrix(self.xnodes.reshape(self.n1, m)[bx], pts[:, 0])
+        py = bary_matrix(self.ynodes.reshape(self.n2, m)[by], pts[:, 1])
         key = bx * self.n2 + by
         order = np.argsort(key, kind="stable")
         skey = key[order]
@@ -182,10 +167,10 @@ class InterpGrid:
 
 
 class SommerfeldGridPlan:
-    """Precomputed machinery to sample u2t + u2b and its gradient on the
-    Chebyshev grid: one batched type-3 NUFFT per tail segment over all
-    distinct x-abscissas, direct (separable, cached-phase) summation for
-    the short vertical segment."""
+    """Precomputed machinery to sample the middle-layer interface field and
+    its gradient on the Chebyshev grid: one batched type-3 NUFFT per tail
+    segment over all distinct x-abscissas, direct (separable, cached-phase)
+    summation for the short vertical segment."""
 
     def __init__(self, contour, layers, region, tol=1e-12, m=16):
         self.contour = contour
@@ -271,11 +256,6 @@ class SommerfeldGridPlan:
                           u=u, ux=ux, uy=uy)
 
 
-def build_interp_grid(densities, contour, layers, region, tol=1e-12, m=16):
-    """One-shot interpolation-grid build (see SommerfeldGridPlan)."""
-    return SommerfeldGridPlan(contour, layers, region, tol=tol, m=m).apply(densities)
-
-
 def local_coefficients_from_samples(u, du_radial, k2, R, p):
     """Robust projection of circle samples onto a local J-expansion:
     a_n = (u_n J_n + u'_n k2 J'_n) / (J_n^2 + (k2 J'_n)^2) with u_n, u'_n
@@ -332,19 +312,14 @@ class MultipoleToSommerfeldPlan:
     exactly), and the 20-node vertical segment is summed directly.
     """
 
-    def __init__(self, contour, layers, instances, p, row_spacing=None,
-                 tol=1e-12):
+    def __init__(self, contour, layers, instances, p, tol=1e-12):
         self.contour = contour
         self.layers = layers
         self.p = p
         centers = np.array([inst.center for inst in instances], dtype=float)
         self.centers = centers
         M = centers.shape[0]
-        max_spacing = 0.2 / abs(layers.k2)
-        if row_spacing is None:
-            row_spacing = max_spacing
-        if row_spacing > max_spacing * (1 + 1e-12):
-            raise ValueError("snap-row spacing exceeds 0.2/|k2|")
+        row_spacing = 0.2 / abs(layers.k2)
         ylo = centers[:, 1].min()
         self.rows_y = ylo + row_spacing * np.arange(
             int(np.floor((centers[:, 1].max() - ylo) / row_spacing)) + 1)
@@ -423,12 +398,3 @@ class MultipoleToSommerfeldPlan:
         sp[i] += -4j * self._x0phase[i] * (self._mid_phase * self._mid_eup * tu).sum(0)
         sm[i] += -4j * self._x0phase[i] * (self._mid_phase * self._mid_edn * td).sum(0)
         return SpectralUpdate(sigma_plus=sp, sigma_minus=sm)
-
-
-def multipole_to_sommerfeld_nufft(betas, instances, contour, layers,
-                                  row_spacing=None, tol=1e-12):
-    """One-shot NUFFT B-block application (see MultipoleToSommerfeldPlan)."""
-    plan = MultipoleToSommerfeldPlan(contour, layers, instances,
-                                     p=(np.asarray(betas).shape[1] - 1) // 2,
-                                     row_spacing=row_spacing, tol=tol)
-    return plan.apply(betas)

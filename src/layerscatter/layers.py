@@ -15,11 +15,10 @@ from .quadrature import gauss_legendre
 
 __all__ = ["LayerStack", "SommerfeldContour", "SpectralDensities", "gamma",
            "build_contour", "interface_matrix", "incident_rhs",
-           "InterfaceSolver", "solve_interfaces", "eval_sommerfeld_field",
+           "InterfaceSolver", "eval_sommerfeld_field",
            "build_contour_adaptive",
            "sommerfeld_point_source"]
 
-FIELD_KINDS = ("u1s", "u2t", "u2b", "u3s")
 MIN_BRANCH_DISTANCE = 0.05
 
 
@@ -189,7 +188,8 @@ def build_contour_adaptive(layers, min_vertical_sep, tol=1e-12, b=0.2,
 
 def interface_matrix(lam, layers):
     """The 4x4 per-mode system enforcing value and derivative continuity of
-    the no-particle field at y = 0 and y = -d.
+    the no-particle field at y = 0 and y = -d; for an array of nodes, one
+    block per node, shape (..., 4, 4).
 
     Unknown ordering: (sigma1, sigma2+, sigma2-, sigma3).  Rows 1-2 are
     value continuity at y = 0 and y = -d, rows 3-4 the corresponding
@@ -197,22 +197,26 @@ def interface_matrix(lam, layers):
     """
     g1, g2, g3 = (gamma(lam, k) for k in layers.ks)
     e2 = np.exp(-g2 * layers.d)
-    return np.array([
-        [1 / g1, -1 / g2, -e2 / g2, 0],
-        [0, e2 / g2, 1 / g2, -1 / g3],
-        [1, 1, -e2, 0],
-        [0, e2, -1, -1],
-    ], dtype=complex)
+    o, z = np.ones_like(g1), np.zeros_like(g1)
+    A = np.array([
+        [1 / g1, -1 / g2, -e2 / g2, z],
+        [z, e2 / g2, 1 / g2, -1 / g3],
+        [o, o, -e2, z],
+        [z, e2, -o, -o],
+    ])
+    return np.moveaxis(A, (0, 1), (-2, -1))
 
 
 def incident_rhs(lam, layers):
-    """Right-hand side carrying the point source above the top interface."""
+    """Right-hand side carrying the point source above the top interface,
+    shape (..., 4)."""
     y0 = layers.source[1]
     if not y0 > 0:
         raise ValueError("source must lie in the top layer (y0 > 0)")
     g1 = gamma(lam, layers.k1)
     e = np.exp(-g1 * y0)
-    return np.array([-e / g1, 0, e, 0], dtype=complex)
+    z = np.zeros_like(e)
+    return np.moveaxis(np.array([-e / g1, z, e, z]), 0, -1)
 
 
 class InterfaceSolver:
@@ -224,32 +228,11 @@ class InterfaceSolver:
     def __init__(self, contour, layers):
         self.contour = contour
         self.layers = layers
-        lam = contour.nodes
-        g = np.stack([gamma(lam, k) for k in layers.ks], axis=-1)  # (N, 3)
-        e2 = np.exp(-g[:, 1] * layers.d)
-        n = lam.size
-        A = np.zeros((n, 4, 4), dtype=complex)
-        A[:, 0, 0] = 1 / g[:, 0]
-        A[:, 0, 1] = -1 / g[:, 1]
-        A[:, 0, 2] = -e2 / g[:, 1]
-        A[:, 1, 1] = e2 / g[:, 1]
-        A[:, 1, 2] = 1 / g[:, 1]
-        A[:, 1, 3] = -1 / g[:, 2]
-        A[:, 2, 0] = 1
-        A[:, 2, 1] = 1
-        A[:, 2, 2] = -e2
-        A[:, 3, 1] = e2
-        A[:, 3, 2] = -1
-        A[:, 3, 3] = -1
         try:
-            self._inv = np.linalg.inv(A)
+            self._inv = np.linalg.inv(interface_matrix(contour.nodes, layers))
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular interface block: {exc}") from exc
-        e1 = np.exp(-g[:, 0] * layers.source[1])
-        self.rhs0 = np.zeros((n, 4), dtype=complex)
-        self.rhs0[:, 0] = -e1 / g[:, 0]
-        self.rhs0[:, 2] = e1
-        self.gammas = g
+        self.rhs0 = incident_rhs(contour.nodes, layers)
 
     def solve(self, extra_rhs=None, include_source=True):
         rhs = self.rhs0 if include_source else np.zeros_like(self.rhs0)
@@ -259,56 +242,81 @@ class InterfaceSolver:
         return SpectralDensities(values=vals)
 
 
-def solve_interfaces(contour, layers, extra_rhs=None):
-    """Solve every 4x4 interface block; ``extra_rhs`` (n_nodes, 4) carries
-    particle contributions."""
-    return InterfaceSolver(contour, layers).solve(extra_rhs)
+def _vertical_factors(weights, terms, want_gradient):
+    """Per (point, node): the sum of w c e^{a t} over the (c, a, t, s)
+    terms -- c and a per node, t per point -- and, with ``want_gradient``,
+    its y-derivative, where s = dt/dy per point."""
+    vert = dvert = None
+    for c, a, t, s in terms:
+        e = np.multiply.outer(t, a)
+        np.exp(e, out=e)
+        e *= weights * c
+        de = e * a * np.reshape(s, (-1, 1)) if want_gradient else None
+        if vert is None:
+            vert, dvert = e, de
+        else:
+            vert += e
+            if want_gradient:
+                dvert += de
+    return vert, dvert
 
 
-def _integrand_factors(which, lam, g, layers, y):
-    d = layers.d
-    if which == "u1s":
-        if np.any(y < 0):
-            raise ValueError("u1s is defined in the top layer (y >= 0)")
-        return np.exp(-np.multiply.outer(y, g[:, 0])) / g[:, 0], -g[:, 0], 0
-    if which == "u2t":
-        _check_mid(y, d)
-        return np.exp(np.multiply.outer(y, g[:, 1])) / g[:, 1], g[:, 1], 1
-    if which == "u2b":
-        _check_mid(y, d)
-        return np.exp(-np.multiply.outer(y + d, g[:, 1])) / g[:, 1], -g[:, 1], 2
-    if which == "u3s":
-        if np.any(y > -d):
-            raise ValueError("u3s is defined in the bottom layer (y <= -d)")
-        return np.exp(np.multiply.outer(y + d, g[:, 2])) / g[:, 2], g[:, 2], 3
-    raise ValueError(f"unknown field kind {which!r}; expected one of {FIELD_KINDS}")
+def _spectral_sum(contour, dx, terms, want_gradient):
+    """Contour quadrature of the spectral field
+    sum_j w_j / (4 pi) e^{i lam_j dx} V_j(y) at points with horizontal
+    offsets ``dx`` from the source; V is given as terms (see
+    _vertical_factors).  Returns the values and, with ``want_gradient``,
+    the (n, 2) gradients (None otherwise)."""
+    lam = contour.nodes
+    vert, dvert = _vertical_factors(contour.weights / (4 * np.pi), terms,
+                                    want_gradient)
+    phase = np.multiply.outer(dx, 1j * lam)
+    np.exp(phase, out=phase)
+    vert *= phase
+    val = vert.sum(axis=1)
+    if not want_gradient:
+        return val, None
+    gy = np.einsum("ij,ij->i", dvert, phase)
+    return val, np.stack([vert @ (1j * lam), gy], axis=-1)
 
 
-def _check_mid(y, d):
-    if np.any((y > 0) | (y < -d)):
-        raise ValueError("u2t/u2b are defined in the middle layer (-d <= y <= 0)")
-
-
-def eval_sommerfeld_field(densities, contour, layers, points, which,
+def eval_sommerfeld_field(densities, contour, layers, points, *,
                           want_gradient=False):
-    """Contour quadrature of one spectral field at one point or an (n, 2)
-    array of points.  Gradients differentiate the integrand analytically."""
+    """The layered field at one point or an (n, 2) array of points, each
+    from its own layer: the point source plus the reflected field in the
+    top layer (y >= 0), the transmitted field in the bottom layer (y < -d),
+    and both interface fields in the middle layer in between.
+
+    One contour sum per layer, with the layer's vertical factors added
+    before the x-phase is applied.  Gradients differentiate the integrand
+    analytically.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = pts[:, 0], pts[:, 1]
-    lam = contour.nodes
-    solver_g = np.stack([gamma(lam, k) for k in layers.ks], axis=-1)
-    vert, dvert, col = _integrand_factors(which, lam, solver_g, layers, y)
-    x0 = layers.source[0]
-    osc = np.exp(1j * np.multiply.outer(x - x0, lam))
-    core = (contour.weights / (4 * np.pi)) * densities.values[:, col]
-    base = osc * vert * core
-    val = base.sum(axis=1)
+    g1, g2, g3 = (gamma(contour.nodes, k) for k in layers.ks)
+    s1, sp, sm, s3 = densities.values.T
+    x0, y0 = layers.source
+    d = layers.d
+    top, bot = y >= 0, y < -d
+    mid = ~(top | bot)
+    yt, ym, yb = y[top], y[mid], y[bot]
+    by_layer = (
+        (top, [(s1 / g1, -g1, yt, 1.0),
+               (1 / g1, -g1, np.abs(yt - y0), np.sign(yt - y0))]),
+        (mid, [(sp / g2, g2, ym, 1.0), (sm / g2, -g2, ym + d, 1.0)]),
+        (bot, [(s3 / g3, g3, yb + d, 1.0)]),
+    )
+    val = np.empty(len(pts), dtype=complex)
+    grad = np.empty((len(pts), 2), dtype=complex)
+    for sel, terms in by_layer:
+        if sel.any():
+            val[sel], g = _spectral_sum(contour, x[sel] - x0, terms,
+                                        want_gradient)
+            if want_gradient:
+                grad[sel] = g
     scalar = np.asarray(points).ndim == 1
     if not want_gradient:
         return val[0] if scalar else val
-    gx = (base * (1j * lam)).sum(axis=1)
-    gy = (base * dvert).sum(axis=1)
-    grad = np.stack([gx, gy], axis=-1)
     return (val[0], grad[0]) if scalar else (val, grad)
 
 
@@ -320,10 +328,8 @@ def sommerfeld_point_source(contour, k, source, points):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x0, y0 = source
-    lam = contour.nodes
-    g = gamma(lam, k)
-    dy = np.abs(pts[:, 1] - y0)
-    vert = np.exp(-np.multiply.outer(dy, g)) / g
-    osc = np.exp(1j * np.multiply.outer(pts[:, 0] - x0, lam))
-    val = (osc * vert * (contour.weights / (4 * np.pi))).sum(axis=1)
+    g = gamma(contour.nodes, k)
+    dy = pts[:, 1] - y0
+    val, _ = _spectral_sum(contour, pts[:, 0] - x0,
+                           [(1 / g, -g, np.abs(dy), np.sign(dy))], False)
     return val[0] if np.asarray(points).ndim == 1 else val

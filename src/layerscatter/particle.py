@@ -332,15 +332,23 @@ def save_scattering_matrix(path, S):
     assert len(S.fingerprint) == 32 and S.entries.shape == (m, m)
 
 
+def _read_exact(fh, n, path):
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"truncated scattering-matrix cache: {path}")
+    return data
+
+
 def load_scattering_matrix(path):
     with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4sIi d dd dd 32s"))
+        head = _read_exact(fh, struct.calcsize("<4sIi d dd dd 32s"), path)
         magic, version, p, R, k2r, k2i, kpr, kpi, fp = struct.unpack(
             "<4sIi d dd dd 32s", head)
         if magic != _CACHE_MAGIC or version != _CACHE_VERSION:
             raise ValueError(f"not a scattering-matrix cache: {path}")
         m = 2 * p + 1
-        entries = np.frombuffer(fh.read(m * m * 16), dtype="<c16")
+        entries = np.frombuffer(_read_exact(fh, m * m * 16, path),
+                                dtype="<c16")
     return ScatteringMatrix(p=p, entries=entries.reshape(m, m).copy(), R=R,
                             k2=complex(k2r, k2i), kp=complex(kpr, kpi),
                             fingerprint=fp)

@@ -12,7 +12,9 @@ binary :class:`FieldGrid` format used to export sampled fields.
 import hashlib
 import json
 import os
+import tempfile
 import time
+import zipfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -106,9 +108,8 @@ class SceneConfig:
         return (self.region_x0, self.region_x1, self.region_y0, self.region_y1)
 
     def gmres_config(self):
-        use_nufft = {"auto": None, "direct": False, "nufft": True}[self.path]
         return GmresConfig(tol=self.tol, maxiter=self.maxiter,
-                           restart=self.restart, use_nufft=use_nufft)
+                           restart=self.restart)
 
     def fingerprint(self):
         """Stable identifier of the full scene (geometry + materials + solve)."""
@@ -258,6 +259,20 @@ def _cache_key(cfg):
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
+def _write_atomic(path, write):
+    """Call ``write`` on a temp file beside ``path``, then rename it over
+    ``path``: readers see the old entry or the whole new one, never part."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                               suffix=path.suffix)
+    os.close(fd)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def precompute_scattering_matrix(cfg, use_cache=True, notice=None):
     """Build (or load from cache) the prototype scattering data.
 
@@ -279,7 +294,7 @@ def precompute_scattering_matrix(cfg, use_cache=True, notice=None):
             ok = (S.fingerprint == shape_fingerprint(shape)
                   and S.p == cfg.p and dens.p == cfg.p
                   and S.k2 == complex(cfg.k2) and S.kp == complex(cfg.kp))
-        except (ValueError, KeyError, OSError):
+        except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile):
             ok = False
         if ok:
             return S, boundary, dens
@@ -288,8 +303,9 @@ def precompute_scattering_matrix(cfg, use_cache=True, notice=None):
     S, dens = scattering_matrix_nystrom(boundary, cfg.k2, cfg.kp, cfg.p,
                                         return_densities=True)
     if use_cache:
-        save_scattering_matrix(spath, S)
-        np.savez(dpath, p=cfg.p, mu=dens.mu, sigma=dens.sigma)
+        _write_atomic(spath, lambda tmp: save_scattering_matrix(tmp, S))
+        _write_atomic(dpath, lambda tmp: np.savez(tmp, p=cfg.p, mu=dens.mu,
+                                                  sigma=dens.sigma))
     return S, boundary, dens
 
 

@@ -26,13 +26,13 @@ import numpy as np
 from .coupling import (MultipoleToSommerfeldPlan, SommerfeldGridPlan,
                        multipole_to_sommerfeld_direct,
                        sommerfeld_to_local_direct, sommerfeld_to_local_nufft)
-from .layers import InterfaceSolver, eval_sommerfeld_field, sommerfeld_point_source
+from .layers import InterfaceSolver, eval_sommerfeld_field
 from .multiscat import (ExpansionVector, PairCoupling, _stack_smatrices,
                         eval_expansion, eval_multipole_field)
 from .special import hankel1
 
 __all__ = ["GmresConfig", "GmresError", "gmres", "SchurOperator",
-           "apply_schur", "Solution", "solve_layered_scene",
+           "Solution", "solve_layered_scene",
            "eval_total_field", "NUFFT_CROSSOVER"]
 
 # direct coupling paths below this M * N_S work estimate, NUFFT above;
@@ -45,7 +45,6 @@ class GmresConfig:
     tol: float = 1e-6
     maxiter: int = 1000
     restart: int = 100
-    use_nufft: bool = None      # None selects by the crossover estimate
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -215,13 +214,6 @@ class SchurOperator:
         return self.interface.solve(extra_rhs=upd.rhs(self.contour, self.layers))
 
 
-def apply_schur(operator, betas):
-    """Spec-level entry point: one application of the Schur operator to a
-    stacked (M, 2p+1) coefficient array."""
-    return operator.apply(np.asarray(betas, dtype=complex).ravel()).reshape(
-        operator.M, 2 * operator.p + 1)
-
-
 @dataclass
 class Solution:
     """Converged solve state: spectral densities, multipole coefficients,
@@ -349,54 +341,42 @@ def eval_total_field(solution, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     op = solution.operator
     layers = op.layers
-    dens = solution.densities
     out = np.empty(pts.shape[0], dtype=complex)
 
-    top = pts[:, 1] >= 0
-    bot = pts[:, 1] < -layers.d
-    mid = ~(top | bot)
-    if np.any(top):
-        out[top] = (sommerfeld_point_source(op.contour, layers.k1,
-                                            layers.source, pts[top])
-                    + eval_sommerfeld_field(dens, op.contour, layers,
-                                            pts[top], "u1s"))
-    if np.any(bot):
-        out[bot] = eval_sommerfeld_field(dens, op.contour, layers,
-                                         pts[bot], "u3s")
-    if np.any(mid):
-        idx_mid = np.flatnonzero(mid)
-        owner = np.full(idx_mid.size, -1)
-        for j, inst in enumerate(op.instances):
-            d = np.hypot(pts[idx_mid, 0] - inst.center[0],
-                         pts[idx_mid, 1] - inst.center[1])
-            owner[(d < inst.R) & (owner < 0)] = j
-        free = idx_mid[owner < 0]
-        if free.size:
-            u = (eval_sommerfeld_field(dens, op.contour, layers, pts[free], "u2t")
-                 + eval_sommerfeld_field(dens, op.contour, layers, pts[free], "u2b"))
-            if op.M:
-                u = u + eval_multipole_field(solution.betas, op.instances,
-                                             layers.k2, pts[free])
-            out[free] = u
-        for j in np.unique(owner[owner >= 0]):
-            sel = idx_mid[owner == j]
-            nodes, normals, wts, sigma, mu = _instance_boundary(solution, j)
-            params = solution.boundary.params
-            # classify against the (rotated) inclusion boundary
-            inst = op.instances[j]
-            dxl = pts[sel, 0] - inst.center[0]
-            dyl = pts[sel, 1] - inst.center[1]
-            ang = np.arctan2(dyl, dxl) - inst.rotation
-            rho = params.a1 + params.a2 * np.cos(params.a3 * ang)
-            inside = np.hypot(dxl, dyl) < rho
-            if np.any(~inside):
-                ann = sel[~inside]
-                out[ann] = (_locals_field(solution, j, pts[ann])
-                            + _layer_potentials(layers.k2, nodes, normals,
-                                                wts, sigma, mu, pts[ann]))
-            if np.any(inside):
-                inn = sel[inside]
-                out[inn] = _layer_potentials(solution.boundary.params.kp,
-                                             nodes, normals, wts, sigma, mu,
-                                             pts[inn])
+    idx_mid = np.flatnonzero((pts[:, 1] < 0) & (pts[:, 1] >= -layers.d))
+    owner = np.full(idx_mid.size, -1)
+    for j, inst in enumerate(op.instances):
+        d = np.hypot(pts[idx_mid, 0] - inst.center[0],
+                     pts[idx_mid, 1] - inst.center[1])
+        owner[(d < inst.R) & (owner < 0)] = j
+    outside = np.ones(pts.shape[0], dtype=bool)
+    outside[idx_mid[owner >= 0]] = False
+    if np.any(outside):
+        out[outside] = eval_sommerfeld_field(solution.densities, op.contour,
+                                             layers, pts[outside])
+    free = idx_mid[owner < 0]
+    if free.size and op.M:
+        out[free] += eval_multipole_field(solution.betas, op.instances,
+                                          layers.k2, pts[free])
+    for j in np.unique(owner[owner >= 0]):
+        sel = idx_mid[owner == j]
+        nodes, normals, wts, sigma, mu = _instance_boundary(solution, j)
+        params = solution.boundary.params
+        # classify against the (rotated) inclusion boundary
+        inst = op.instances[j]
+        dxl = pts[sel, 0] - inst.center[0]
+        dyl = pts[sel, 1] - inst.center[1]
+        ang = np.arctan2(dyl, dxl) - inst.rotation
+        rho = params.a1 + params.a2 * np.cos(params.a3 * ang)
+        inside = np.hypot(dxl, dyl) < rho
+        if np.any(~inside):
+            ann = sel[~inside]
+            out[ann] = (_locals_field(solution, j, pts[ann])
+                        + _layer_potentials(layers.k2, nodes, normals,
+                                            wts, sigma, mu, pts[ann]))
+        if np.any(inside):
+            inn = sel[inside]
+            out[inn] = _layer_potentials(solution.boundary.params.kp,
+                                         nodes, normals, wts, sigma, mu,
+                                         pts[inn])
     return out[0] if np.asarray(points).ndim == 1 else out

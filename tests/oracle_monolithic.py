@@ -12,8 +12,7 @@ interface-to-particle couplings, and the field evaluation are all direct
 import numpy as np
 
 from layerscatter.layers import (SpectralDensities, eval_sommerfeld_field,
-                                 gamma, incident_rhs, interface_matrix,
-                                 sommerfeld_point_source)
+                                 gamma, incident_rhs, interface_matrix)
 from layerscatter.particle import assemble_muller, discretize_boundary, \
     shape_curve
 from layerscatter.special import hankel1
@@ -70,7 +69,8 @@ def solve_monolithic(layers, contour, params, centers, rots, probes):
     # --- Muller rows
     for m, (nodes, nrm, speed) in enumerate(geo):
         Z[dslice(m), dslice(m)] = A
-        # interface-field coupling: u2t (col 1) and u2b (col 2) of svec
+        # interface-field coupling: the upper (col 1) and lower (col 2)
+        # middle-layer fields of svec
         x, y = nodes[:, 0], nodes[:, 1]
         core = contour.weights / (4 * np.pi)
         osc = np.exp(1j * np.multiply.outer(x - x0, lam))
@@ -136,24 +136,12 @@ def solve_monolithic(layers, contour, params, centers, rots, probes):
     # --- field at probes
     sd = SpectralDensities(values=svec)
     probes = np.asarray(probes, dtype=float)
-    u = np.zeros(len(probes), dtype=complex)
-    top = probes[:, 1] >= 0
-    bot = probes[:, 1] <= -d
-    midm = ~top & ~bot
-    if top.any():
-        u[top] = (sommerfeld_point_source(contour, layers.k1, layers.source,
-                                          probes[top])
-                  + eval_sommerfeld_field(sd, contour, layers, probes[top],
-                                          "u1s"))
-    if bot.any():
-        u[bot] = eval_sommerfeld_field(sd, contour, layers, probes[bot], "u3s")
+    u = eval_sommerfeld_field(sd, contour, layers, probes)
+    midm = (probes[:, 1] < 0) & (probes[:, 1] >= -d)
     if midm.any():
         pm = probes[midm]
-        um = (eval_sommerfeld_field(sd, contour, layers, pm, "u2t")
-              + eval_sommerfeld_field(sd, contour, layers, pm, "u2b"))
         for m, (nodes, nrm, speed) in enumerate(geo):
             wts = 2 * np.pi / N * speed
             S, D, _, _ = potential_blocks(k2, nodes, nrm, wts, pm)
-            um += D @ dens[m][:N] + S @ dens[m][N:]
-        u[midm] = um
+            u[midm] += D @ dens[m][:N] + S @ dens[m][N:]
     return u, dens, svec

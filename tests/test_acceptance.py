@@ -208,7 +208,7 @@ def test_criterion_5_direct_vs_nufft_example1():
     R = bd.smatrix.R
 
     sol_d = solve_layered_scene(bd.operator,
-                                GmresConfig(tol=1e-10, use_nufft=False),
+                                GmresConfig(tol=1e-10),
                                 boundary=bd.boundary,
                                 mode_densities=bd.mode_densities)
     dens = sol_d.densities
@@ -238,7 +238,7 @@ def test_criterion_5_direct_vs_nufft_example1():
     # full solve through the accelerated path
     bn = build_scene(replace(cfg, path="nufft"))
     sol_n = solve_layered_scene(bn.operator,
-                                GmresConfig(tol=1e-10, use_nufft=True),
+                                GmresConfig(tol=1e-10),
                                 boundary=bn.boundary,
                                 mode_densities=bn.mode_densities)
     rng = np.random.default_rng(5)

@@ -72,67 +72,71 @@ def test_interface_rows_satisfied(layers131, contour131):
 
 
 def test_interface_field_continuity(layers131, contour131):
-    """Value and normal-derivative continuity of the interface solution."""
+    """Value and normal-derivative continuity of the layered field across
+    both interfaces."""
     dens = InterfaceSolver(contour131, layers131).solve()
     xs = np.linspace(-6.0, 6.0, 9)
-    k1 = layers131.k1
 
-    def total_top(pts):
-        u, g = eval_sommerfeld_field(dens, contour131, layers131, pts, "u1s",
-                                     want_gradient=True)
-        src = np.asarray(layers131.source, dtype=float)
-        d = pts - src
-        r = np.hypot(d[:, 0], d[:, 1])
-        u0 = 0.25j * hankel1(0, k1 * r + 0j)
-        du0 = -0.25j * k1 * hankel1(1, k1 * r + 0j)[:, None] * d / r[:, None]
-        return u + u0, g + du0
-
-    def mid(pts):
-        ut, gt = eval_sommerfeld_field(dens, contour131, layers131, pts, "u2t",
-                                       want_gradient=True)
-        ub, gb = eval_sommerfeld_field(dens, contour131, layers131, pts, "u2b",
-                                       want_gradient=True)
-        return ut + ub, gt + gb
-
-    def bottom(pts):
-        return eval_sommerfeld_field(dens, contour131, layers131, pts, "u3s",
+    def field(y):
+        pts = np.stack([xs, np.full_like(xs, y)], -1)
+        return eval_sommerfeld_field(dens, contour131, layers131, pts,
                                      want_gradient=True)
 
     eps = 1e-8
-    # top interface
-    above = np.stack([xs, np.full_like(xs, eps)], -1)
-    below = np.stack([xs, np.full_like(xs, -eps)], -1)
-    ua, ga = total_top(above)
-    ub, gb = mid(below)
-    assert np.abs(ua - ub).max() / np.abs(ua).max() <= 1e-6
-    assert np.abs(ga[:, 1] - gb[:, 1]).max() / np.abs(ga[:, 1]).max() <= 1e-6
-    # bottom interface
-    above = np.stack([xs, np.full_like(xs, -layers131.d + eps)], -1)
-    below = np.stack([xs, np.full_like(xs, -layers131.d - eps)], -1)
-    ua, ga = mid(above)
-    ub, gb = bottom(below)
-    assert np.abs(ua - ub).max() / np.abs(ub).max() <= 1e-6
-    assert np.abs(ga[:, 1] - gb[:, 1]).max() / np.abs(gb[:, 1]).max() <= 1e-6
+    # each pair is normalised by the field outside the middle layer
+    for y_iface, outer in ((0.0, 0), (-layers131.d, 1)):
+        (ua, ga), (ub, gb) = field(y_iface + eps), field(y_iface - eps)
+        uo, go = ((ua, ga), (ub, gb))[outer]
+        assert np.abs(ua - ub).max() / np.abs(uo).max() <= 1e-6
+        assert np.abs(ga[:, 1] - gb[:, 1]).max() / np.abs(go[:, 1]).max() \
+            <= 1e-6
+
+
+def test_field_gradient_matches_differences(layers131, contour131):
+    """The analytic gradient agrees with central differences in every
+    layer, including top-layer points above and below the source height,
+    where the derivative of the source term changes sign."""
+    dens = InterfaceSolver(contour131, layers131).solve()
+    pts = np.array([[0.3, 1.8], [-0.7, 0.5], [2.0, -5.0], [-1.0, -20.0],
+                    [0.5, -33.5]])
+    _, g = eval_sommerfeld_field(dens, contour131, layers131, pts,
+                                 want_gradient=True)
+    h = 1e-5
+    fd = np.empty_like(g)
+    for axis in (0, 1):
+        step = np.zeros(2)
+        step[axis] = h
+        fd[:, axis] = (eval_sommerfeld_field(dens, contour131, layers131,
+                                             pts + step)
+                       - eval_sommerfeld_field(dens, contour131, layers131,
+                                               pts - step)) / (2 * h)
+    scale = np.abs(g).max(axis=1)
+    assert (np.abs(g - fd).max(axis=1) <= 1e-6 * scale).all()
+    # want_gradient is keyword-only
+    with pytest.raises(TypeError):
+        eval_sommerfeld_field(dens, contour131, layers131, pts, True)
 
 
 def test_equal_wavenumbers_transmit_source():
-    """k1 = k2 = k3: no interface scattering; the middle-layer field is the
-    free-space Green's function of the source."""
+    """k1 = k2 = k3: no interface scattering; the layered field is the
+    free-space Green's function of the source in the middle and top
+    layers."""
     k = 2.0
     layers = LayerStack(k1=k, k2=k, k3=k, d=8.0, source=(0.0, 1.0))
     contour = build_contour_adaptive(layers, min_vertical_sep=1.0, tol=1e-12,
                                      max_horiz=6.0)
     dens = InterfaceSolver(contour, layers).solve()
-    pts = np.array([[1.0, -2.0], [-2.5, -4.0], [3.0, -6.5]])
-    u = (eval_sommerfeld_field(dens, contour, layers, pts, "u2t")
-         + eval_sommerfeld_field(dens, contour, layers, pts, "u2b"))
+    mid = np.array([[1.0, -2.0], [-2.5, -4.0], [3.0, -6.5]])
+    top = np.array([[0.5, 2.0], [-1.0, 3.0]])
+    pts = np.concatenate([mid, top])
+    u = eval_sommerfeld_field(dens, contour, layers, pts)
     d = pts - np.array(layers.source)
     ref = 0.25j * hankel1(0, k * np.hypot(d[:, 0], d[:, 1]) + 0j)
-    assert np.abs(u - ref).max() / np.abs(ref).max() <= 1e-9
-    # and the reflected top-layer field vanishes
-    top = np.array([[0.5, 2.0], [-1.0, 3.0]])
-    u1s = eval_sommerfeld_field(dens, contour, layers, top, "u1s")
-    assert np.abs(u1s).max() <= 1e-9 * np.abs(ref).max()
+    err = np.abs(u - ref)
+    scale = np.abs(ref[:len(mid)]).max()
+    assert err[:len(mid)].max() / scale <= 1e-9
+    # no reflected field: the top layer holds the source alone
+    assert err[len(mid):].max() <= 1e-9 * scale
 
 
 def test_extra_rhs_linearity(layers131, contour131):
@@ -145,13 +149,3 @@ def test_extra_rhs_linearity(layers131, contour131):
     full = solver.solve(extra_rhs=e).values
     only = solver.solve(extra_rhs=e, include_source=False).values
     assert np.abs(full - base - only).max() <= 1e-12 * np.abs(full).max()
-
-
-def test_evaluation_region_guards(layers131, contour131):
-    dens = InterfaceSolver(contour131, layers131).solve()
-    with pytest.raises(ValueError):
-        eval_sommerfeld_field(dens, contour131, layers131,
-                              np.array([[0.0, -1.0]]), "u1s")
-    with pytest.raises(ValueError):
-        eval_sommerfeld_field(dens, contour131, layers131,
-                              np.array([[0.0, 1.0]]), "u2t")

@@ -8,8 +8,9 @@ import pytest
 from layerscatter.scene import (FieldGrid, SceneConfig, build_scene,
                                 check_placement, evaluate_grid,
                                 load_field_grid, load_scene, place_particles,
-                                placement_capacity, save_field_grid,
-                                save_scene, solve_scene)
+                                placement_capacity,
+                                precompute_scattering_matrix,
+                                save_field_grid, save_scene, solve_scene)
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -205,6 +206,25 @@ def test_stale_cache_triggers_rebuild(cache_env):
     _, sol = solve_scene(cfg, notice=notices.append)
     assert notices and "rebuild" in notices[0]
     assert sol.history[-1] <= cfg.tol
+
+
+@pytest.mark.parametrize("suffix", [".lssm", ".densities.npz"])
+def test_truncated_cache_entry_rebuilt(cache_env, suffix):
+    """A cache file cut short (as by a crash mid-write) is rebuilt with a
+    notice, and the rebuilt entry loads again."""
+    cfg = small_config()
+    S, _, dens = precompute_scattering_matrix(cfg)
+    cache = Path(os.environ["LAYERSCATTER_CACHE_DIR"])
+    (entry,) = cache.glob("*" + suffix)
+    entry.write_bytes(entry.read_bytes()[:40])
+    notices = []
+    S2, _, dens2 = precompute_scattering_matrix(cfg, notice=notices.append)
+    assert len(notices) == 1 and "rebuild" in notices[0]
+    assert np.array_equal(S2.entries, S.entries)
+    assert np.array_equal(dens2.mu, dens.mu)
+    precompute_scattering_matrix(cfg, notice=notices.append)
+    assert len(notices) == 1
+    assert len(list(cache.iterdir())) == 2      # no temp files left over
 
 
 def test_fingerprint_distinguishes_configs():

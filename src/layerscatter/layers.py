@@ -20,6 +20,8 @@ __all__ = ["LayerStack", "SommerfeldContour", "SpectralDensities", "gamma",
            "sommerfeld_point_source"]
 
 MIN_BRANCH_DISTANCE = 0.05
+# element budget of each (points x nodes) temporary of the spectral sum
+CHUNK_ELEMENTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -242,42 +244,45 @@ class InterfaceSolver:
         return SpectralDensities(values=vals)
 
 
-def _vertical_factors(weights, terms, want_gradient):
-    """Per (point, node): the sum of w c e^{a t} over the (c, a, t, s)
-    terms -- c and a per node, t per point -- and, with ``want_gradient``,
-    its y-derivative, where s = dt/dy per point."""
-    vert = dvert = None
-    for c, a, t, s in terms:
-        e = np.multiply.outer(t, a)
-        np.exp(e, out=e)
-        e *= weights * c
-        de = e * a * np.reshape(s, (-1, 1)) if want_gradient else None
-        if vert is None:
-            vert, dvert = e, de
-        else:
-            vert += e
-            if want_gradient:
-                dvert += de
+def _vertical_rows(weights, terms, y, want_gradient):
+    """Per (height, node): the sum of w c e^{a t} over the (c, a, yref,
+    fold) terms -- c and a per node, t = y - yref, or |y - yref| if
+    ``fold`` -- and, with ``want_gradient``, its y-derivative."""
+    vert = np.zeros((y.size, weights.size), dtype=complex)
+    dvert = np.zeros_like(vert) if want_gradient else None
+    for c, a, yref, fold in terms:
+        s = np.sign(y - yref) if fold else np.ones_like(y)
+        e = np.exp(np.multiply.outer(s * (y - yref), a)) * (weights * c)
+        vert += e
+        if want_gradient:
+            dvert += e * a * s[:, None]
     return vert, dvert
 
 
-def _spectral_sum(contour, dx, terms, want_gradient):
-    """Contour quadrature of the spectral field
-    sum_j w_j / (4 pi) e^{i lam_j dx} V_j(y) at points with horizontal
-    offsets ``dx`` from the source; V is given as terms (see
-    _vertical_factors).  Returns the values and, with ``want_gradient``,
-    the (n, 2) gradients (None otherwise)."""
+def _spectral_sum(contour, dx, y, terms, want_gradient):
+    """Contour quadrature of sum_j w_j / (4 pi) e^{i lam_j dx} V_j(y) at
+    points with offsets ``dx`` from the source and heights ``y``, V given
+    as terms (see _vertical_rows); returns the values and the (n, 2)
+    gradients, or None without ``want_gradient``.  Points go in chunks of
+    CHUNK_ELEMENTS // N_S; in each, the phase is computed once per distinct
+    dx and V once per distinct y, and the gathered rows are dotted."""
     lam = contour.nodes
-    vert, dvert = _vertical_factors(contour.weights / (4 * np.pi), terms,
-                                    want_gradient)
-    phase = np.multiply.outer(dx, 1j * lam)
-    np.exp(phase, out=phase)
-    vert *= phase
-    val = vert.sum(axis=1)
-    if not want_gradient:
-        return val, None
-    gy = np.einsum("ij,ij->i", dvert, phase)
-    return val, np.stack([vert @ (1j * lam), gy], axis=-1)
+    w = contour.weights / (4 * np.pi)
+    val = np.empty(dx.size, dtype=complex)
+    grad = np.empty((dx.size, 2), dtype=complex) if want_gradient else None
+    step = max(1, CHUNK_ELEMENTS // lam.size)
+    for lo in range(0, dx.size, step):
+        sl = slice(lo, lo + step)
+        xu, ix = np.unique(dx[sl], return_inverse=True)
+        yu, iy = np.unique(y[sl], return_inverse=True)
+        phase = np.exp(np.multiply.outer(xu, 1j * lam))
+        vert, dvert = _vertical_rows(w, terms, yu, want_gradient)
+        rows = vert[iy]
+        val[sl] = np.einsum("ij,ij->i", phase[ix], rows)
+        if want_gradient:
+            grad[sl, 0] = np.einsum("ij,ij->i", (phase * (1j * lam))[ix], rows)
+            grad[sl, 1] = np.einsum("ij,ij->i", phase[ix], dvert[iy])
+    return val, grad
 
 
 def eval_sommerfeld_field(densities, contour, layers, points, *,
@@ -299,19 +304,17 @@ def eval_sommerfeld_field(densities, contour, layers, points, *,
     d = layers.d
     top, bot = y >= 0, y < -d
     mid = ~(top | bot)
-    yt, ym, yb = y[top], y[mid], y[bot]
     by_layer = (
-        (top, [(s1 / g1, -g1, yt, 1.0),
-               (1 / g1, -g1, np.abs(yt - y0), np.sign(yt - y0))]),
-        (mid, [(sp / g2, g2, ym, 1.0), (sm / g2, -g2, ym + d, 1.0)]),
-        (bot, [(s3 / g3, g3, yb + d, 1.0)]),
+        (top, [(s1 / g1, -g1, 0.0, False), (1 / g1, -g1, y0, True)]),
+        (mid, [(sp / g2, g2, 0.0, False), (sm / g2, -g2, -d, False)]),
+        (bot, [(s3 / g3, g3, -d, False)]),
     )
     val = np.empty(len(pts), dtype=complex)
     grad = np.empty((len(pts), 2), dtype=complex)
     for sel, terms in by_layer:
         if sel.any():
-            val[sel], g = _spectral_sum(contour, x[sel] - x0, terms,
-                                        want_gradient)
+            val[sel], g = _spectral_sum(contour, x[sel] - x0, y[sel],
+                                        terms, want_gradient)
             if want_gradient:
                 grad[sel] = g
     scalar = np.asarray(points).ndim == 1
@@ -329,7 +332,6 @@ def sommerfeld_point_source(contour, k, source, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x0, y0 = source
     g = gamma(contour.nodes, k)
-    dy = pts[:, 1] - y0
-    val, _ = _spectral_sum(contour, pts[:, 0] - x0,
-                           [(1 / g, -g, np.abs(dy), np.sign(dy))], False)
+    val, _ = _spectral_sum(contour, pts[:, 0] - x0, pts[:, 1],
+                           [(1 / g, -g, y0, True)], False)
     return val[0] if np.asarray(points).ndim == 1 else val

@@ -12,7 +12,7 @@ from .special import bessel_j, hankel1
 __all__ = ["ExpansionVector", "ParticleInstance", "m2l", "m2m",
            "point_source_local", "plane_wave_local", "eval_expansion",
            "PairCoupling", "apply_preconditioned_operator",
-           "solve_free_space", "eval_multipole_field", "hankel_orders"]
+           "solve_free_space", "eval_multipole_field"]
 
 
 @dataclass
@@ -42,19 +42,6 @@ class ParticleInstance:
     rotation: float
     R: float
     fingerprint: bytes
-
-
-def hankel_orders(z, p):
-    """H_n(z) for n = 0..p stacked along a new leading axis, by upward
-    recurrence from the n = 0, 1 values (stable for the dominant H)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty((p + 1,) + z.shape, dtype=complex)
-    out[0] = hankel1(0, z)
-    if p >= 1:
-        out[1] = hankel1(1, z)
-    for n in range(1, p):
-        out[n + 1] = (2.0 * n / z) * out[n] - out[n - 1]
-    return out
 
 
 def _translation_row(k, D, orders, kind):
@@ -261,10 +248,17 @@ def eval_multipole_field(betas, instances, k2, points):
         if np.any(r < inst.R):
             raise ValueError("point inside an enclosing disk; use the "
                              "solver's interior reconstruction")
-        th = np.arctan2(dy, dx)
-        hs = hankel_orders(k2 * r, p)           # (p+1, npts)
-        ns = np.arange(-p, p + 1)
-        hfull = hs[np.abs(ns)] * np.where(ns[:, None] < 0,
-                                          (-1.0) ** np.abs(ns)[:, None], 1.0)
-        out += (b[:, None] * hfull * np.exp(1j * np.outer(ns, th))).sum(0)
+        z = k2 * r + 0j
+        eith = (dx + 1j * dy) / r               # e^{i theta}
+        # orders +-n together: H_{-n} = (-1)^n H_n, e^{-i n theta} =
+        # conj(e^{i n theta}); H_n by upward recurrence (stable for H)
+        h_prev, h = hankel1(0, z), hankel1(1, z)
+        acc = b[p] * h_prev
+        ein = eith
+        for n in range(1, p + 1):
+            acc += h * (b[p + n] * ein + (-1) ** n * b[p - n] * np.conj(ein))
+            if n < p:
+                h_prev, h = h, (2.0 * n / z) * h - h_prev
+                ein = ein * eith
+        out += acc
     return out[0] if np.asarray(points).ndim == 1 else out

@@ -292,32 +292,35 @@ def _trig_upsample(f, m):
 UPSAMPLE = 8
 
 
-def _instance_boundary(solution, idx, upsample=UPSAMPLE):
-    """Rotated, upsampled prototype geometry and per-node densities for one
-    instance, from the stored per-mode densities and the solved locals."""
+def _instance_boundaries(solution, idxs, upsample=UPSAMPLE):
+    """Rotated, upsampled geometry and per-node densities of the listed
+    instances, from the stored per-mode densities and the solved locals.
+    The prototype curve and per-mode densities are upsampled once: the
+    upsampling is linear, so it commutes with each instance's contraction."""
     from .particle import shape_curve
 
-    inst = solution.operator.instances[idx]
-    bd = solution.boundary
-    if bd is None or solution.mode_densities is None:
+    if not len(idxs):
+        return
+    bd, modes = solution.boundary, solution.mode_densities
+    if bd is None or modes is None:
         raise ValueError("interior evaluation requires stored boundary "
                          "densities (solve with boundary/mode_densities)")
-    p = solution.operator.p
-    th = inst.rotation
-    ns = np.arange(-p, p + 1)
-    # locals in the prototype frame: a'_n = a_n e^{i n theta}
-    aprot = solution.alphas[idx] * np.exp(1j * ns * th)
-    mu = _trig_upsample(solution.mode_densities.mu @ aprot, upsample)
-    sigma = _trig_upsample(solution.mode_densities.sigma @ aprot, upsample)
     N2 = upsample * bd.params.N
-    t2 = 2 * np.pi * np.arange(N2) / N2
-    pos, _, normal, speed = shape_curve(bd.params, t2)
-    c, s = np.cos(th), np.sin(th)
-    rot = np.array([[c, -s], [s, c]])
-    nodes = pos @ rot.T + np.asarray(inst.center)
-    normals = normal @ rot.T
+    pos, _, normal, speed = shape_curve(bd.params,
+                                        2 * np.pi * np.arange(N2) / N2)
     wts = (2 * np.pi / N2) * speed
-    return nodes, normals, wts, sigma, mu
+    mu_modes = _trig_upsample(modes.mu, upsample)
+    sigma_modes = _trig_upsample(modes.sigma, upsample)
+    ns = np.arange(-solution.operator.p, solution.operator.p + 1)
+    for idx in idxs:
+        inst = solution.operator.instances[idx]
+        th = inst.rotation
+        # locals in the prototype frame: a'_n = a_n e^{i n theta}
+        aprot = solution.alphas[idx] * np.exp(1j * ns * th)
+        c, s = np.cos(th), np.sin(th)
+        rot = np.array([[c, -s], [s, c]])
+        yield idx, (pos @ rot.T + np.asarray(inst.center), normal @ rot.T,
+                    wts, sigma_modes @ aprot, mu_modes @ aprot)
 
 
 def _locals_field(solution, idx, pts):
@@ -358,9 +361,9 @@ def eval_total_field(solution, points):
     if free.size and op.M:
         out[free] += eval_multipole_field(solution.betas, op.instances,
                                           layers.k2, pts[free])
-    for j in np.unique(owner[owner >= 0]):
+    for j, (nodes, normals, wts, sigma, mu) in _instance_boundaries(
+            solution, np.unique(owner[owner >= 0])):
         sel = idx_mid[owner == j]
-        nodes, normals, wts, sigma, mu = _instance_boundary(solution, j)
         params = solution.boundary.params
         # classify against the (rotated) inclusion boundary
         inst = op.instances[j]

@@ -1,11 +1,18 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from layerscatter import layers as layers_mod
 from layerscatter.layers import (InterfaceSolver, LayerStack, build_contour,
                                  build_contour_adaptive, eval_sommerfeld_field,
                                  gamma, incident_rhs, interface_matrix,
                                  sommerfeld_point_source)
+from layerscatter.scene import load_scene
 from layerscatter.special import hankel1
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
 def test_layerstack_validation():
@@ -115,6 +122,57 @@ def test_field_gradient_matches_differences(layers131, contour131):
     # want_gradient is keyword-only
     with pytest.raises(TypeError):
         eval_sommerfeld_field(dens, contour131, layers131, pts, True)
+
+
+def test_chunked_field_matches_pointwise(layers131, contour131, monkeypatch):
+    """The chunked, factorised spectral sum agrees with one-point-at-a-time
+    evaluation: a grid with repeated x and y plus scattered points in all
+    three layers (top-layer points above and below the source height), with
+    chunks of 7 points so that chunk boundaries and partial chunks occur."""
+    monkeypatch.setattr(layers_mod, "CHUNK_ELEMENTS", 7 * len(contour131) + 3)
+    dens = InterfaceSolver(contour131, layers131).solve()
+    X, Y = np.meshgrid([-3.0, -1.0, 0.5, 2.0],
+                       [2.5, 1.5, 0.4, 0.0, -4.0, -31.5, -33.0, -40.0])
+    rng = np.random.default_rng(3)
+    scattered = np.concatenate([
+        np.stack([rng.uniform(-5, 5, 4), rng.uniform(lo, hi, 4)], -1)
+        for lo, hi in ((0.1, 3.0), (-31.9, -0.1), (-45.0, -32.1))])
+    pts = np.concatenate([np.stack([X.ravel(), Y.ravel()], -1), scattered])
+    pts = pts[rng.permutation(len(pts))]
+    val, grad = eval_sommerfeld_field(dens, contour131, layers131, pts,
+                                      want_gradient=True)
+    one = [eval_sommerfeld_field(dens, contour131, layers131, q,
+                                 want_gradient=True) for q in pts]
+    ref_val = np.array([v for v, _ in one])
+    ref_grad = np.array([g for _, g in one])
+    assert np.abs(val - ref_val).max() <= 1e-13 * np.abs(ref_val).max()
+    assert np.abs(grad - ref_grad).max() <= 1e-13 * np.abs(ref_grad).max()
+    plain = eval_sommerfeld_field(dens, contour131, layers131, pts)
+    assert np.abs(plain - ref_val).max() <= 1e-13 * np.abs(ref_val).max()
+
+
+def test_field_memory_bound_m100_grid():
+    """The layered field on the 100 x 140 benchmark grid with example1's
+    contour keeps its tracemalloc peak under 128 MB (a dense points x N_S
+    evaluation needs about 860 MB)."""
+    cfg = load_scene(SCENES / "example1.scene")
+    layers = cfg.layers()
+    sep_v = min(cfg.source_y, -cfg.region_y1, cfg.region_y0 + cfg.d)
+    xs = [cfg.region_x0, cfg.region_x1, cfg.source_x]
+    contour = build_contour_adaptive(layers, min_vertical_sep=sep_v,
+                                     tol=cfg.contour_tol,
+                                     max_horiz=max(xs) - min(xs))
+    dens = InterfaceSolver(contour, layers).solve()
+    X, Y = np.meshgrid(np.linspace(-14, 14, 100), np.linspace(-36, 4, 140))
+    pts = np.stack([X.ravel(), Y.ravel()], -1)
+    tracemalloc.start()
+    try:
+        vals = eval_sommerfeld_field(dens, contour, layers, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(vals).all()
+    assert peak < 128 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MB"
 
 
 def test_equal_wavenumbers_transmit_source():

@@ -1,11 +1,8 @@
-"""Tensor-product Chebyshev interpolation on rectangular boxes."""
-
-from dataclasses import dataclass
+"""Chebyshev nodes and barycentric interpolation weights."""
 
 import numpy as np
 
-__all__ = ["ChebyshevPatch", "cheb_build", "cheb_eval", "cheb_nodes",
-           "bary_weights", "bary_matrix"]
+__all__ = ["cheb_nodes", "bary_weights", "bary_matrix"]
 
 
 def cheb_nodes(m, a, b):
@@ -44,37 +41,3 @@ def bary_matrix(nodes, targets):
     P[hit] = exact[hit].astype(float)
     return P
 
-
-@dataclass
-class ChebyshevPatch:
-    """Complex samples of a function on an m1 x m2 Chebyshev tensor grid."""
-    box: tuple               # (x0, x1, y0, y1)
-    xnodes: np.ndarray
-    ynodes: np.ndarray
-    values: np.ndarray       # shape (m1, m2), values[i, j] = f(x_i, y_j)
-
-    def contains(self, x, y, slack=1e-12):
-        x0, x1, y0, y1 = self.box
-        sx = slack * (x1 - x0)
-        sy = slack * (y1 - y0)
-        return (x0 - sx <= x <= x1 + sx) and (y0 - sy <= y <= y1 + sy)
-
-
-def cheb_build(box, m1, m2, f):
-    """Sample f(x, y) on the Chebyshev grid of a box (x0, x1, y0, y1)."""
-    x0, x1, y0, y1 = box
-    xs = cheb_nodes(m1, x0, x1)
-    ys = cheb_nodes(m2, y0, y1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vals = np.asarray(f(X, Y), dtype=complex)
-    return ChebyshevPatch(box=tuple(box), xnodes=xs, ynodes=ys, values=vals)
-
-
-def cheb_eval(patch, point):
-    """Barycentric evaluation of the patch interpolant at (x, y)."""
-    x, y = point
-    if not patch.contains(x, y):
-        raise ValueError(f"point {point} outside patch box {patch.box}")
-    px = bary_matrix(patch.xnodes, [x])[0]
-    py = bary_matrix(patch.ynodes, [y])[0]
-    return px @ patch.values @ py

@@ -15,7 +15,7 @@ the tests):
   [-i (lam + gamma)/k2]^n on the lower one, for n of either sign.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,11 @@ __all__ = ["SpectralUpdate", "InterpGrid", "sommerfeld_to_local_direct",
            "multipole_to_sommerfeld_direct", "SommerfeldGridPlan",
            "sommerfeld_to_local_nufft", "MultipoleToSommerfeldPlan",
            "local_coefficients_from_samples"]
+
+
+# Chebyshev nodes per side of each box of the C block's interpolation grid;
+# boxes are at most one middle-layer wavelength wide
+GRID_NODES = 16
 
 
 @dataclass
@@ -59,14 +64,11 @@ def _ja_powers(lam, g2, k2, p):
 
 def _hankel_factors(lam, g2, k2, p):
     """Plane-wave factors of H_n on the upper/lower interface, as genuine
-    n-th powers (the (-1)^n from stepping the order downward cancels against
-    H_{-n} = (-1)^n H_n)."""
-    n = np.arange(-p, p + 1)
-    base_up = 1j * (g2 - lam) / k2
-    base_dn = -1j * (lam + g2) / k2
-    up = base_up[:, None] ** n[None, :]
-    dn = base_dn[:, None] ** n[None, :]
-    return up, dn
+    n-th powers: [i (g2 - lam)/k2]^n and [-i (lam + g2)/k2]^n, which are
+    (-1)^n times the Jacobi-Anger factors."""
+    sign = (-1.0) ** np.arange(-p, p + 1)
+    up, dn = _ja_powers(lam, g2, k2, p)
+    return up * sign, dn * sign
 
 
 def _density_weights(densities, contour, layers, y):
@@ -125,11 +127,10 @@ class InterpGrid:
     wy: float                  # box height
     n1: int
     n2: int
-    m: int
     k2: complex
-    xnodes: np.ndarray         # (n1 * m,) all Chebyshev abscissas
-    ynodes: np.ndarray         # (n2 * m,)
-    u: np.ndarray              # (n1 * m, n2 * m)
+    xnodes: np.ndarray         # (n1 * GRID_NODES,) all Chebyshev abscissas
+    ynodes: np.ndarray         # (n2 * GRID_NODES,)
+    u: np.ndarray              # (n1 * GRID_NODES, n2 * GRID_NODES)
     ux: np.ndarray
     uy: np.ndarray
 
@@ -145,7 +146,7 @@ class InterpGrid:
         on contiguous slices."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         bx, by = self.box_of(pts[:, 0], pts[:, 1])
-        m = self.m
+        m = GRID_NODES
         px = bary_matrix(self.xnodes.reshape(self.n1, m)[bx], pts[:, 0])
         py = bary_matrix(self.ynodes.reshape(self.n2, m)[by], pts[:, 1])
         key = bx * self.n2 + by
@@ -172,10 +173,9 @@ class SommerfeldGridPlan:
     segment over all distinct x-abscissas, direct (separable, cached-phase)
     summation for the short vertical segment."""
 
-    def __init__(self, contour, layers, region, tol=1e-12, m=16):
+    def __init__(self, contour, layers, region, tol=1e-12):
         self.contour = contour
         self.layers = layers
-        self.m = m
         x_lo, x_hi, y_lo, y_hi = region
         lam2 = 2 * np.pi / abs(layers.k2)
         # pad by one wavelength around the requested region, clamped to the
@@ -192,6 +192,7 @@ class SommerfeldGridPlan:
         self.wy = (y_hi - y_lo) / self.n2
         self.x0 = x_lo
         self.y0 = y_lo
+        m = GRID_NODES
         self.xnodes = np.concatenate(
             [cheb_nodes(m, self.x0 + i * self.wx, self.x0 + (i + 1) * self.wx)
              for i in range(self.n1)])
@@ -251,7 +252,7 @@ class SommerfeldGridPlan:
         ux += np.einsum("xj,jy->xy", self._mid_x * (1j * self.contour.nodes[i]),
                         cp[i] + cm[i])
         return InterpGrid(x0=self.x0, y0=self.y0, wx=self.wx, wy=self.wy,
-                          n1=self.n1, n2=self.n2, m=self.m, k2=self.layers.k2,
+                          n1=self.n1, n2=self.n2, k2=self.layers.k2,
                           xnodes=self.xnodes, ynodes=self.ynodes,
                           u=u, ux=ux, uy=uy)
 
@@ -307,9 +308,10 @@ class MultipoleToSommerfeldPlan:
     Expansion centers are shifted vertically (M2M) to the nearest of a set
     of rows spaced at most 0.2/|k2| apart, so the y-dependent evanescent
     factor is shared within each row; the x-sums then become Fourier sums
-    evaluated by one batched type-3 NUFFT per row and tail segment.  The
-    horizontal coordinates need no snapping (the NUFFT accepts them
-    exactly), and the 20-node vertical segment is summed directly.
+    evaluated by one batched type-3 NUFFT per row and tail segment, each a
+    restriction of one plan per tail over all centers.  The horizontal
+    coordinates need no snapping (the NUFFT accepts them exactly), and the
+    20-node vertical segment is summed directly.
     """
 
     def __init__(self, contour, layers, instances, p, tol=1e-12):
@@ -318,7 +320,6 @@ class MultipoleToSommerfeldPlan:
         self.p = p
         centers = np.array([inst.center for inst in instances], dtype=float)
         self.centers = centers
-        M = centers.shape[0]
         row_spacing = 0.2 / abs(layers.k2)
         ylo = centers[:, 1].min()
         self.rows_y = ylo + row_spacing * np.arange(
@@ -329,72 +330,58 @@ class MultipoleToSommerfeldPlan:
         occupied = np.unique(self.row_of)
         self.occupied = occupied
 
-        # per-instance vertical M2M matrices (exact translations)
+        # per-instance vertical M2M matrices (exact translations); a zero
+        # shift gives the identity, as J_q(0) = delta_q0
         ns = np.arange(-p, p + 1)
         q = np.subtract.outer(-ns, -ns)          # q[i, j] = nu_j - n_i
-        shifts = self.rows_y[self.row_of] - centers[:, 1]
-        self._m2m = np.empty((M, 2 * p + 1, 2 * p + 1), dtype=complex)
-        for i, dy in enumerate(shifts):
-            if dy == 0:
-                self._m2m[i] = np.eye(2 * p + 1)
-            else:
-                th = np.pi / 2 if dy > 0 else -np.pi / 2
-                self._m2m[i] = (bessel_j(q, layers.k2 * abs(dy) + 0j)
-                                * np.exp(1j * q * th))
+        shifts = (self.rows_y[self.row_of] - centers[:, 1])[:, None, None]
+        self._m2m = (bessel_j(q, layers.k2 * np.abs(shifts) + 0j)
+                     * np.exp(0.5j * np.pi * q * np.sign(shifts)))
 
         lam = contour.nodes
         self.g2 = gamma(lam, layers.k2)
         seg = contour.segments
         self._tails = {s: np.flatnonzero(seg == s) for s in (1, 3)}
-        self._mid = np.flatnonzero(seg == 2)
         self._fup, self._fdn = _hankel_factors(lam, self.g2, layers.k2, p)
-        # per-row NUFFT plans: sources are that row's x coordinates,
-        # targets the negated tail abscissas (for e^{-i lam x})
+        # per tail, one NUFFT plan whose sources are all the x coordinates
+        # and whose targets are the negated tail abscissas (for e^{-i lam x}),
+        # restricted to each row's sources
+        self._sel = {r: np.flatnonzero(self.row_of == r) for r in occupied}
         self._plans = {}
         self._srcfac = {}
-        for r in occupied:
-            sel = self.row_of == r
-            xs = centers[sel, 0]
-            self._plans[r] = {}
-            self._srcfac[r] = {}
-            for s, idx in self._tails.items():
-                t = np.real(lam[idx])
-                self._plans[r][s] = Nufft3Plan(xs, -t, tol=tol)
-                self._srcfac[r][s] = np.exp(np.imag(lam[idx])[0] * xs)
-        self._sel = {r: self.row_of == r for r in occupied}
+        for s, idx in self._tails.items():
+            plan = Nufft3Plan(centers[:, 0], -np.real(lam[idx]), tol=tol)
+            self._plans[s] = {r: plan.restrict(sel)
+                              for r, sel in self._sel.items()}
+            self._srcfac[s] = np.exp(np.imag(lam[idx])[0] * centers[:, 0])
         # interface evanescent factors per occupied row
         self._eup = {r: np.exp(self.rows_y[r] * self.g2) for r in occupied}
         self._edn = {r: np.exp(-(layers.d + self.rows_y[r]) * self.g2)
                      for r in occupied}
         self._x0phase = np.exp(1j * layers.source[0] * lam)
-        # direct machinery for the short vertical segment (exact centers)
-        lam_m = lam[self._mid]
-        self._mid_phase = np.exp(
-            -1j * np.multiply.outer(centers[:, 0], lam_m))
-        self._mid_eup = np.exp(np.multiply.outer(centers[:, 1], self.g2[self._mid]))
-        self._mid_edn = np.exp(
-            -np.multiply.outer(layers.d + centers[:, 1], self.g2[self._mid]))
+        mid = seg == 2
+        self._mid = np.flatnonzero(mid)
+        self._mid_contour = replace(contour, nodes=lam[mid],
+                                    weights=contour.weights[mid],
+                                    segments=seg[mid])
 
     def apply(self, betas):
         betas = np.asarray(betas, dtype=complex)
-        width = 2 * self.p + 1
         snapped = np.einsum("mln,mn->ml", self._m2m, betas)
         n_nodes = self.contour.nodes.size
         sp = np.zeros(n_nodes, dtype=complex)
         sm = np.zeros(n_nodes, dtype=complex)
-        for r in self.occupied:
-            b_r = snapped[self._sel[r]]                  # (M_r, 2p+1)
-            for s, idx in self._tails.items():
-                c = b_r * self._srcfac[r][s][:, None]
-                G = self._plans[r][s].apply(c)           # (n_tail, 2p+1)
+        for s, idx in self._tails.items():
+            c = snapped * self._srcfac[s][:, None]
+            for r, sel in self._sel.items():
+                G = self._plans[s][r].apply(c[sel])      # (n_tail, 2p+1)
                 sp[idx] += self._eup[r][idx] * (G * self._fup[idx]).sum(1)
                 sm[idx] += self._edn[r][idx] * (G * self._fdn[idx]).sum(1)
         sp *= -4j * self._x0phase
         sm *= -4j * self._x0phase
         # vertical segment: direct with exact (unsnapped) centers
-        i = self._mid
-        tu = betas @ self._fup[i].T                      # (M, n_mid)
-        td = betas @ self._fdn[i].T
-        sp[i] += -4j * self._x0phase[i] * (self._mid_phase * self._mid_eup * tu).sum(0)
-        sm[i] += -4j * self._x0phase[i] * (self._mid_phase * self._mid_edn * td).sum(0)
+        mid = multipole_to_sommerfeld_direct(betas, self.centers,
+                                             self._mid_contour, self.layers)
+        sp[self._mid] = mid.sigma_plus
+        sm[self._mid] = mid.sigma_minus
         return SpectralUpdate(sigma_plus=sp, sigma_minus=sm)

@@ -20,6 +20,10 @@ __all__ = ["LayerStack", "SommerfeldContour", "SpectralDensities", "gamma",
            "sommerfeld_point_source"]
 
 MIN_BRANCH_DISTANCE = 0.05
+# distance of the horizontal tails from the real axis, and the node count of
+# the vertical segment that joins them
+CONTOUR_B = 0.2
+N_MID = 20
 # element budget of each (points x nodes) temporary of the spectral sum
 CHUNK_ELEMENTS = 2 ** 20
 
@@ -121,17 +125,18 @@ def _tail_edges(ks, b, t_max):
     return np.array(edges)
 
 
-def build_contour(layers, b=0.2, pad=20.0, n_tail=240, n_mid=20):
+def build_contour(layers, pad=20.0, n_tail=240):
     """Gauss-Legendre discretization of the three-segment contour.
 
     Each horizontal tail of length t_max = max|k_i| + pad is split into
-    panels graded toward the branch-point abscissas |k_i| (at distance b
-    above/below the tails the integrand varies on that scale), with about
-    ``n_tail`` nodes per tail in total; the short vertical segment gets a
-    single ``n_mid``-point panel.
+    panels graded toward the branch-point abscissas |k_i| (at distance b =
+    CONTOUR_B above/below the tails the integrand varies on that scale),
+    with about ``n_tail`` nodes per tail in total; the short vertical
+    segment gets a single N_MID-point panel.
     """
-    if b <= 0 or pad <= 0:
-        raise ValueError("need b > 0 and pad > 0")
+    if pad <= 0:
+        raise ValueError("need pad > 0")
+    b = CONTOUR_B
     t_max = max(abs(k) for k in layers.ks) + pad
     edges = _tail_edges(layers.ks, b, t_max)
     n_per = max(6, int(np.ceil(n_tail / (edges.size - 1))))
@@ -144,10 +149,10 @@ def build_contour(layers, b=0.2, pad=20.0, n_tail=240, n_mid=20):
         weights.append(q.weights.astype(complex))
         tags.append(np.full(n_per, 3))
     # Gamma_2: lambda = it, t from b down to -b  => d(lambda) = -i dt (ascending t)
-    q = gauss_legendre(n_mid, -b, b)
+    q = gauss_legendre(N_MID, -b, b)
     nodes.append(1j * q.nodes)
     weights.append(-1j * q.weights)
-    tags.append(np.full(n_mid, 2))
+    tags.append(np.full(N_MID, 2))
     # Gamma_1: lambda = t - ib, t from 0 to t_max
     for lo, hi in zip(edges[:-1], edges[1:], strict=True):
         q = gauss_legendre(n_per, lo, hi)
@@ -168,8 +173,8 @@ def build_contour(layers, b=0.2, pad=20.0, n_tail=240, n_mid=20):
     return contour
 
 
-def build_contour_adaptive(layers, min_vertical_sep, tol=1e-12, b=0.2,
-                           n_mid=20, max_horiz=0.0):
+def build_contour_adaptive(layers, min_vertical_sep, tol=1e-12,
+                           max_horiz=0.0):
     """Contour sized for a given worst-case vertical separation.
 
     The tails are truncated where the evanescent factor e^{-t * sep} falls
@@ -185,7 +190,7 @@ def build_contour_adaptive(layers, min_vertical_sep, tol=1e-12, b=0.2,
     t_max = kmax + pad
     n_osc = int(np.ceil(8.0 * t_max * max_horiz / (2 * np.pi)))
     n_tail = max(240, int(np.ceil(2.0 * t_max)), n_osc)
-    return build_contour(layers, b=b, pad=pad, n_tail=n_tail, n_mid=n_mid)
+    return build_contour(layers, pad=pad, n_tail=n_tail)
 
 
 def interface_matrix(lam, layers):

@@ -10,8 +10,7 @@ import numpy as np
 from .special import bessel_j, hankel1
 
 __all__ = ["ExpansionVector", "ParticleInstance", "m2l", "m2m",
-           "point_source_local", "plane_wave_local", "eval_expansion",
-           "PairCoupling", "apply_preconditioned_operator",
+           "point_source_local", "eval_expansion", "PairCoupling",
            "solve_free_space", "eval_multipole_field"]
 
 
@@ -108,17 +107,6 @@ def point_source_local(k, source_point, center, p):
                            center=tuple(center), k=k)
 
 
-def plane_wave_local(k, direction, center, p):
-    """Local expansion of e^{i k x . d} about ``center`` (Jacobi-Anger):
-    a_n = e^{i k c . d} i^n e^{-i n phi_d}."""
-    phi = np.arctan2(direction[1], direction[0])
-    n = np.arange(-p, p + 1)
-    amp = np.exp(1j * k * (center[0] * direction[0] + center[1] * direction[1]))
-    coeffs = amp * (1j) ** n * np.exp(-1j * n * phi)
-    return ExpansionVector(p=p, coeffs=coeffs, kind="J",
-                           center=tuple(center), k=k)
-
-
 def eval_expansion(exp, points):
     """Evaluate an H- or J-expansion at one point or an (n, 2) array."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -151,36 +139,30 @@ class PairCoupling:
         dy = centers[:, 1][:, None] - centers[:, 1][None, :]
         dist = np.hypot(dx, dy)
         np.fill_diagonal(dist, 1.0)
-        self._offdiag = ~np.eye(self.M, dtype=bool)
         self.z = k * dist                       # kernel argument (diag dummy)
         # theta of D = target - source; row = target, column = source
         self.phase = np.exp(1j * np.arctan2(dy, dx))
-        self._h0 = hankel1(0, self.z) * self._offdiag
-        self._h1 = hankel1(1, self.z) * self._offdiag
+        # a zero diagonal in H_0 and H_1 stays zero through the recurrence
+        offdiag = ~np.eye(self.M, dtype=bool)
+        self._h0 = hankel1(0, self.z) * offdiag
+        self._h1 = hankel1(1, self.z) * offdiag
 
     def apply_m2l(self, betas):
         """Incoming locals alpha[m, n] = sum_{j != m} sum_nu
         W_{nu-n}(m, j) betas[j, nu]; betas shaped (M, 2p+1)."""
         p = self.p
         width = 2 * p + 1
-        alphas = np.zeros((self.M, width), dtype=complex)
+        alphas = self._h0 @ betas
         hq_prev, hq = self._h0, self._h1
-        pq = np.ones_like(self.phase)           # phase^q, q starting at 0
-        for q in range(0, 2 * p + 1):
-            if q == 0:
-                contrib = self._h0 @ betas
-                alphas += contrib
-            else:
-                wplus = hq * pq                 # W_{+q}
-                wminus = (-1) ** q * hq * np.conj(pq)
-                up = wplus @ betas              # indexed by nu = n + q
-                dn = wminus @ betas             # indexed by nu = n - q
-                alphas[:, :width - q] += up[:, q:]
-                alphas[:, q:] += dn[:, :width - q]
+        pq = self.phase                         # phase^q
+        for q in range(1, 2 * p + 1):
+            # W_{+q} = H_q phase^q acts on nu = n + q, and
+            # W_{-q} = (-1)^q H_q conj(phase^q) on nu = n - q
+            alphas[:, :width - q] += (hq * pq) @ betas[:, q:]
+            alphas[:, q:] += ((-1) ** q * hq * np.conj(pq)) @ betas[:, :width - q]
             if q < 2 * p:
                 pq = pq * self.phase
-                if q >= 1:
-                    hq_prev, hq = hq, (2.0 * q / self.z) * hq * self._offdiag - hq_prev
+                hq_prev, hq = hq, (2.0 * q / self.z) * hq - hq_prev
         return alphas
 
 
@@ -192,16 +174,6 @@ def _stack_smatrices(smats, M):
     if isinstance(smats, np.ndarray) and smats.ndim == 3:
         return smats
     return np.stack([s.entries for s in smats])
-
-
-def apply_preconditioned_operator(betas, coupling, smats):
-    """(I - S T) betas for stacked outgoing coefficients (M, 2p+1)."""
-    M = betas.shape[0]
-    if M == 1:
-        return betas.copy()
-    alphas = coupling.apply_m2l(betas)
-    S = _stack_smatrices(smats, M)
-    return betas - np.einsum("mln,mn->ml", S, alphas)
 
 
 def solve_free_space(instances, smats, k2, incident_locals, p, tol=1e-6,
@@ -223,8 +195,9 @@ def solve_free_space(instances, smats, k2, incident_locals, p, tol=1e-6,
     coupling = PairCoupling(centers, k2, p)
 
     def op(v):
-        return apply_preconditioned_operator(
-            v.reshape(M, 2 * p + 1), coupling, S).ravel()
+        betas = v.reshape(M, 2 * p + 1)
+        return (betas - np.einsum("mln,mn->ml", S,
+                                  coupling.apply_m2l(betas))).ravel()
 
     x, hist = gmres(op, rhs, tol=tol, maxiter=maxiter, restart=restart)
     return x.reshape(M, 2 * p + 1), hist

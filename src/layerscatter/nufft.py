@@ -14,6 +14,8 @@ provided for Fourier-type contour integrals; it composes Gaussian spreading
 in the source domain with a type-2 transform in the target domain.
 """
 
+import copy
+
 import numpy as np
 import scipy.fft
 import scipy.sparse
@@ -148,6 +150,14 @@ class Nufft3Plan:
         xi = hs * (x - x0)
         self._plan2 = NufftPlan(np.remainder(xi, 2 * np.pi), n, tol)
         self._deconv_x = hs * np.exp(tau * (x - x0) ** 2) / np.sqrt(4 * np.pi * tau)
+
+    def restrict(self, idx):
+        """The same transform for the sources ``idx`` only; the fine grid,
+        the type-2 plan and the target factors are shared, not copied."""
+        sub = copy.copy(self)
+        sub._spread = self._spread[:, idx]
+        sub._phase_c = self._phase_c[idx]
+        return sub
 
     def apply(self, c):
         """Evaluate for strengths c of shape (nsrc,) or (nsrc, batch)."""

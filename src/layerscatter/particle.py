@@ -18,7 +18,7 @@ __all__ = ["ShapeParams", "BoundaryDiscretization", "ScatteringMatrix",
            "PrecomputedDensities", "shape_curve", "discretize_boundary",
            "assemble_muller", "factor_and_solve", "incident_mode_rhs",
            "scattering_matrix_nystrom", "scattering_matrix_disk",
-           "scattering_matrix_pec_disk", "rotate_scattering_matrix",
+           "rotate_scattering_matrix",
            "shape_fingerprint", "save_scattering_matrix",
            "load_scattering_matrix"]
 
@@ -189,9 +189,9 @@ def assemble_muller(boundary, k2, kp):
     return A
 
 
-def incident_mode_rhs(boundary, k2, p):
-    """Right-hand sides (-u_inc, -du_inc/dn) for the cylindrical incident
-    modes u_inc = J_n(k2 r) e^{i n theta}, n = -p..p, about the origin."""
+def _cylindrical_modes(boundary, k2, p):
+    """J_n(k2 r) e^{i n theta} and its normal derivative at the boundary
+    nodes, n = -p..p about the origin; each (N, 2p+1)."""
     x = boundary.nodes
     r = np.hypot(x[:, 0], x[:, 1])
     th = np.arctan2(x[:, 1], x[:, 0])
@@ -199,13 +199,19 @@ def incident_mode_rhs(boundary, k2, p):
     jn = bessel_j(ns[None, :], (k2 * r)[:, None])
     jnp = bessel_j_prime(ns[None, :], (k2 * r)[:, None])
     phase = np.exp(1j * np.outer(th, ns))
-    u = jn * phase
     rhat = np.stack([np.cos(th), np.sin(th)], axis=-1)
     that = np.stack([-np.sin(th), np.cos(th)], axis=-1)
     nr = (boundary.normals * rhat).sum(-1)
     nt = (boundary.normals * that).sum(-1)
     dudn = (k2 * jnp * nr[:, None]
             + (1j * ns[None, :] / r[:, None]) * jn * nt[:, None]) * phase
+    return jn * phase, dudn
+
+
+def incident_mode_rhs(boundary, k2, p):
+    """Right-hand sides (-u_inc, -du_inc/dn) for the cylindrical incident
+    modes u_inc = J_n(k2 r) e^{i n theta}, n = -p..p, about the origin."""
+    u, dudn = _cylindrical_modes(boundary, k2, p)
     return np.concatenate([-u, -dudn], axis=0)
 
 
@@ -229,23 +235,13 @@ def factor_and_solve(system, rhs_set):
 def _multipole_projection(boundary, k2, p):
     """Weights turning boundary densities into outgoing H-expansion
     coefficients: beta_l = (i/4) integral [ J_l(k2 r) e^{-i l th} sigma
-    + n . grad(J_l(k2 r) e^{-i l th}) mu ] ds (Graf addition theorem)."""
-    x, nrm = boundary.nodes, boundary.normals
-    r = np.hypot(x[:, 0], x[:, 1])
-    th = np.arctan2(x[:, 1], x[:, 0])
-    ls = np.arange(-p, p + 1)
-    jl = bessel_j(ls[None, :], (k2 * r)[:, None])
-    jlp = bessel_j_prime(ls[None, :], (k2 * r)[:, None])
-    phase = np.exp(-1j * np.outer(th, ls))
-    rhat = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    that = np.stack([-np.sin(th), np.cos(th)], axis=-1)
-    nr = (nrm * rhat).sum(-1)[:, None]
-    nt = (nrm * that).sum(-1)[:, None]
-    w = (boundary.h * boundary.speed)[:, None]
-    w_sigma = 0.25j * w * jl * phase
-    w_mu = 0.25j * w * (k2 * jlp * nr
-                        - (1j * ls[None, :] / r[:, None]) * jl * nt) * phase
-    return w_sigma, w_mu    # each (N, 2p+1); beta_l = sum_j over column l
+    + n . grad(J_l(k2 r) e^{-i l th}) mu ] ds (Graf addition theorem).
+    J_l e^{-i l th} = (-1)^l J_{-l} e^{-i l th} is the incident mode of
+    order -l times (-1)^l."""
+    u, dudn = _cylindrical_modes(boundary, k2, p)
+    w = 0.25j * (boundary.h * boundary.speed)[:, None] \
+        * (-1.0) ** np.arange(-p, p + 1)
+    return w * u[:, ::-1], w * dudn[:, ::-1]   # beta_l = sum over column l
 
 
 def shape_fingerprint(params):
@@ -297,14 +293,6 @@ def scattering_matrix_disk(Rdisk, k2, kp, p):
                             kp=kp, fingerprint=_disk_fingerprint(Rdisk))
 
 
-def scattering_matrix_pec_disk(Rdisk, k2, p):
-    """Sound-soft (perfectly conducting) disk: s_n = -J_n / H_n."""
-    ns = np.arange(-p, p + 1)
-    s = -bessel_j(ns, k2 * Rdisk + 0j) / hankel1(ns, k2 * Rdisk)
-    return ScatteringMatrix(p=p, entries=np.diag(s), R=float(Rdisk), k2=k2,
-                            kp=np.inf, fingerprint=_disk_fingerprint(Rdisk))
-
-
 def rotate_scattering_matrix(S, theta):
     """Scattering matrix of the same shape rotated by theta: conjugation by
     the diagonal phases that rotate cylindrical harmonics."""
@@ -321,10 +309,9 @@ _CACHE_VERSION = 1
 def save_scattering_matrix(path, S):
     """Write the versioned little-endian binary cache format."""
     m = 2 * S.p + 1
-    kp = S.kp if np.isfinite(S.kp) else complex(np.inf, 0.0)
     header = struct.pack("<4sIi d dd dd 32s", _CACHE_MAGIC, _CACHE_VERSION,
                          S.p, S.R, np.real(S.k2), np.imag(S.k2),
-                         np.real(kp), np.imag(kp), S.fingerprint)
+                         np.real(S.kp), np.imag(S.kp), S.fingerprint)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(S.entries,

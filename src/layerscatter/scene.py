@@ -150,17 +150,6 @@ def load_scene(path):
     return SceneConfig(**values)
 
 
-def save_scene(path, cfg):
-    """Write a config back out in the flat key = value format."""
-    lines = []
-    for f in fields(SceneConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, complex) and v.imag == 0:
-            v = v.real
-        lines.append(f"{f.name} = {v}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Particle placement
 # ---------------------------------------------------------------------------

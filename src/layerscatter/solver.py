@@ -35,9 +35,13 @@ __all__ = ["GmresConfig", "GmresError", "gmres", "SchurOperator",
            "Solution", "solve_layered_scene",
            "eval_total_field", "NUFFT_CROSSOVER"]
 
-# direct coupling paths below this M * N_S work estimate, NUFFT above;
-# measured break-even for the accelerated B and C applies is near 1e6
+# direct coupling paths below this M * N_S work estimate, NUFFT above.  It
+# is no measured break-even: the m100-grid benchmark (2.5e5) runs direct and
+# band600-probe (3e6) NUFFT, but at example1 M=1000 (2.5e6) the NUFFT B
+# apply is 3.4-6x slower than direct B (ROADMAP item 2)
 NUFFT_CROSSOVER = 1e6
+# tolerance of the NUFFT coupling plans
+COUPLING_TOL = 1e-13
 
 
 @dataclass
@@ -141,8 +145,7 @@ class SchurOperator:
     work estimate M * N_S exceeds the crossover -- the NUFFT coupling plans.
     """
 
-    def __init__(self, contour, layers, instances, smats, p, use_nufft=None,
-                 coupling_tol=1e-13):
+    def __init__(self, contour, layers, instances, smats, p, use_nufft=None):
         self.contour = contour
         self.layers = layers
         self.instances = list(instances)
@@ -161,10 +164,10 @@ class SchurOperator:
             region = (self.centers[:, 0].min() - R, self.centers[:, 0].max() + R,
                       self.centers[:, 1].min() - R, self.centers[:, 1].max() + R)
             self._grid_plan = SommerfeldGridPlan(contour, layers, region,
-                                                tol=coupling_tol)
+                                                tol=COUPLING_TOL)
             self._b_plan = MultipoleToSommerfeldPlan(contour, layers,
                                                      self.instances, p,
-                                                     tol=coupling_tol)
+                                                     tol=COUPLING_TOL)
 
     def _c_block(self, densities):
         """Incoming local coefficients of the interface-generated field."""
@@ -180,22 +183,16 @@ class SchurOperator:
         return multipole_to_sommerfeld_direct(betas, self.centers,
                                               self.contour, self.layers)
 
-    def incident_locals(self):
-        """C A^{-1} b: locals of the transmitted incident field."""
-        dens0 = self.interface.solve()
-        return self._c_block(dens0)
-
     def rhs(self):
-        return np.einsum("mln,mn->ml", self.S,
-                         self.incident_locals()).ravel()
+        """S C A^{-1} b: S applied to the locals of the transmitted
+        incident field."""
+        locs = self._c_block(self.interface.solve())
+        return np.einsum("mln,mn->ml", self.S, locs).ravel()
 
-    def interaction_locals(self, betas):
-        """T beta + C A^{-1} B beta: incoming locals from all other
-        particles, both directly and via the interfaces."""
-        upd = self._b_block(betas)
-        dens = self.interface.solve(extra_rhs=upd.rhs(self.contour, self.layers),
-                                    include_source=False)
-        locs = self._c_block(dens)
+    def incoming_locals(self, densities, betas):
+        """C densities + T beta: incoming locals from the interface field
+        and, directly, from all other particles."""
+        locs = self._c_block(densities)
         if self.pair is not None:
             locs = locs + self.pair.apply_m2l(betas)
         return locs
@@ -203,7 +200,10 @@ class SchurOperator:
     def apply(self, betas_flat):
         """(D - C A^{-1} B) beta with D = I - S T, all S-preconditioned."""
         betas = betas_flat.reshape(self.M, 2 * self.p + 1)
-        locs = self.interaction_locals(betas)
+        upd = self._b_block(betas)
+        dens = self.interface.solve(extra_rhs=upd.rhs(self.contour, self.layers),
+                                    include_source=False)
+        locs = self.incoming_locals(dens, betas)
         return (betas - np.einsum("mln,mn->ml", self.S, locs)).ravel()
 
     def recover_densities(self, betas):
@@ -240,15 +240,16 @@ def solve_layered_scene(operator, config=None, boundary=None,
     M, p = operator.M, operator.p
     if M == 0:
         betas = np.zeros((0, 2 * p + 1), dtype=complex)
-        alphas = betas
         history = [0.0]
     else:
         rhs = operator.rhs()
         x, history = gmres(operator.apply, rhs, tol=config.tol,
                            maxiter=config.maxiter, restart=config.restart)
         betas = x.reshape(M, 2 * p + 1)
-        alphas = operator.incident_locals() + operator.interaction_locals(betas)
     densities = operator.recover_densities(betas)
+    # C is linear, so one apply to A^{-1} (b + B beta) gives the locals of
+    # the transmitted incident field and of the interface-scattered field
+    alphas = operator.incoming_locals(densities, betas) if M else betas
     return Solution(densities=densities, betas=betas, alphas=alphas,
                     history=list(history), operator=operator,
                     fingerprint=fingerprint, boundary=boundary,

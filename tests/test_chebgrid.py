@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layerscatter.chebgrid import (bary_matrix, bary_weights, cheb_build,
-                                   cheb_eval, cheb_nodes)
+from layerscatter.chebgrid import bary_matrix, bary_weights, cheb_nodes
+from layerscatter.coupling import GRID_NODES
 
 
 def test_cheb_nodes_endpoints_and_order():
@@ -36,22 +36,19 @@ def test_polynomial_exactness():
 
 
 def test_tensor_patch_interpolates_oscillatory_field():
+    """The C block's grid premise: GRID_NODES tensor Chebyshev nodes per
+    side resolve a plane wave on a one-wavelength-scale box."""
     k = 3.0
-    box = (0.0, 2.0, -1.0, 1.0)     # one-wavelength-scale box, 16 nodes
+    xs = cheb_nodes(GRID_NODES, 0.0, 2.0)
+    ys = cheb_nodes(GRID_NODES, -1.0, 1.0)
     f = lambda X, Y: np.exp(1j * k * (0.8 * X + 0.6 * Y))
-    patch = cheb_build(box, 16, 16, f)
+    values = f(xs[:, None], ys[None, :])
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        x = rng.uniform(0, 2)
-        y = rng.uniform(-1, 1)
-        got = cheb_eval(patch, (x, y))
-        assert abs(got - np.exp(1j * k * (0.8 * x + 0.6 * y))) <= 1e-11
-
-
-def test_eval_outside_box_rejected():
-    patch = cheb_build((0, 1, 0, 1), 4, 4, lambda X, Y: X + Y)
-    with pytest.raises(ValueError):
-        cheb_eval(patch, (2.0, 0.5))
+    x = rng.uniform(0, 2, 20)
+    y = rng.uniform(-1, 1, 20)
+    got = np.einsum("ti,ij,tj->t", bary_matrix(xs, x), values,
+                    bary_matrix(ys, y))
+    assert np.abs(got - f(x, y)).max() <= 1e-11
 
 
 @settings(deadline=None, max_examples=30)

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +9,12 @@ from layerscatter.coupling import (MultipoleToSommerfeldPlan,
                                    multipole_to_sommerfeld_direct,
                                    sommerfeld_to_local_direct,
                                    sommerfeld_to_local_nufft)
-from layerscatter.layers import InterfaceSolver, eval_sommerfeld_field, gamma
+from layerscatter.layers import (InterfaceSolver, LayerStack,
+                                 build_contour_adaptive,
+                                 eval_sommerfeld_field, gamma)
 from layerscatter.multiscat import (ExpansionVector, ParticleInstance,
                                     eval_expansion)
+from layerscatter.scene import place_particles
 from layerscatter.special import bessel_j, hankel1
 
 
@@ -136,6 +142,28 @@ def test_b_block_nufft_vs_direct_physical_betas(contour131, layers131,
     for a, b in ((upd_n.sigma_plus, upd_d.sigma_plus),
                  (upd_n.sigma_minus, upd_d.sigma_minus)):
         assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+
+def test_b_plan_memory_band600():
+    """The B plan shares one type-3 plan per tail among its snap rows: on a
+    600-inclusion thin band (N_S = 5052) it retains at most 32 MB, where
+    one full plan per row retained 97 MB."""
+    layers = LayerStack(k1=1.0, k2=3.0, k3=1.5, d=8.0, source=(0.0, 1.0))
+    contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
+                                     max_horiz=56.0)
+    assert len(contour) == 5052
+    insts = place_particles((-28.0, 28.0, -3.0, -1.1), 600, 0.165, seed=7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        plan = MultipoleToSommerfeldPlan(contour, layers, insts, 10,
+                                         tol=1e-13)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert plan.occupied.size > 1
+    assert retained <= 32.0
 
 
 def test_spectral_update_zero_betas(contour131, layers131,

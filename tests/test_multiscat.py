@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from layerscatter.multiscat import (ExpansionVector, PairCoupling,
                                     ParticleInstance, eval_expansion,
                                     eval_multipole_field, m2l, m2m,
-                                    plane_wave_local, point_source_local,
-                                    solve_free_space)
+                                    point_source_local, solve_free_space)
 from layerscatter.special import hankel1
 
 K = 3.0
@@ -59,16 +58,6 @@ def test_point_source_local_oracle():
     ref = 0.25j * hankel1(0, K * np.hypot(d[:, 0], d[:, 1]) + 0j)
     got = eval_expansion(loc, pts)
     assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
-
-
-def test_plane_wave_local_oracle():
-    direction = (0.6, -0.8)
-    center = (1.0, 2.0)
-    loc = plane_wave_local(K, direction, center, 20)
-    pts = np.array(center) + np.array([[0.3, 0.0], [0.1, -0.25], [-0.2, 0.2]])
-    ref = np.exp(1j * K * (pts @ np.array(direction)))
-    got = eval_expansion(loc, pts)
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_pair_coupling_matches_individual_m2l():

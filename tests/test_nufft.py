@@ -54,6 +54,24 @@ def test_type3_plan_batch():
     assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
+def test_type3_restricted_plan_matches_direct_sum():
+    """A restriction to a subset of the sources evaluates that subset's
+    sum, and leaves the full plan unchanged."""
+    rng = np.random.default_rng(5)
+    s = rng.uniform(-25, 25, 150)
+    t = rng.uniform(-2, 5, 60)
+    plan = Nufft3Plan(s, t, tol=1e-12)
+    idx = np.flatnonzero(s > 10)
+    C = (rng.standard_normal((idx.size, 3))
+         + 1j * rng.standard_normal((idx.size, 3)))
+    got = plan.restrict(idx).apply(C)
+    ref = np.exp(1j * np.outer(t, s[idx])) @ C
+    assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+    full = rng.standard_normal(150) + 0j
+    ref = np.exp(1j * np.outer(t, s)) @ full
+    assert np.abs(plan.apply(full) - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
 @settings(deadline=None, max_examples=25)
 @given(n=st.integers(2, 120), m=st.integers(1, 80),
        seed=st.integers(0, 1000),

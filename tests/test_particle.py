@@ -6,8 +6,7 @@ from layerscatter.particle import (ShapeParams, discretize_boundary,
                                    rotate_scattering_matrix,
                                    save_scattering_matrix,
                                    scattering_matrix_disk,
-                                   scattering_matrix_nystrom,
-                                   scattering_matrix_pec_disk, shape_curve)
+                                   scattering_matrix_nystrom, shape_curve)
 
 
 def test_shape_curve_geometry(flower_params):
@@ -40,12 +39,6 @@ def test_energy_conservation(flower_smatrix):
     S, _ = flower_smatrix
     U = np.eye(2 * S.p + 1) + 2 * S.entries
     assert np.abs(U.conj().T @ U - np.eye(2 * S.p + 1)).max() <= 1e-6
-
-
-def test_pec_disk_energy():
-    S = scattering_matrix_pec_disk(0.4, 3.0, 8)
-    s = np.diag(S.entries)
-    assert np.abs(np.abs(1 + 2 * s) - 1).max() <= 1e-12
 
 
 def test_symmetry_under_shape_rotation(flower_boundary, flower_smatrix):

@@ -10,7 +10,7 @@ from layerscatter.scene import (FieldGrid, SceneConfig, build_scene,
                                 load_field_grid, load_scene, place_particles,
                                 placement_capacity,
                                 precompute_scattering_matrix,
-                                save_field_grid, save_scene, solve_scene)
+                                save_field_grid, solve_scene)
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -75,15 +75,6 @@ def test_missing_required_key_rejected(tmp_path):
     p.write_text("\n".join(lines))
     with pytest.raises(ValueError, match="k2"):
         load_scene(p)
-
-
-def test_save_load_round_trip(tmp_path):
-    cfg = small_config()
-    path = tmp_path / "rt.scene"
-    save_scene(path, cfg)
-    cfg2 = load_scene(path)
-    assert cfg2 == cfg
-    assert cfg2.fingerprint() == cfg.fingerprint()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ def main():
           f"kp = {cfg.kp:g}, M = {cfg.M}, tol = {cfg.tol:g}")
 
     t0 = time.perf_counter()
-    build, sol = solve_scene(cfg, notice=print)
+    build, sol = solve_scene(cfg)
     print(f"M = {cfg.M:5d}: {len(sol.history):3d} iterations, residual "
           f"{sol.history[-1]:.1e}, NUFFT={build.operator.use_nufft}, "
           f"{time.perf_counter() - t0:.1f}s")

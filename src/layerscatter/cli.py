@@ -7,6 +7,7 @@ Subcommands: ``precompute`` (build and cache the scattering matrix),
 """
 
 import argparse
+import logging
 import sys
 import time
 
@@ -17,10 +18,6 @@ from .scene import (FieldGrid, build_scene, cache_dir, evaluate_grid,
                     load_field_grid, load_scene, precompute_scattering_matrix,
                     save_field_grid, solve_scene, _cache_key)
 from .solver import GmresError, Solution, solve_layered_scene
-
-
-def _notice(msg):
-    print(f"layerscatter: {msg}", file=sys.stderr)
 
 
 def _apply_overrides(cfg, args):
@@ -36,7 +33,7 @@ def _apply_overrides(cfg, args):
 def cmd_precompute(args):
     cfg = _apply_overrides(load_scene(args.scene), args)
     t0 = time.perf_counter()
-    S, boundary, _ = precompute_scattering_matrix(cfg, notice=_notice)
+    S, boundary, _ = precompute_scattering_matrix(cfg)
     dt = time.perf_counter() - t0
     dest = cache_dir() / (_cache_key(cfg) + ".lssm")
     print(f"scattering matrix p={S.p} R={S.R:.6g} "
@@ -49,7 +46,7 @@ def cmd_solve(args):
     cfg = _apply_overrides(load_scene(args.scene), args)
     t0 = time.perf_counter()
     try:
-        build, sol = solve_scene(cfg, notice=_notice)
+        build, sol = solve_scene(cfg)
     except GmresError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         for i, r in enumerate(exc.history):
@@ -93,10 +90,10 @@ def cmd_eval(args):
     nx, ny = (int(v) for v in _parse_pair(args.grid, 2, "grid"))
     extent = tuple(float(v) for v in _parse_pair(args.extent, 4, "extent"))
     if args.solution:
-        build = build_scene(cfg, notice=_notice)
+        build = build_scene(cfg)
         sol = _load_solution(args.solution, build)
     else:
-        build, sol = solve_scene(cfg, notice=_notice)
+        build, sol = solve_scene(cfg)
     grid = evaluate_grid(sol, extent, nx, ny)
     save_field_grid(args.out, grid)
     dt = grid.metadata["timings"]["eval_seconds"]
@@ -270,6 +267,8 @@ def main(argv=None):
     p.set_defaults(func=cmd_selftest)
 
     args = ap.parse_args(argv)
+    # library notices (cache rebuilds) go to stderr
+    logging.basicConfig(format="layerscatter: %(message)s")
     return args.func(args)
 
 

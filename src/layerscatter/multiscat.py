@@ -11,7 +11,8 @@ from .special import bessel_j, hankel1
 
 __all__ = ["ExpansionVector", "ParticleInstance", "m2l", "m2m",
            "point_source_local", "eval_expansion", "PairCoupling",
-           "solve_free_space", "eval_multipole_field"]
+           "rotation_phases", "apply_rotated", "solve_free_space",
+           "eval_multipole_field"]
 
 
 @dataclass
@@ -166,38 +167,39 @@ class PairCoupling:
         return alphas
 
 
-def _stack_smatrices(smats, M):
-    """Accept one shared ScatteringMatrix, a list of them, or a raw (M,
-    2p+1, 2p+1) array; return the stacked entries array."""
-    if hasattr(smats, "entries"):
-        return np.broadcast_to(smats.entries, (M,) + smats.entries.shape)
-    if isinstance(smats, np.ndarray) and smats.ndim == 3:
-        return smats
-    return np.stack([s.entries for s in smats])
+def rotation_phases(instances, p):
+    """P[m, n] = e^{i n theta_m}, n = -p..p, for instance m's rotation."""
+    return np.exp(1j * np.outer([inst.rotation for inst in instances],
+                                np.arange(-p, p + 1)))
 
 
-def solve_free_space(instances, smats, k2, incident_locals, p, tol=1e-6,
+def apply_rotated(smatrix, phases, locs):
+    """Row m of the (M, 2p+1) locals times the prototype matrix rotated by
+    theta_m: S_theta a = conj(P) (S (P a)), the phase form of
+    ``rotate_scattering_matrix``."""
+    return np.conj(phases) * ((phases * locs) @ smatrix.entries.T)
+
+
+def solve_free_space(instances, smatrix, incident_locals, tol=1e-6,
                      maxiter=1000, restart=100):
     """GMRES solve of (I - S T) beta = S a for a homogeneous background.
 
+    ``smatrix`` is the prototype, rotated for each instance; it sets p and k2.
     ``incident_locals`` is the stacked (M, 2p+1) array of incoming local
     coefficients of the incident field about each instance center.
     Returns (betas, residual_history).
     """
     from .solver import gmres
 
-    centers = [inst.center for inst in instances]
-    M = len(centers)
-    S = _stack_smatrices(smats, M)
-    rhs = np.einsum("mln,mn->ml", S, incident_locals).ravel()
-    if not np.any(rhs):
-        return np.zeros((M, 2 * p + 1), dtype=complex), [0.0]
-    coupling = PairCoupling(centers, k2, p)
+    p, M = smatrix.p, len(instances)
+    phases = rotation_phases(instances, p)
+    rhs = apply_rotated(smatrix, phases, incident_locals).ravel()
+    coupling = PairCoupling([i.center for i in instances], smatrix.k2, p)
 
     def op(v):
         betas = v.reshape(M, 2 * p + 1)
-        return (betas - np.einsum("mln,mn->ml", S,
-                                  coupling.apply_m2l(betas))).ravel()
+        return (betas - apply_rotated(smatrix, phases,
+                                      coupling.apply_m2l(betas))).ravel()
 
     x, hist = gmres(op, rhs, tol=tol, maxiter=maxiter, restart=restart)
     return x.reshape(M, 2 * p + 1), hist

@@ -11,6 +11,7 @@ binary :class:`FieldGrid` format used to export sampled fields.
 
 import hashlib
 import json
+import logging
 import os
 import tempfile
 import time
@@ -23,9 +24,8 @@ import numpy as np
 from .layers import LayerStack, build_contour_adaptive
 from .multiscat import ParticleInstance
 from .particle import (PrecomputedDensities, ShapeParams, discretize_boundary,
-                       load_scattering_matrix, rotate_scattering_matrix,
-                       save_scattering_matrix, scattering_matrix_nystrom,
-                       shape_fingerprint)
+                       load_scattering_matrix, save_scattering_matrix,
+                       scattering_matrix_nystrom, shape_fingerprint)
 from .solver import GmresConfig, SchurOperator, eval_total_field, \
     solve_layered_scene
 
@@ -262,12 +262,12 @@ def _write_atomic(path, write):
             os.unlink(tmp)
 
 
-def precompute_scattering_matrix(cfg, use_cache=True, notice=None):
+def precompute_scattering_matrix(cfg, use_cache=True):
     """Build (or load from cache) the prototype scattering data.
 
     Returns ``(S, boundary, mode_densities)``.  A cache entry whose
-    fingerprint or parameters disagree with the config triggers a rebuild
-    with a notice through the optional ``notice`` callable.
+    fingerprint or parameters disagree with the config triggers a rebuild,
+    with a warning on the ``layerscatter`` logger.
     """
     shape = cfg.shape()
     boundary = discretize_boundary(shape)
@@ -287,8 +287,8 @@ def precompute_scattering_matrix(cfg, use_cache=True, notice=None):
             ok = False
         if ok:
             return S, boundary, dens
-        if notice:
-            notice(f"cache entry {spath} stale or corrupt; rebuilding")
+        logging.getLogger("layerscatter").warning(
+            "cache entry %s stale or corrupt; rebuilding", spath)
     S, dens = scattering_matrix_nystrom(boundary, cfg.k2, cfg.kp, cfg.p,
                                         return_densities=True)
     if use_cache:
@@ -315,32 +315,27 @@ class SceneBuild:
     operator: SchurOperator
 
 
-def build_scene(cfg, use_cache=True, notice=None):
-    """Assemble contour, placement, scattering matrices, and the operator."""
+def build_scene(cfg, use_cache=True):
+    """Assemble contour, placement, scattering matrix, and the operator."""
     layers = cfg.layers()
-    S, boundary, dens = precompute_scattering_matrix(cfg, use_cache=use_cache,
-                                                     notice=notice)
+    S, boundary, dens = precompute_scattering_matrix(cfg, use_cache=use_cache)
     instances = place_particles(cfg.region(), cfg.M, S.R, cfg.seed,
                                 fingerprint=S.fingerprint)
-    smats = np.stack([rotate_scattering_matrix(S, inst.rotation).entries
-                      for inst in instances]) if instances else \
-        np.zeros((0, 2 * cfg.p + 1, 2 * cfg.p + 1), dtype=complex)
     sep_v = min(cfg.source_y, -cfg.region_y1, cfg.region_y0 + cfg.d)
     xs = [cfg.region_x0, cfg.region_x1, cfg.source_x]
     contour = build_contour_adaptive(layers, min_vertical_sep=sep_v,
                                      tol=cfg.contour_tol,
                                      max_horiz=max(xs) - min(xs))
     use_nufft = {"auto": None, "direct": False, "nufft": True}[cfg.path]
-    op = SchurOperator(contour, layers, instances, smats, cfg.p,
-                       use_nufft=use_nufft)
+    op = SchurOperator(contour, layers, instances, S, use_nufft=use_nufft)
     return SceneBuild(config=cfg, layers=layers, contour=contour,
                       instances=instances, smatrix=S, boundary=boundary,
                       mode_densities=dens, operator=op)
 
 
-def solve_scene(cfg, use_cache=True, notice=None):
+def solve_scene(cfg, use_cache=True):
     """End-to-end: build the scene and run the Schur-complement solve."""
-    build = build_scene(cfg, use_cache=use_cache, notice=notice)
+    build = build_scene(cfg, use_cache=use_cache)
     sol = solve_layered_scene(build.operator, cfg.gmres_config(),
                               boundary=build.boundary,
                               mode_densities=build.mode_densities,

@@ -19,7 +19,7 @@ the S-multiplication, so the right-hand side is S applied to the incoming
 local coefficients of the transmitted incident field.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,9 +27,10 @@ from .coupling import (MultipoleToSommerfeldPlan, SommerfeldGridPlan,
                        multipole_to_sommerfeld_direct,
                        sommerfeld_to_local_direct, sommerfeld_to_local_nufft)
 from .layers import InterfaceSolver, eval_sommerfeld_field
-from .multiscat import (ExpansionVector, PairCoupling, _stack_smatrices,
-                        eval_expansion, eval_multipole_field)
-from .special import hankel1
+from .multiscat import (PairCoupling, apply_rotated, eval_multipole_field,
+                        rotation_phases)
+from .particle import discretize_boundary
+from .special import bessel_j, hankel1
 
 __all__ = ["GmresConfig", "GmresError", "gmres", "SchurOperator",
            "Solution", "solve_layered_scene",
@@ -141,18 +142,21 @@ class SchurOperator:
     """Matrix-free Schur-complement operator and its right-hand side.
 
     Holds the factored interface blocks, the all-pairs free-space coupling,
-    the stacked (instance-rotated) scattering matrices, and -- when the
-    work estimate M * N_S exceeds the crossover -- the NUFFT coupling plans.
+    the prototype scattering matrix (it sets p) and each instance's rotation
+    phases, and -- when M * N_S exceeds the crossover -- the NUFFT plans.
     """
 
-    def __init__(self, contour, layers, instances, smats, p, use_nufft=None):
+    def __init__(self, contour, layers, instances, smatrix, use_nufft=None):
+        if smatrix.k2 != layers.k2:
+            raise ValueError(f"matrix k2 {smatrix.k2} != layer k2 {layers.k2}")
         self.contour = contour
         self.layers = layers
         self.instances = list(instances)
-        self.p = p
+        self.smatrix = smatrix
+        self.p = p = smatrix.p
         self.M = len(self.instances)
         self.centers = np.array([i.center for i in self.instances], dtype=float)
-        self.S = _stack_smatrices(smats, self.M)
+        self.phases = rotation_phases(self.instances, p)
         self.interface = InterfaceSolver(contour, layers)
         self.pair = (PairCoupling(self.centers, layers.k2, p)
                      if self.M > 1 else None)
@@ -187,7 +191,7 @@ class SchurOperator:
         """S C A^{-1} b: S applied to the locals of the transmitted
         incident field."""
         locs = self._c_block(self.interface.solve())
-        return np.einsum("mln,mn->ml", self.S, locs).ravel()
+        return apply_rotated(self.smatrix, self.phases, locs).ravel()
 
     def incoming_locals(self, densities, betas):
         """C densities + T beta: incoming locals from the interface field
@@ -204,7 +208,8 @@ class SchurOperator:
         dens = self.interface.solve(extra_rhs=upd.rhs(self.contour, self.layers),
                                     include_source=False)
         locs = self.incoming_locals(dens, betas)
-        return (betas - np.einsum("mln,mn->ml", self.S, locs)).ravel()
+        return (betas - apply_rotated(self.smatrix, self.phases,
+                                      locs)).ravel()
 
     def recover_densities(self, betas):
         """One final A-block solve with the full right-hand side b + B beta."""
@@ -260,77 +265,68 @@ def solve_layered_scene(operator, config=None, boundary=None,
 # Total-field evaluation
 # ---------------------------------------------------------------------------
 
-def _layer_potentials(k, nodes, normals, wts, sigma, mu, targets):
-    """Plain trapezoidal single + double layer potential at off-boundary
-    targets: S[sigma](x) + D[mu](x)."""
-    dx = targets[:, 0][:, None] - nodes[:, 0][None, :]
-    dy = targets[:, 1][:, None] - nodes[:, 1][None, :]
-    r = np.hypot(dx, dy)
-    h0 = hankel1(0, k * r)
-    h1 = hankel1(1, k * r)
-    single = 0.25j * h0 @ (wts * sigma)
-    cosn = (dx * normals[:, 0][None, :] + dy * normals[:, 1][None, :]) / r
-    double = (0.25j * k) * (h1 * cosn) @ (wts * mu)
-    return single + double
-
-
-def _trig_upsample(f, m):
-    """Trigonometric interpolation of periodic samples onto an m-times
-    finer grid (zero-padded FFT)."""
-    if m == 1:
-        return np.asarray(f, dtype=complex)
-    N = f.shape[0]
-    F = np.fft.fft(f, axis=0)
-    shape = (m * N,) + f.shape[1:]
-    G = np.zeros(shape, dtype=complex)
-    G[:N // 2] = F[:N // 2]
-    G[-(N - N // 2):] = F[-(N - N // 2):]
-    return np.fft.ifft(G, axis=0) * m
-
-
 # refinement of the boundary quadrature for near-boundary field evaluation;
 # plain trapezoid then holds ~1e-10 down to distances of about 1e-3
 UPSAMPLE = 8
+# targets x boundary nodes per block of the in-disk layer potentials: a few
+# MB of temporaries per block on the 8x upsampled 300-node boundary
+DISK_CHUNK_ELEMENTS = 2 ** 15
 
 
-def _instance_boundaries(solution, idxs, upsample=UPSAMPLE):
-    """Rotated, upsampled geometry and per-node densities of the listed
-    instances, from the stored per-mode densities and the solved locals.
-    The prototype curve and per-mode densities are upsampled once: the
-    upsampling is linear, so it commutes with each instance's contraction."""
-    from .particle import shape_curve
+def _layer_potentials(k, nodes, normals, wts, sigma, mu, targets):
+    """Trapezoidal S[sigma_n](x) + D[mu_n](x) of the (N, 2p+1) per-mode
+    densities at off-boundary targets, wavenumber k scalar or one per
+    target; (targets, 2p+1), in blocks of DISK_CHUNK_ELEMENTS."""
+    k = np.broadcast_to(k, targets.shape[:1])
+    w_single, w_double = wts[:, None] * sigma, wts[:, None] * mu
+    out = np.empty((targets.shape[0], sigma.shape[1]), dtype=complex)
+    step = max(1, DISK_CHUNK_ELEMENTS // nodes.shape[0])
+    for s in range(0, targets.shape[0], step):
+        blk = slice(s, s + step)
+        dx = targets[blk, 0][:, None] - nodes[:, 0]
+        dy = targets[blk, 1][:, None] - nodes[:, 1]
+        r = np.hypot(dx, dy)
+        cosn = (dx * normals[:, 0] + dy * normals[:, 1]) / r
+        kr = k[blk, None] * r
+        out[blk] = 0.25j * (hankel1(0, kr) @ w_single + k[blk, None]
+                            * ((hankel1(1, kr) * cosn) @ w_double))
+    return out
 
-    if not len(idxs):
-        return
+
+def _trig_upsample(f, m):
+    """Trigonometric m-times upsampling of periodic samples (zero-padded FFT)."""
+    N = f.shape[0]
+    F = np.fft.fft(f, axis=0)
+    F = np.concatenate([F[:N // 2], np.zeros(((m - 1) * N,) + f.shape[1:]),
+                        F[N // 2:]])
+    return np.fft.ifft(F, axis=0) * m
+
+
+def _disk_field(solution, pts, owner):
+    """Total field at points in enclosing disks, pts[i] in instance
+    owner[i]'s.  In its owner's frame that is the prototype with locals
+    a'_n = a_n e^{i n theta}: the prototype's interior potential inside the
+    inclusion, its exterior one plus the J-expansion in the annulus."""
     bd, modes = solution.boundary, solution.mode_densities
     if bd is None or modes is None:
         raise ValueError("interior evaluation requires stored boundary "
                          "densities (solve with boundary/mode_densities)")
-    N2 = upsample * bd.params.N
-    pos, _, normal, speed = shape_curve(bd.params,
-                                        2 * np.pi * np.arange(N2) / N2)
-    wts = (2 * np.pi / N2) * speed
-    mu_modes = _trig_upsample(modes.mu, upsample)
-    sigma_modes = _trig_upsample(modes.sigma, upsample)
-    ns = np.arange(-solution.operator.p, solution.operator.p + 1)
-    for idx in idxs:
-        inst = solution.operator.instances[idx]
-        th = inst.rotation
-        # locals in the prototype frame: a'_n = a_n e^{i n theta}
-        aprot = solution.alphas[idx] * np.exp(1j * ns * th)
-        c, s = np.cos(th), np.sin(th)
-        rot = np.array([[c, -s], [s, c]])
-        yield idx, (pos @ rot.T + np.asarray(inst.center), normal @ rot.T,
-                    wts, sigma_modes @ aprot, mu_modes @ aprot)
-
-
-def _locals_field(solution, idx, pts):
-    """Incoming local expansion of instance idx evaluated at points."""
-    inst = solution.operator.instances[idx]
-    exp = ExpansionVector(p=solution.operator.p, coeffs=solution.alphas[idx],
-                          kind="J", center=tuple(inst.center),
-                          k=solution.operator.layers.k2)
-    return eval_expansion(exp, pts)
+    op, params, k2 = solution.operator, bd.params, solution.operator.layers.k2
+    rots = np.array([inst.rotation for inst in op.instances])[owner]
+    z = ((pts - op.centers[owner]) @ [1, 1j]) * np.exp(-1j * rots)
+    r, ang = np.abs(z), np.angle(z)
+    inside = r < params.a1 + params.a2 * np.cos(params.a3 * ang)
+    fine = discretize_boundary(replace(params, N=UPSAMPLE * params.N))
+    pot = _layer_potentials(np.where(inside, params.kp, k2), fine.nodes,
+                            fine.normals, fine.h * fine.speed,
+                            _trig_upsample(modes.sigma, UPSAMPLE),
+                            _trig_upsample(modes.mu, UPSAMPLE),
+                            np.stack([z.real, z.imag], axis=-1))
+    ns = np.arange(-op.p, op.p + 1)
+    local = (bessel_j(ns, (k2 * r + 0j)[:, None])
+             * np.exp(1j * np.outer(ang, ns)) * ~inside[:, None])
+    return np.einsum("ij,ij->i", solution.alphas[owner] * op.phases[owner],
+                     pot + local)
 
 
 def eval_total_field(solution, points):
@@ -343,44 +339,20 @@ def eval_total_field(solution, points):
     itself only the interior representation applies.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    op = solution.operator
-    layers = op.layers
+    op, layers = solution.operator, solution.operator.layers
     out = np.empty(pts.shape[0], dtype=complex)
-
-    idx_mid = np.flatnonzero((pts[:, 1] < 0) & (pts[:, 1] >= -layers.d))
-    owner = np.full(idx_mid.size, -1)
+    mid = (pts[:, 1] < 0) & (pts[:, 1] >= -layers.d)
+    owner = np.full(pts.shape[0], -1)
     for j, inst in enumerate(op.instances):
-        d = np.hypot(pts[idx_mid, 0] - inst.center[0],
-                     pts[idx_mid, 1] - inst.center[1])
-        owner[(d < inst.R) & (owner < 0)] = j
-    outside = np.ones(pts.shape[0], dtype=bool)
-    outside[idx_mid[owner >= 0]] = False
-    if np.any(outside):
-        out[outside] = eval_sommerfeld_field(solution.densities, op.contour,
-                                             layers, pts[outside])
-    free = idx_mid[owner < 0]
-    if free.size and op.M:
+        d = np.hypot(pts[:, 0] - inst.center[0], pts[:, 1] - inst.center[1])
+        owner[mid & (d < inst.R) & (owner < 0)] = j
+    disk, free = owner >= 0, mid & (owner < 0)
+    if not np.all(disk):
+        out[~disk] = eval_sommerfeld_field(solution.densities, op.contour,
+                                           layers, pts[~disk])
+    if np.any(free) and op.M:
         out[free] += eval_multipole_field(solution.betas, op.instances,
                                           layers.k2, pts[free])
-    for j, (nodes, normals, wts, sigma, mu) in _instance_boundaries(
-            solution, np.unique(owner[owner >= 0])):
-        sel = idx_mid[owner == j]
-        params = solution.boundary.params
-        # classify against the (rotated) inclusion boundary
-        inst = op.instances[j]
-        dxl = pts[sel, 0] - inst.center[0]
-        dyl = pts[sel, 1] - inst.center[1]
-        ang = np.arctan2(dyl, dxl) - inst.rotation
-        rho = params.a1 + params.a2 * np.cos(params.a3 * ang)
-        inside = np.hypot(dxl, dyl) < rho
-        if np.any(~inside):
-            ann = sel[~inside]
-            out[ann] = (_locals_field(solution, j, pts[ann])
-                        + _layer_potentials(layers.k2, nodes, normals,
-                                            wts, sigma, mu, pts[ann]))
-        if np.any(inside):
-            inn = sel[inside]
-            out[inn] = _layer_potentials(solution.boundary.params.kp,
-                                         nodes, normals, wts, sigma, mu,
-                                         pts[inn])
+    if np.any(disk):
+        out[disk] = _disk_field(solution, pts[disk], owner[disk])
     return out[0] if np.asarray(points).ndim == 1 else out

@@ -24,7 +24,6 @@ from layerscatter.multiscat import (ExpansionVector, eval_expansion, m2l,
                                     point_source_local, solve_free_space)
 from layerscatter.nufft import nufft1d1
 from layerscatter.particle import (ShapeParams, discretize_boundary,
-                                   rotate_scattering_matrix,
                                    scattering_matrix_disk,
                                    scattering_matrix_nystrom)
 from layerscatter.scene import (build_scene, load_scene, place_particles,
@@ -126,7 +125,7 @@ def test_criterion_3_degenerate_limits():
     layers = LayerStack(k1=k, k2=k, k3=k, d=6.0, source=(1.0, 1.0))
     contour = build_contour_adaptive(layers, min_vertical_sep=1.0, tol=1e-12,
                                      max_horiz=8.0)
-    op = SchurOperator(contour, layers, [], np.zeros((0, 21, 21)), 10)
+    op = SchurOperator(contour, layers, [], S0)
     sol = solve_layered_scene(op)
     pts = np.array([[-3.0, 2.2], [0.5, 3.5], [4.0, 2.6],       # layer 1
                     [-3.5, -1.5], [-1.0, -4.8], [0.8, -2.4],
@@ -173,9 +172,7 @@ def test_criterion_4_monolithic_two_particles():
     insts = [ParticleInstance(center=c, rotation=r, R=smat.R,
                               fingerprint=smat.fingerprint)
              for c, r in zip(centers, rots)]
-    smats = np.stack([rotate_scattering_matrix(smat, r).entries
-                      for r in rots])
-    op = SchurOperator(contour, layers, insts, smats, smat.p)
+    op = SchurOperator(contour, layers, insts, smat)
     sol = solve_layered_scene(op, GmresConfig(tol=1e-12), boundary=boundary,
                               mode_densities=dens_modes)
     u = eval_total_field(sol, probes)
@@ -258,14 +255,19 @@ def test_criterion_5_direct_vs_nufft_example1():
 # 6. NUFFT speedup at scale
 # ---------------------------------------------------------------------------
 
-def _best_of(fn, n=3):
-    fn()                      # warm-up (also first-call caches)
-    times = []
-    for _ in range(n):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
+def _best_of(fns, n=3):
+    """Best-of-n time of each callable.  The callables run in turn inside
+    each repetition, so a change in machine speed affects all of them
+    alike."""
+    for fn in fns:
+        fn()                  # warm-up (also first-call caches)
+    times = np.full((n, len(fns)), np.inf)
+    for rep in range(n):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            times[rep, i] = time.perf_counter() - t0
+    return times.min(axis=0)
 
 
 def test_criterion_6_nufft_speedup():
@@ -289,13 +291,12 @@ def test_criterion_6_nufft_speedup():
     t0 = time.perf_counter()
     cplan = SommerfeldGridPlan(contour, layers, region, tol=1e-8)
     bplan = MultipoleToSommerfeldPlan(contour, layers, insts, p, tol=1e-8)
-    t_cd = _best_of(lambda: sommerfeld_to_local_direct(dens, contour, layers,
-                                                       centers, p))
-    t_cn = _best_of(lambda: sommerfeld_to_local_nufft(cplan.apply(dens),
-                                                      insts, p))
-    t_bd = _best_of(lambda: multipole_to_sommerfeld_direct(betas, centers,
-                                                           contour, layers))
-    t_bn = _best_of(lambda: bplan.apply(betas))
+    t_cd, t_cn, t_bd, t_bn = _best_of([
+        lambda: sommerfeld_to_local_direct(dens, contour, layers, centers, p),
+        lambda: sommerfeld_to_local_nufft(cplan.apply(dens), insts, p),
+        lambda: multipole_to_sommerfeld_direct(betas, centers, contour,
+                                               layers),
+        lambda: bplan.apply(betas)])
     print(f"criterion 6 timings: C direct {t_cd:.3f}s nufft {t_cn:.3f}s, "
           f"B direct {t_bd:.3f}s nufft {t_bn:.3f}s", flush=True)
     # _report asserts value/bound <= 1; pass inverse speedups
@@ -356,13 +357,11 @@ def test_criterion_7_end_to_end_500():
     _, s100 = solve_scene(replace(cfg, M=100))
     _, s1000 = solve_scene(replace(cfg, M=1000))
     it100, it500, it1000 = (len(s.history) for s in (s100, sol, s1000))
-    smats = np.stack([rotate_scattering_matrix(build.smatrix, i.rotation)
-                      .entries for i in build.instances])
     inc = np.stack([point_source_local(build.layers.k2, build.layers.source,
                                        i.center, cfg.p).coeffs
                     for i in build.instances])
-    _, hist_free = solve_free_space(build.instances, smats, build.layers.k2,
-                                    inc, cfg.p, tol=cfg.tol)
+    _, hist_free = solve_free_space(build.instances, build.smatrix, inc,
+                                    tol=cfg.tol)
     print(f"criterion 7 iterations: M=100 {it100}, M=500 {it500}, "
           f"M=1000 {it1000}, homogeneous M=500 {len(hist_free)}", flush=True)
 

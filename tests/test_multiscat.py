@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from layerscatter.multiscat import (ExpansionVector, PairCoupling,
                                     ParticleInstance, eval_expansion,
                                     eval_multipole_field, m2l, m2m,
                                     point_source_local, solve_free_space)
+from layerscatter.particle import rotate_scattering_matrix
 from layerscatter.special import hankel1
 
 K = 3.0
@@ -81,16 +83,18 @@ def test_pair_coupling_matches_individual_m2l():
 
 
 def test_free_space_solve_small_system_dense_oracle(flower_smatrix):
-    """GMRES free-space solve equals the dense solve of (I - ST) b = S a."""
+    """GMRES free-space solve equals the dense solve of (I - ST) b = S a,
+    with S block-diagonal in each instance's rotated scattering matrix."""
     S, _ = flower_smatrix
     p = S.p
-    rng = np.random.default_rng(3)
     centers = np.array([[0.0, 0.0], [1.2, 0.4], [-0.8, 0.9]])
-    insts = [ParticleInstance(center=tuple(c), rotation=0.0, R=S.R,
-                              fingerprint=S.fingerprint) for c in centers]
+    rots = [0.4, -1.1, 2.3]
+    insts = [ParticleInstance(center=tuple(c), rotation=r, R=S.R,
+                              fingerprint=S.fingerprint)
+             for c, r in zip(centers, rots)]
     inc = np.stack([point_source_local(K, (0.5, 4.0), tuple(c), p).coeffs
                     for c in centers])
-    betas, hist = solve_free_space(insts, S, K, inc, p, tol=1e-12)
+    betas, hist = solve_free_space(insts, S, inc, tol=1e-12)
     # dense assembly
     w = 2 * p + 1
     T = np.zeros((3 * w, 3 * w), dtype=complex)
@@ -99,7 +103,8 @@ def test_free_space_solve_small_system_dense_oracle(flower_smatrix):
         e = np.zeros((3, w), dtype=complex)
         e[j // w, j % w] = 1.0
         T[:, j] = coupling.apply_m2l(e).ravel()
-    Sb = np.kron(np.eye(3), S.entries)
+    Sb = scipy.linalg.block_diag(*[rotate_scattering_matrix(S, r).entries
+                                   for r in rots])
     A = np.eye(3 * w) - Sb @ T
     ref = np.linalg.solve(A, (Sb @ inc.ravel()))
     assert np.abs(betas.ravel() - ref).max() <= 1e-9 * np.abs(ref).max()

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import layerscatter
 
@@ -14,3 +16,15 @@ def test_all_exports_resolve():
                if not hasattr(mod, name)]
     assert not missing
     assert sum(len(getattr(mod, "__all__", ())) for mod in modules) > 50
+
+
+def test_library_does_not_print():
+    """Library modules report through ``logging``; only the CLI prints."""
+    src = Path(layerscatter.__file__).parent
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py")) if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert not calls
+    assert len(list(src.glob("*.py"))) > 10

@@ -103,7 +103,7 @@ def test_scattered_field_matches_densities(flower_boundary, flower_smatrix):
     wts = flower_boundary.h * flower_boundary.speed
     u_dens = _layer_potentials(k2, flower_boundary.nodes,
                                flower_boundary.normals, wts,
-                               dens.sigma[:, col], dens.mu[:, col], pts)
+                               dens.sigma, dens.mu, pts)[:, col]
     ns = np.arange(-S.p, S.p + 1)
     r = np.hypot(pts[:, 0], pts[:, 1])
     a = np.arctan2(pts[:, 1], pts[:, 0])

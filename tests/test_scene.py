@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 from pathlib import Path
 
@@ -187,34 +188,35 @@ def test_warm_cache_reproduces_cold(cache_env):
     assert np.abs(cold.betas - warm.betas).max() <= 1e-12
 
 
-def test_stale_cache_triggers_rebuild(cache_env):
+def test_stale_cache_triggers_rebuild(cache_env, caplog):
     cfg = small_config()
     solve_scene(cfg)
     cache = Path(os.environ["LAYERSCATTER_CACHE_DIR"])
-    notices = []
     for f in cache.glob("*.lssm"):
         f.write_bytes(b"garbage!" * 16)
-    _, sol = solve_scene(cfg, notice=notices.append)
-    assert notices and "rebuild" in notices[0]
+    with caplog.at_level(logging.WARNING, logger="layerscatter"):
+        _, sol = solve_scene(cfg)
+    assert caplog.records and "rebuild" in caplog.records[0].getMessage()
     assert sol.history[-1] <= cfg.tol
 
 
 @pytest.mark.parametrize("suffix", [".lssm", ".densities.npz"])
-def test_truncated_cache_entry_rebuilt(cache_env, suffix):
+def test_truncated_cache_entry_rebuilt(cache_env, suffix, caplog):
     """A cache file cut short (as by a crash mid-write) is rebuilt with a
-    notice, and the rebuilt entry loads again."""
+    logged warning, and the rebuilt entry loads again."""
     cfg = small_config()
     S, _, dens = precompute_scattering_matrix(cfg)
     cache = Path(os.environ["LAYERSCATTER_CACHE_DIR"])
     (entry,) = cache.glob("*" + suffix)
     entry.write_bytes(entry.read_bytes()[:40])
-    notices = []
-    S2, _, dens2 = precompute_scattering_matrix(cfg, notice=notices.append)
-    assert len(notices) == 1 and "rebuild" in notices[0]
+    caplog.set_level(logging.WARNING, logger="layerscatter")
+    S2, _, dens2 = precompute_scattering_matrix(cfg)
+    assert len(caplog.records) == 1
+    assert "rebuild" in caplog.records[0].getMessage()
     assert np.array_equal(S2.entries, S.entries)
     assert np.array_equal(dens2.mu, dens.mu)
-    precompute_scattering_matrix(cfg, notice=notices.append)
-    assert len(notices) == 1
+    precompute_scattering_matrix(cfg)
+    assert len(caplog.records) == 1
     assert len(list(cache.iterdir())) == 2      # no temp files left over
 
 

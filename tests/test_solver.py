@@ -5,7 +5,8 @@ from layerscatter.layers import LayerStack, build_contour_adaptive, \
     sommerfeld_point_source
 from layerscatter.multiscat import ParticleInstance, point_source_local, \
     solve_free_space, eval_multipole_field
-from layerscatter.particle import rotate_scattering_matrix
+from layerscatter.particle import scattering_matrix_disk
+from layerscatter import solver as solver_mod
 from layerscatter.solver import (GmresConfig, GmresError, SchurOperator,
                                  eval_total_field, gmres, solve_layered_scene)
 
@@ -99,9 +100,7 @@ def _operator(contour, layers, smat, rots=ROTS, cents=CENTS, **kw):
     insts = [ParticleInstance(center=c, rotation=r, R=smat.R,
                               fingerprint=smat.fingerprint)
              for c, r in zip(cents, rots)]
-    smats = np.stack([rotate_scattering_matrix(smat, r).entries
-                      for r in rots])
-    return SchurOperator(contour, layers, insts, smats, smat.p, **kw)
+    return SchurOperator(contour, layers, insts, smat, **kw)
 
 
 def test_equal_wavenumbers_reduce_to_free_space(flower_boundary):
@@ -121,9 +120,8 @@ def test_equal_wavenumbers_reduce_to_free_space(flower_boundary):
     p = smat.p
     inc = np.stack([point_source_local(k, layers.source, c, p).coeffs
                     for c in CENTS])
-    smats = np.stack([rotate_scattering_matrix(smat, r).entries for r in ROTS])
     insts = op.instances
-    bet_fs, _ = solve_free_space(insts, smats, k, inc, p, tol=1e-10)
+    bet_fs, _ = solve_free_space(insts, smat, inc, tol=1e-10)
     assert np.abs(sol.betas - bet_fs).max() <= 1e-12 * np.abs(bet_fs).max()
 
     pts = np.array([[4.0, -12.0], [-5.0, -20.0], [0.0, -14.0], [2.5, -18.0]])
@@ -214,12 +212,40 @@ def test_solution_field_deterministic(layered_solution, contour131, layers131,
 
 
 def test_empty_scene_is_interface_only(contour131, layers131):
-    op = SchurOperator(contour131, layers131, [], np.zeros((0, 21, 21)), 10)
+    op = SchurOperator(contour131, layers131, [],
+                       scattering_matrix_disk(0.1, 3.0, 2.0, 10))
     sol = solve_layered_scene(op)
     assert sol.betas.shape == (0, 21)
     pts = np.array([[0.5, -5.0], [2.0, 3.0]])
     u = eval_total_field(sol, pts)
     assert np.all(np.isfinite(u))
+
+
+def test_disk_field_chunks_match_pointwise(layered_solution, flower_params,
+                                          monkeypatch):
+    """In-disk evaluation in blocks of a few points agrees with one point at
+    a time, for points inside the inclusions and in the annuli of all three
+    (differently rotated) instances."""
+    R = layered_solution.operator.instances[0].R
+    th = np.linspace(0, 2 * np.pi, 5, endpoint=False)
+    rho = flower_params.a1 + flower_params.a2 * np.cos(flower_params.a3 * th)
+    pts = np.concatenate([
+        np.stack([c[0] + f * np.cos(th + rot), c[1] + f * np.sin(th + rot)],
+                 -1)
+        for c, rot in zip(CENTS, ROTS) for f in (0.6 * rho, (rho + R) / 2)])
+    N2 = solver_mod.UPSAMPLE * flower_params.N
+    monkeypatch.setattr(solver_mod, "DISK_CHUNK_ELEMENTS", 3 * N2 + 1)
+    got = eval_total_field(layered_solution, pts)
+    monkeypatch.undo()
+    ref = np.array([eval_total_field(layered_solution, q) for q in pts])
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_operator_rejects_foreign_wavenumber(contour131, layers131):
+    """The prototype matrix must be built for the middle layer's k2."""
+    with pytest.raises(ValueError):
+        SchurOperator(contour131, layers131, [],
+                      scattering_matrix_disk(0.1, 2.5, 2.0, 10))
 
 
 def test_use_nufft_paths_agree(contour131, layers131, flower_boundary,

@@ -24,10 +24,9 @@ from .layers import gamma
 from .nufft import Nufft3Plan
 from .special import bessel_j, bessel_j_prime
 
-__all__ = ["SpectralUpdate", "InterpGrid", "sommerfeld_to_local_direct",
+__all__ = ["SpectralUpdate", "sommerfeld_to_local_direct",
            "multipole_to_sommerfeld_direct", "SommerfeldGridPlan",
-           "sommerfeld_to_local_nufft", "MultipoleToSommerfeldPlan",
-           "local_coefficients_from_samples"]
+           "sommerfeld_to_local_nufft", "MultipoleToSommerfeldPlan"]
 
 
 # Chebyshev nodes per side of each box of the C block's interpolation grid;
@@ -117,87 +116,51 @@ def multipole_to_sommerfeld_direct(betas, centers, contour, layers):
 # NUFFT-accelerated C block: field grid + barycentric sampling + projection
 # ---------------------------------------------------------------------------
 
-@dataclass
-class InterpGrid:
-    """Tensor-product Chebyshev samples of the middle-layer interface field
-    (and gradient) on a grid of boxes covering all enclosing disks."""
-    x0: float
-    y0: float
-    wx: float                  # box width
-    wy: float                  # box height
-    n1: int
-    n2: int
-    k2: complex
-    xnodes: np.ndarray         # (n1 * GRID_NODES,) all Chebyshev abscissas
-    ynodes: np.ndarray         # (n2 * GRID_NODES,)
-    u: np.ndarray              # (n1 * GRID_NODES, n2 * GRID_NODES)
-    ux: np.ndarray
-    uy: np.ndarray
-
-    def box_of(self, x, y):
-        bx = np.clip(((x - self.x0) / self.wx).astype(int), 0, self.n1 - 1)
-        by = np.clip(((y - self.y0) / self.wy).astype(int), 0, self.n2 - 1)
-        return bx, by
-
-    def eval(self, points):
-        """Barycentric evaluation of (u, ux, uy) at an (n, 2) point array.
-
-        Points are sorted by box key so the per-box tensor contraction runs
-        on contiguous slices."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        bx, by = self.box_of(pts[:, 0], pts[:, 1])
-        m = GRID_NODES
-        px = bary_matrix(self.xnodes.reshape(self.n1, m)[bx], pts[:, 0])
-        py = bary_matrix(self.ynodes.reshape(self.n2, m)[by], pts[:, 1])
-        key = bx * self.n2 + by
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        starts = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
-        bounds = np.r_[starts, skey.size]
-        out = np.empty((3, pts.shape[0]), dtype=complex)
-        px = px.astype(complex)        # one upcast instead of one per box
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            i, j = divmod(int(skey[s]), self.n2)
-            sel = order[s:e]
-            v = np.concatenate(
-                [f[i * m:(i + 1) * m, j * m:(j + 1) * m]
-                 for f in (self.u, self.ux, self.uy)], axis=1)   # (m, 3m)
-            tmp = (px[sel] @ v).reshape(sel.size, 3, m)
-            out[:, sel] = (tmp * py[sel][:, None, :]).sum(-1).T
-        return out
-
-
 class SommerfeldGridPlan:
-    """Precomputed machinery to sample the middle-layer interface field and
-    its gradient on the Chebyshev grid: one batched type-3 NUFFT per tail
-    segment over all distinct x-abscissas, direct (separable, cached-phase)
-    summation for the short vertical segment."""
+    """Precomputed C-block application for a fixed set of instances.
 
-    def __init__(self, contour, layers, region, tol=1e-12):
+    ``apply`` samples the middle-layer interface field and its gradient on
+    a tensor grid of Chebyshev boxes covering every enclosing disk: one
+    batched type-3 NUFFT per tail segment over all distinct x-abscissas,
+    direct (separable, cached-phase) summation for the short vertical
+    segment.  The grid depends on the covered region only.  The plan also
+    stores what ``sommerfeld_to_local_nufft`` needs to go from the grid to
+    the local coefficients: the 2p+1 equispaced sample points on each
+    enclosing circle, sorted by box, with their x and y barycentric rows,
+    and the Bessel factors of the projection.  All instances share one
+    enclosing radius.
+    """
+
+    def __init__(self, contour, layers, instances, p, tol=1e-12):
+        radii = {inst.R for inst in instances}
+        if len(radii) != 1:
+            raise ValueError("the C plan needs instances with one enclosing "
+                             f"radius, got {sorted(radii)}")
+        R = radii.pop()
         self.contour = contour
         self.layers = layers
-        x_lo, x_hi, y_lo, y_hi = region
+        self.p = p
+        centers = np.array([inst.center for inst in instances], dtype=float)
         lam2 = 2 * np.pi / abs(layers.k2)
-        # pad by one wavelength around the requested region, clamped to the
-        # middle layer; boxes shrink below lam2 as needed to fit (accuracy
-        # only improves with smaller boxes)
-        x_lo, x_hi = x_lo - lam2, x_hi + lam2
-        y_lo = max(y_lo - lam2, -layers.d)
-        y_hi = min(y_hi + lam2, 0.0)
-        if y_lo >= y_hi or not (-layers.d <= y_lo and y_hi <= 0):
+        # pad the enclosing disks' bounding box by one wavelength, clamped to
+        # the middle layer; boxes shrink below lam2 as needed to fit
+        # (accuracy only improves with smaller boxes)
+        x_lo = centers[:, 0].min() - R - lam2
+        x_hi = centers[:, 0].max() + R + lam2
+        y_lo = max(centers[:, 1].min() - R - lam2, -layers.d)
+        y_hi = min(centers[:, 1].max() + R + lam2, 0.0)
+        if y_lo >= y_hi:
             raise ValueError("interpolation grid leaves the middle layer")
         self.n1 = int(np.ceil((x_hi - x_lo) / lam2))
         self.n2 = int(np.ceil((y_hi - y_lo) / lam2))
-        self.wx = (x_hi - x_lo) / self.n1
-        self.wy = (y_hi - y_lo) / self.n2
-        self.x0 = x_lo
-        self.y0 = y_lo
+        wx = (x_hi - x_lo) / self.n1
+        wy = (y_hi - y_lo) / self.n2
         m = GRID_NODES
         self.xnodes = np.concatenate(
-            [cheb_nodes(m, self.x0 + i * self.wx, self.x0 + (i + 1) * self.wx)
+            [cheb_nodes(m, x_lo + i * wx, x_lo + (i + 1) * wx)
              for i in range(self.n1)])
         self.ynodes = np.concatenate(
-            [cheb_nodes(m, self.y0 + j * self.wy, self.y0 + (j + 1) * self.wy)
+            [cheb_nodes(m, y_lo + j * wy, y_lo + (j + 1) * wy)
              for j in range(self.n2)])
 
         lam = contour.nodes
@@ -219,8 +182,29 @@ class SommerfeldGridPlan:
         self._eyp = np.exp(np.multiply.outer(self.ynodes, self.g2))
         self._eym = np.exp(-np.multiply.outer(self.ynodes + layers.d, self.g2))
 
+        # circle samples, sorted by box so that each box's are contiguous
+        th = 2 * np.pi * np.arange(2 * p + 1) / (2 * p + 1)
+        self._cos, self._sin = np.cos(th), np.sin(th)
+        px = (centers[:, 0][:, None] + R * self._cos[None, :]).ravel()
+        py = (centers[:, 1][:, None] + R * self._sin[None, :]).ravel()
+        bx = np.clip(((px - x_lo) / wx).astype(int), 0, self.n1 - 1)
+        by = np.clip(((py - y_lo) / wy).astype(int), 0, self.n2 - 1)
+        key = bx * self.n2 + by
+        self._order = np.argsort(key, kind="stable")
+        bx, by, px, py, key = (a[self._order] for a in (bx, by, px, py, key))
+        self._rows_x = bary_matrix(self.xnodes.reshape(self.n1, m)[bx], px)
+        self._rows_y = bary_matrix(self.ynodes.reshape(self.n2, m)[by], py)
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        self._boxes = [(divmod(int(key[s]), self.n2), s, e) for s, e in
+                       zip(starts, np.r_[starts[1:], key.size])]
+        # projection factors J_n(k2 R) and k2 J'_n(k2 R)
+        ns = np.arange(-p, p + 1)
+        self._jn = bessel_j(ns, layers.k2 * R + 0j)
+        self._jnp = layers.k2 * bessel_j_prime(ns, layers.k2 * R + 0j)
+
     def apply(self, densities):
-        """Build the InterpGrid for one set of spectral densities."""
+        """The interface field u and its gradient (ux, uy) at the grid
+        nodes, each an (n1 * GRID_NODES, n2 * GRID_NODES) array."""
         cpl = self._base * densities.values[:, 1]       # per-node, no y yet
         cml = self._base * densities.values[:, 2]
         ny = self.ynodes.size
@@ -251,51 +235,36 @@ class SommerfeldGridPlan:
                         self.g2[i][:, None] * (cp[i] - cm[i]))
         ux += np.einsum("xj,jy->xy", self._mid_x * (1j * self.contour.nodes[i]),
                         cp[i] + cm[i])
-        return InterpGrid(x0=self.x0, y0=self.y0, wx=self.wx, wy=self.wy,
-                          n1=self.n1, n2=self.n2, k2=self.layers.k2,
-                          xnodes=self.xnodes, ynodes=self.ynodes,
-                          u=u, ux=ux, uy=uy)
+        return u, ux, uy
 
 
-def local_coefficients_from_samples(u, du_radial, k2, R, p):
-    """Robust projection of circle samples onto a local J-expansion:
+def sommerfeld_to_local_nufft(plan, values):
+    """Local coefficients for every instance of ``plan`` from its grid
+    ``values`` = (u, ux, uy): each box's values are contracted with the
+    stored barycentric rows of its circle samples, and the samples are
+    projected robustly onto the local J-expansion,
     a_n = (u_n J_n + u'_n k2 J'_n) / (J_n^2 + (k2 J'_n)^2) with u_n, u'_n
     the Fourier coefficients of the value and radial derivative on the
-    radius-R circle.  Safe at Bessel-function zeros.  Batched: u and
-    du_radial may be (..., 2p+1) over equispaced angles 2 pi q / (2p+1)."""
-    nang = 2 * p + 1
-    un = np.fft.fft(u, axis=-1) / nang
-    upn = np.fft.fft(du_radial, axis=-1) / nang
-    ns = np.arange(-p, p + 1)
-    un = un[..., ns % nang]
-    upn = upn[..., ns % nang]
-    jn = bessel_j(ns, k2 * R + 0j)
-    jnp = k2 * bessel_j_prime(ns, k2 * R + 0j)
+    enclosing circle; safe at Bessel-function zeros."""
+    m = GRID_NODES
+    sorted_samples = np.empty((plan._order.size, 3), dtype=complex)
+    for (i, j), s, e in plan._boxes:
+        v = np.concatenate([f[i * m:(i + 1) * m, j * m:(j + 1) * m]
+                            for f in values], axis=1)          # (m, 3m)
+        # real rows times complex values, as one real product
+        tmp = (plan._rows_x[s:e] @ v.view(float)).view(complex)
+        tmp = tmp.reshape(e - s, 3, m)
+        sorted_samples[s:e] = (tmp * plan._rows_y[s:e, None, :]).sum(-1)
+    samples = np.empty_like(sorted_samples)
+    samples[plan._order] = sorted_samples
+    nang = plan._cos.size
+    u, ux, uy = samples.T.reshape(3, -1, nang)
+    dur = ux * plan._cos + uy * plan._sin
+    ns = np.arange(-plan.p, plan.p + 1) % nang
+    un = np.fft.fft(u, axis=-1)[:, ns] / nang
+    upn = np.fft.fft(dur, axis=-1)[:, ns] / nang
+    jn, jnp = plan._jn, plan._jnp
     return (un * jn + upn * jnp) / (jn ** 2 + jnp ** 2)
-
-
-def sommerfeld_to_local_nufft(grid, instances, p):
-    """Local coefficients for every instance by sampling the interpolation
-    grid at 2p+1 equispaced points on each enclosing circle and applying
-    the robust projection."""
-    M = len(instances)
-    nang = 2 * p + 1
-    th = 2 * np.pi * np.arange(nang) / nang
-    ct, st = np.cos(th), np.sin(th)
-    centers = np.array([inst.center for inst in instances], dtype=float)
-    Rs = np.array([inst.R for inst in instances], dtype=float)
-    px = centers[:, 0][:, None] + Rs[:, None] * ct[None, :]
-    py = centers[:, 1][:, None] + Rs[:, None] * st[None, :]
-    pts = np.stack([px.ravel(), py.ravel()], axis=-1)
-    u, ux, uy = grid.eval(pts)
-    u = u.reshape(M, nang)
-    dur = (ux.reshape(M, nang) * ct[None, :] + uy.reshape(M, nang) * st[None, :])
-    out = np.empty((M, nang), dtype=complex)
-    for R in np.unique(Rs):
-        sel = Rs == R
-        out[sel] = local_coefficients_from_samples(
-            u[sel], dur[sel], grid.k2, R, p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +323,6 @@ class MultipoleToSommerfeldPlan:
             self._plans[s] = {r: plan.restrict(sel)
                               for r, sel in self._sel.items()}
             self._srcfac[s] = np.exp(np.imag(lam[idx])[0] * centers[:, 0])
-        # interface evanescent factors per occupied row
-        self._eup = {r: np.exp(self.rows_y[r] * self.g2) for r in occupied}
-        self._edn = {r: np.exp(-(layers.d + self.rows_y[r]) * self.g2)
-                     for r in occupied}
         self._x0phase = np.exp(1j * layers.source[0] * lam)
         mid = seg == 2
         self._mid = np.flatnonzero(mid)
@@ -373,10 +338,14 @@ class MultipoleToSommerfeldPlan:
         sm = np.zeros(n_nodes, dtype=complex)
         for s, idx in self._tails.items():
             c = snapped * self._srcfac[s][:, None]
+            g2 = self.g2[idx]
             for r, sel in self._sel.items():
                 G = self._plans[s][r].apply(c[sel])      # (n_tail, 2p+1)
-                sp[idx] += self._eup[r][idx] * (G * self._fup[idx]).sum(1)
-                sm[idx] += self._edn[r][idx] * (G * self._fdn[idx]).sum(1)
+                # the row's evanescent factors on the two interfaces
+                y = self.rows_y[r]
+                sp[idx] += np.exp(y * g2) * (G * self._fup[idx]).sum(1)
+                sm[idx] += (np.exp(-(self.layers.d + y) * g2)
+                            * (G * self._fdn[idx]).sum(1))
         sp *= -4j * self._x0phase
         sm *= -4j * self._x0phase
         # vertical segment: direct with exact (unsnapped) centers

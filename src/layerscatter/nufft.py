@@ -1,13 +1,10 @@
 """1-D nonuniform FFTs by Gaussian gridding (oversampling factor 2).
 
-Conventions:
+The type-2 transform (uniform to nonuniform) is
 
-* type 1 (nonuniform to uniform):   f_k = sum_j c_j exp( i k x_j )
-* type 2 (uniform to nonuniform):   f_j = sum_k F_k exp( i k x_j )
+    f_j = sum_k F_k exp( i k x_j )
 
 with points x_j in [0, 2pi) and integer modes k = -(K//2) .. (K-1)//2.
-Type 2 is implemented as the exact transpose of type 1, so the bilinear
-identity  sum_k type1(c)_k F_k = sum_j c_j type2(F)_j  holds to rounding.
 
 A type-3 transform (nonuniform points, nonuniform real frequencies) is
 provided for Fourier-type contour integrals; it composes Gaussian spreading
@@ -20,8 +17,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-__all__ = ["nufft1d1", "nufft1d2", "nufft1d3", "NufftPlan", "Nufft3Plan",
-           "modes"]
+__all__ = ["nufft1d3", "NufftPlan", "Nufft3Plan", "modes"]
 
 _OVERSAMPLE = 2
 
@@ -44,11 +40,11 @@ def _spread_params(n_modes, tol):
 
 
 class NufftPlan:
-    """Precomputed type-1/type-2 transforms for a fixed point set.
+    """Precomputed type-2 transform for a fixed point set.
 
-    Builds the sparse spreading matrix once; ``type1``/``type2`` then cost
-    one sparse product and one FFT each and accept stacked right-hand sides
-    of shape (npts,) / (npts, batch).
+    Builds the sparse spreading matrix once; ``type2`` then costs one FFT
+    and one sparse product and accepts stacked right-hand sides of shape
+    (K,) / (K, batch).
     """
 
     def __init__(self, points, n_modes, tol=1e-12):
@@ -74,12 +70,6 @@ class NufftPlan:
         # deconvolution of the Gaussian: fourier transform sqrt(4 pi tau) e^{-tau k^2}
         self._deconv = (h / np.sqrt(4 * np.pi * tau)) * np.exp(tau * self.k ** 2)
 
-    def type1(self, c):
-        """f_k = sum_j c_j e^{i k x_j}; c of shape (npts,) or (npts, batch)."""
-        grid = self._spread @ np.asarray(c, dtype=complex)
-        spec = self.n_fine * scipy.fft.ifft(grid, axis=0)
-        return spec[self.k % self.n_fine] * _col(self._deconv, grid.ndim)
-
     def type2(self, f):
         """f_j = sum_k F_k e^{i k x_j}; f of shape (K,) or (K, batch)."""
         f = np.asarray(f, dtype=complex)
@@ -92,17 +82,6 @@ class NufftPlan:
 
 def _col(v, ndim):
     return v[:, None] if ndim == 2 else v
-
-
-def nufft1d1(points, c, n_modes, tol=1e-12):
-    """Type-1 NUFFT; see :class:`NufftPlan`."""
-    return NufftPlan(points, n_modes, tol).type1(c)
-
-
-def nufft1d2(points, f, tol=1e-12):
-    """Type-2 NUFFT; see :class:`NufftPlan`."""
-    f = np.asarray(f, dtype=complex)
-    return NufftPlan(points, f.shape[0], tol).type2(f)
 
 
 class Nufft3Plan:

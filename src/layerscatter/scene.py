@@ -63,7 +63,6 @@ class SceneConfig:
     maxiter: int = 1000
     restart: int = 100
     path: str = "auto"
-    contour_tol: float = 1e-12
 
     def __post_init__(self):
         # canonicalize types so fingerprints do not depend on how the
@@ -324,7 +323,6 @@ def build_scene(cfg, use_cache=True):
     sep_v = min(cfg.source_y, -cfg.region_y1, cfg.region_y0 + cfg.d)
     xs = [cfg.region_x0, cfg.region_x1, cfg.source_x]
     contour = build_contour_adaptive(layers, min_vertical_sep=sep_v,
-                                     tol=cfg.contour_tol,
                                      max_horiz=max(xs) - min(xs))
     use_nufft = {"auto": None, "direct": False, "nufft": True}[cfg.path]
     op = SchurOperator(contour, layers, instances, S, use_nufft=use_nufft)

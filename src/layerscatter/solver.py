@@ -164,10 +164,8 @@ class SchurOperator:
             use_nufft = self.M * len(contour) > NUFFT_CROSSOVER
         self.use_nufft = bool(use_nufft) and self.M > 0
         if self.use_nufft:
-            R = max(i.R for i in self.instances)
-            region = (self.centers[:, 0].min() - R, self.centers[:, 0].max() + R,
-                      self.centers[:, 1].min() - R, self.centers[:, 1].max() + R)
-            self._grid_plan = SommerfeldGridPlan(contour, layers, region,
+            self._grid_plan = SommerfeldGridPlan(contour, layers,
+                                                self.instances, p,
                                                 tol=COUPLING_TOL)
             self._b_plan = MultipoleToSommerfeldPlan(contour, layers,
                                                      self.instances, p,
@@ -176,8 +174,8 @@ class SchurOperator:
     def _c_block(self, densities):
         """Incoming local coefficients of the interface-generated field."""
         if self.use_nufft:
-            grid = self._grid_plan.apply(densities)
-            return sommerfeld_to_local_nufft(grid, self.instances, self.p)
+            values = self._grid_plan.apply(densities)
+            return sommerfeld_to_local_nufft(self._grid_plan, values)
         return sommerfeld_to_local_direct(densities, self.contour, self.layers,
                                           self.centers, self.p)
 

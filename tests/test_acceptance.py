@@ -22,7 +22,7 @@ from layerscatter.layers import (InterfaceSolver, LayerStack, build_contour,
                                  sommerfeld_point_source)
 from layerscatter.multiscat import (ExpansionVector, eval_expansion, m2l,
                                     point_source_local, solve_free_space)
-from layerscatter.nufft import nufft1d1
+from layerscatter.nufft import nufft1d3
 from layerscatter.particle import (ShapeParams, discretize_boundary,
                                    scattering_matrix_disk,
                                    scattering_matrix_nystrom)
@@ -212,10 +212,8 @@ def test_criterion_5_direct_vs_nufft_example1():
 
     # C block: interface field to incoming locals
     loc_d = sommerfeld_to_local_direct(dens, contour, layers, centers, p)
-    region = (centers[:, 0].min() - R, centers[:, 0].max() + R,
-              centers[:, 1].min() - R, centers[:, 1].max() + R)
-    cplan = SommerfeldGridPlan(contour, layers, region, tol=1e-13)
-    loc_n = sommerfeld_to_local_nufft(cplan.apply(dens), bd.instances, p)
+    cplan = SommerfeldGridPlan(contour, layers, bd.instances, p, tol=1e-13)
+    loc_n = sommerfeld_to_local_nufft(cplan, cplan.apply(dens))
     wj = np.abs(bessel_j(np.arange(-p, p + 1), layers.k2 * R + 0j))
     c_err = (np.abs(loc_d - loc_n) * wj[None, :]).max() \
         / (np.abs(loc_d) * wj[None, :]).max()
@@ -289,11 +287,11 @@ def test_criterion_6_nufft_speedup():
              + 1j * rng.standard_normal((5000, 2 * p + 1))) * decay[None, :]
 
     t0 = time.perf_counter()
-    cplan = SommerfeldGridPlan(contour, layers, region, tol=1e-8)
+    cplan = SommerfeldGridPlan(contour, layers, insts, p, tol=1e-8)
     bplan = MultipoleToSommerfeldPlan(contour, layers, insts, p, tol=1e-8)
     t_cd, t_cn, t_bd, t_bn = _best_of([
         lambda: sommerfeld_to_local_direct(dens, contour, layers, centers, p),
-        lambda: sommerfeld_to_local_nufft(cplan.apply(dens), insts, p),
+        lambda: sommerfeld_to_local_nufft(cplan, cplan.apply(dens)),
         lambda: multipole_to_sommerfeld_direct(betas, centers, contour,
                                                layers),
         lambda: bplan.apply(betas)])
@@ -399,8 +397,8 @@ def test_criterion_8_property_suite(flower_smatrix):
     rng = np.random.default_rng(8)
     pts = rng.uniform(0, 2 * np.pi, 400)
     c = rng.standard_normal(400) + 1j * rng.standard_normal(400)
-    f = nufft1d1(pts, c, 64, tol=1e-12)
     ks = np.arange(-32, 32)
+    f = nufft1d3(pts, c, ks, tol=1e-12)
     f_ref = np.exp(1j * np.outer(ks, pts)) @ c
     checks.append(("NUFFT", np.abs(f - f_ref).max() / np.abs(c).sum(), 1e-12))
 

@@ -1,9 +1,11 @@
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from layerscatter import coupling
 from layerscatter.coupling import (MultipoleToSommerfeldPlan,
                                    SommerfeldGridPlan,
                                    multipole_to_sommerfeld_direct,
@@ -83,20 +85,17 @@ def scattered_instances(flower_smatrix):
 def test_grid_plan_reproduces_field(contour131, layers131,
                                     interface_densities, scattered_instances):
     centers, insts = scattered_instances
-    R = insts[0].R
-    region = (centers[:, 0].min() - R, centers[:, 0].max() + R,
-              centers[:, 1].min() - R, centers[:, 1].max() + R)
-    plan = SommerfeldGridPlan(contour131, layers131, region, tol=1e-13)
-    grid = plan.apply(interface_densities)
+    plan = SommerfeldGridPlan(contour131, layers131, insts, 10, tol=1e-13)
+    gu, gux, guy = plan.apply(interface_densities)
     i, j = 17, 23
-    pt = np.array([[grid.xnodes[i], grid.ynodes[j]]])
+    pt = np.array([[plan.xnodes[i], plan.ynodes[j]]])
     u, g = eval_sommerfeld_field(interface_densities, contour131, layers131,
                                  pt, want_gradient=True)
     ref, grad = u[0], g[0]
-    scale = np.abs(grid.u).max()
-    assert abs(grid.u[i, j] - ref) <= 1e-12 * scale
-    assert abs(grid.ux[i, j] - grad[0]) <= 1e-11 * scale
-    assert abs(grid.uy[i, j] - grad[1]) <= 1e-11 * scale
+    scale = np.abs(gu).max()
+    assert abs(gu[i, j] - ref) <= 1e-12 * scale
+    assert abs(gux[i, j] - grad[0]) <= 1e-11 * scale
+    assert abs(guy[i, j] - grad[1]) <= 1e-11 * scale
 
 
 def test_c_block_nufft_vs_direct_field_metric(contour131, layers131,
@@ -109,17 +108,44 @@ def test_c_block_nufft_vs_direct_field_metric(contour131, layers131,
     p = 10
     k2 = layers131.k2
     R = insts[0].R
-    region = (centers[:, 0].min() - R, centers[:, 0].max() + R,
-              centers[:, 1].min() - R, centers[:, 1].max() + R)
-    plan = SommerfeldGridPlan(contour131, layers131, region, tol=1e-13)
-    grid = plan.apply(interface_densities)
+    plan = SommerfeldGridPlan(contour131, layers131, insts, p, tol=1e-13)
     loc_d = sommerfeld_to_local_direct(interface_densities, contour131,
                                        layers131, centers, p)
-    loc_n = sommerfeld_to_local_nufft(grid, insts, p)
+    loc_n = sommerfeld_to_local_nufft(plan, plan.apply(interface_densities))
     wj = np.abs(bessel_j(np.arange(-p, p + 1), k2 * R + 0j))
     diff = np.abs(loc_d - loc_n) * wj[None, :]
     scale = (np.abs(loc_d) * wj[None, :]).max()
     assert diff.max() <= 1e-9 * scale
+
+
+def test_c_plan_apply_recomputes_no_geometry(contour131, layers131,
+                                             interface_densities,
+                                             scattered_instances,
+                                             monkeypatch):
+    """The C plan builds its sampling geometry once: after construction an
+    apply calls no barycentric-weight or Bessel routine and gives exactly
+    the same locals."""
+    _, insts = scattered_instances
+    plan = SommerfeldGridPlan(contour131, layers131, insts, 10, tol=1e-13)
+    ref = sommerfeld_to_local_nufft(plan, plan.apply(interface_densities))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sampling geometry recomputed in an apply")
+
+    for name in ("bary_matrix", "bessel_j", "bessel_j_prime"):
+        monkeypatch.setattr(coupling, name, forbidden)
+    got = sommerfeld_to_local_nufft(plan, plan.apply(interface_densities))
+    assert np.array_equal(got, ref)
+
+
+def test_c_plan_rejects_two_radii(contour131, layers131,
+                                  scattered_instances):
+    """The C plan projects every circle with one set of Bessel factors, so
+    instances with different enclosing radii are refused."""
+    _, insts = scattered_instances
+    mixed = insts[:-1] + [replace(insts[-1], R=1.5 * insts[-1].R)]
+    with pytest.raises(ValueError, match="one enclosing radius"):
+        SommerfeldGridPlan(contour131, layers131, mixed, 10)
 
 
 def test_b_block_nufft_vs_direct_physical_betas(contour131, layers131,
@@ -144,15 +170,8 @@ def test_b_block_nufft_vs_direct_physical_betas(contour131, layers131,
         assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
 
-def test_b_plan_memory_band600():
-    """The B plan shares one type-3 plan per tail among its snap rows: on a
-    600-inclusion thin band (N_S = 5052) it retains at most 32 MB, where
-    one full plan per row retained 97 MB."""
-    layers = LayerStack(k1=1.0, k2=3.0, k3=1.5, d=8.0, source=(0.0, 1.0))
-    contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
-                                     max_horiz=56.0)
-    assert len(contour) == 5052
-    insts = place_particles((-28.0, 28.0, -3.0, -1.1), 600, 0.165, seed=7)
+def _b_plan_retained_mb(contour, layers, insts):
+    """The B plan (p = 10, tol 1e-13) and the MB it retains (tracemalloc)."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -162,8 +181,35 @@ def test_b_plan_memory_band600():
         retained = tracemalloc.get_traced_memory()[0] / 2 ** 20
     finally:
         tracemalloc.stop()
+    return plan, retained
+
+
+def test_b_plan_memory_band600():
+    """The B plan shares one type-3 plan per tail among its snap rows: on a
+    600-inclusion thin band (N_S = 5052) it retains at most 32 MB, where
+    one full plan per row retained 97 MB."""
+    layers = LayerStack(k1=1.0, k2=3.0, k3=1.5, d=8.0, source=(0.0, 1.0))
+    contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
+                                     max_horiz=56.0)
+    assert len(contour) == 5052
+    insts = place_particles((-28.0, 28.0, -3.0, -1.1), 600, 0.165, seed=7)
+    plan, retained = _b_plan_retained_mb(contour, layers, insts)
     assert plan.occupied.size > 1
     assert retained <= 32.0
+
+
+def test_b_plan_memory_example1_m1000(layers131, flower_smatrix):
+    """The B plan keeps no per-row copies of the evanescent factors: with
+    example1's contour and 1000 inclusions (390 snap rows) it retains at
+    most 16 MB, where two N_S-long rows per snap row retained 43.5 MB."""
+    S, _ = flower_smatrix
+    contour = build_contour_adaptive(layers131, min_vertical_sep=1.0,
+                                     max_horiz=28.0)
+    assert len(contour) == 2540
+    insts = place_particles((-14.0, 14.0, -30.0, -2.0), 1000, S.R, seed=7)
+    plan, retained = _b_plan_retained_mb(contour, layers131, insts)
+    assert plan.occupied.size > 300
+    assert retained <= 16.0
 
 
 def test_spectral_update_zero_betas(contour131, layers131,

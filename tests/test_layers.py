@@ -160,7 +160,6 @@ def test_field_memory_bound_m100_grid():
     sep_v = min(cfg.source_y, -cfg.region_y1, cfg.region_y0 + cfg.d)
     xs = [cfg.region_x0, cfg.region_x1, cfg.source_x]
     contour = build_contour_adaptive(layers, min_vertical_sep=sep_v,
-                                     tol=cfg.contour_tol,
                                      max_horiz=max(xs) - min(xs))
     dens = InterfaceSolver(contour, layers).solve()
     X, Y = np.meshgrid(np.linspace(-14, 14, 100), np.linspace(-36, 4, 140))

@@ -28,3 +28,15 @@ def test_library_does_not_print():
              and isinstance(node.func, ast.Name) and node.func.id == "print"]
     assert not calls
     assert len(list(src.glob("*.py"))) > 10
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    """Every library entry point the benchmark's tracer wraps exists, so a
+    refactor cannot silently drop a per-layer metric."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    tracing = importlib.import_module("tracing")
+    absent = [f"{module}.{path}" for module, path, _, _ in tracing.TARGETS
+              if tracing._resolve(module, path) is None]
+    assert not absent
+    assert len(tracing.TARGETS) >= 21

@@ -1,7 +1,7 @@
 """Coupling between the interface spectral densities and the particle
 expansions: the Sommerfeld-to-local (C block) and multipole-to-Sommerfeld
-(B block) operators, each in a direct reference form and a NUFFT-accelerated
-form.
+(B block) operators, each in a direct reference form, from a stored
+plane-wave table and in a NUFFT-accelerated form.
 
 Plane-wave factor conventions (certified by the reconstruction oracles in
 the tests):
@@ -24,7 +24,7 @@ from .layers import gamma
 from .nufft import Nufft3Plan
 from .special import bessel_j, bessel_j_prime
 
-__all__ = ["SpectralUpdate", "sommerfeld_to_local_direct",
+__all__ = ["SpectralUpdate", "sommerfeld_to_local_direct", "PlaneWaveTable",
            "multipole_to_sommerfeld_direct", "SommerfeldGridPlan",
            "sommerfeld_to_local_nufft", "MultipoleToSommerfeldPlan"]
 
@@ -110,6 +110,40 @@ def multipole_to_sommerfeld_direct(betas, centers, contour, layers):
     sp = -4j * (phase * eup * tu).sum(axis=0)
     sm = -4j * (phase * edn * td).sum(axis=0)
     return SpectralUpdate(sigma_plus=sp, sigma_minus=sm)
+
+
+class PlaneWaveTable:
+    """B and C, exactly, from one stored table of 32 M N_S bytes,
+    E[0, m, j] = e^{i lam_j (x_m - x0) + gamma2_j y_m} and
+    E[1, m, j] = e^{i lam_j (x_m - x0) - gamma2_j (y_m + d)}, built a row at
+    a time.  B reads it in reversed node order: lam_{N_S-1-j} = -lam_j and
+    gamma2 is even."""
+
+    def __init__(self, contour, layers, centers, p):
+        lam = contour.nodes
+        if not np.array_equal(lam[::-1], -lam):
+            raise ValueError("the plane-wave table needs lam[::-1] == -lam")
+        g2 = gamma(lam, layers.k2)
+        base = (contour.weights / (4 * np.pi * g2))[:, None]
+        self._c = [base * f for f in _ja_powers(lam, g2, layers.k2, p)]
+        self._b = -4j * np.stack(_hankel_factors(lam, g2, layers.k2, p))
+        self.E = np.empty((2, len(centers), lam.size), dtype=complex)
+        for m, (x, y) in enumerate(centers):
+            phase = 1j * (x - layers.source[0]) * lam
+            np.exp(phase + y * g2, out=self.E[0, m])
+            np.exp(phase - (y + layers.d) * g2, out=self.E[1, m])
+
+    def sommerfeld_to_local(self, densities):
+        """As ``sommerfeld_to_local_direct`` at the table's centers."""
+        v = densities.values
+        return (self.E[0] @ (v[:, 1, None] * self._c[0])
+                + self.E[1] @ (v[:, 2, None] * self._c[1]))
+
+    def multipole_to_sommerfeld(self, betas):
+        """As ``multipole_to_sommerfeld_direct`` at the table's centers."""
+        t = (np.asarray(betas, dtype=complex).T @ self.E)[..., ::-1]
+        sp, sm = np.einsum("snj,sjn->sj", t, self._b)
+        return SpectralUpdate(sigma_plus=sp, sigma_minus=sm)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +372,14 @@ class MultipoleToSommerfeldPlan:
         sm = np.zeros(n_nodes, dtype=complex)
         for s, idx in self._tails.items():
             c = snapped * self._srcfac[s][:, None]
-            g2 = self.g2[idx]
+            g2, fup, fdn = self.g2[idx], self._fup[idx], self._fdn[idx]
             for r, sel in self._sel.items():
                 G = self._plans[s][r].apply(c[sel])      # (n_tail, 2p+1)
                 # the row's evanescent factors on the two interfaces
                 y = self.rows_y[r]
-                sp[idx] += np.exp(y * g2) * (G * self._fup[idx]).sum(1)
+                sp[idx] += np.exp(y * g2) * (G * fup).sum(1)
                 sm[idx] += (np.exp(-(self.layers.d + y) * g2)
-                            * (G * self._fdn[idx]).sum(1))
+                            * (G * fdn).sum(1))
         sp *= -4j * self._x0phase
         sm *= -4j * self._x0phase
         # vertical segment: direct with exact (unsnapped) centers

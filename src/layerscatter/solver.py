@@ -19,12 +19,14 @@ the S-multiplication, so the right-hand side is S applied to the incoming
 local coefficients of the transmitted incident field.
 """
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupling import (MultipoleToSommerfeldPlan, SommerfeldGridPlan,
-                       multipole_to_sommerfeld_direct,
+# the direct oracles stay importable from here for perfbench/tracing.py
+from .coupling import (MultipoleToSommerfeldPlan, PlaneWaveTable,
+                       SommerfeldGridPlan, multipole_to_sommerfeld_direct,
                        sommerfeld_to_local_direct, sommerfeld_to_local_nufft)
 from .layers import InterfaceSolver, eval_sommerfeld_field
 from .multiscat import (PairCoupling, apply_rotated, eval_multipole_field,
@@ -34,13 +36,11 @@ from .special import bessel_j, hankel1
 
 __all__ = ["GmresConfig", "GmresError", "gmres", "SchurOperator",
            "Solution", "solve_layered_scene",
-           "eval_total_field", "NUFFT_CROSSOVER"]
+           "eval_total_field", "TABLE_BUDGET"]
 
-# direct coupling paths below this M * N_S work estimate, NUFFT above.  It
-# is no measured break-even: the m100-grid benchmark (2.5e5) runs direct and
-# band600-probe (3e6) NUFFT, but at example1 M=1000 (2.5e6) the NUFFT B
-# apply is 3.4-6x slower than direct B (ROADMAP item 2)
-NUFFT_CROSSOVER = 1e6
+# ``auto`` couples through the plane-wave table (32 M N_S bytes) up to this
+# size and above it through the NUFFT plans: slower, but O(M + N_S) memory
+TABLE_BUDGET = 2 ** 28
 # tolerance of the NUFFT coupling plans
 COUPLING_TOL = 1e-13
 
@@ -143,7 +143,9 @@ class SchurOperator:
 
     Holds the factored interface blocks, the all-pairs free-space coupling,
     the prototype scattering matrix (it sets p) and each instance's rotation
-    phases, and -- when M * N_S exceeds the crossover -- the NUFFT plans.
+    phases.  B and C use the NUFFT plans if ``use_nufft`` (by default when
+    the plane-wave table would exceed TABLE_BUDGET), else that table, which
+    the first B or C of a solve builds and ``solve_layered_scene`` drops.
     """
 
     def __init__(self, contour, layers, instances, smatrix, use_nufft=None):
@@ -160,9 +162,15 @@ class SchurOperator:
         self.interface = InterfaceSolver(contour, layers)
         self.pair = (PairCoupling(self.centers, layers.k2, p)
                      if self.M > 1 else None)
-        if use_nufft is None:
-            use_nufft = self.M * len(contour) > NUFFT_CROSSOVER
-        self.use_nufft = bool(use_nufft) and self.M > 0
+        table_bytes = 32 * self.M * len(contour)
+        auto = use_nufft is None
+        self.use_nufft = self.M > 0 and bool(
+            table_bytes > TABLE_BUDGET if auto else use_nufft)
+        logging.getLogger("layerscatter").debug(
+            "coupling path %s (%s): plane-wave table %d bytes, budget %d",
+            "nufft" if self.use_nufft else "table",
+            "auto" if auto else "set", table_bytes, TABLE_BUDGET)
+        self._table = None
         if self.use_nufft:
             self._grid_plan = SommerfeldGridPlan(contour, layers,
                                                 self.instances, p,
@@ -171,19 +179,23 @@ class SchurOperator:
                                                      self.instances, p,
                                                      tol=COUPLING_TOL)
 
+    def _plane_waves(self):
+        if self._table is None:
+            self._table = PlaneWaveTable(self.contour, self.layers,
+                                         self.centers, self.p)
+        return self._table
+
     def _c_block(self, densities):
         """Incoming local coefficients of the interface-generated field."""
         if self.use_nufft:
             values = self._grid_plan.apply(densities)
             return sommerfeld_to_local_nufft(self._grid_plan, values)
-        return sommerfeld_to_local_direct(densities, self.contour, self.layers,
-                                          self.centers, self.p)
+        return self._plane_waves().sommerfeld_to_local(densities)
 
     def _b_block(self, betas):
         if self.use_nufft:
             return self._b_plan.apply(betas)
-        return multipole_to_sommerfeld_direct(betas, self.centers,
-                                              self.contour, self.layers)
+        return self._plane_waves().multipole_to_sommerfeld(betas)
 
     def rhs(self):
         """S C A^{-1} b: S applied to the locals of the transmitted
@@ -211,8 +223,6 @@ class SchurOperator:
 
     def recover_densities(self, betas):
         """One final A-block solve with the full right-hand side b + B beta."""
-        if self.M == 0:
-            return self.interface.solve()
         upd = self._b_block(betas)
         return self.interface.solve(extra_rhs=upd.rhs(self.contour, self.layers))
 
@@ -240,19 +250,15 @@ def solve_layered_scene(operator, config=None, boundary=None,
     field reconstruction in eval_total_field.
     """
     config = config or GmresConfig()
-    M, p = operator.M, operator.p
-    if M == 0:
-        betas = np.zeros((0, 2 * p + 1), dtype=complex)
-        history = [0.0]
-    else:
-        rhs = operator.rhs()
-        x, history = gmres(operator.apply, rhs, tol=config.tol,
-                           maxiter=config.maxiter, restart=config.restart)
-        betas = x.reshape(M, 2 * p + 1)
+    # with no inclusions the right-hand side is empty and GMRES returns it
+    x, history = gmres(operator.apply, operator.rhs(), tol=config.tol,
+                       maxiter=config.maxiter, restart=config.restart)
+    betas = x.reshape(operator.M, 2 * operator.p + 1)
     densities = operator.recover_densities(betas)
     # C is linear, so one apply to A^{-1} (b + B beta) gives the locals of
     # the transmitted incident field and of the interface-scattered field
-    alphas = operator.incoming_locals(densities, betas) if M else betas
+    alphas = operator.incoming_locals(densities, betas)
+    operator._table = None      # evaluation needs no plane-wave table
     return Solution(densities=densities, betas=betas, alphas=alphas,
                     history=list(history), operator=operator,
                     fingerprint=fingerprint, boundary=boundary,

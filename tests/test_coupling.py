@@ -7,7 +7,7 @@ import pytest
 
 from layerscatter import coupling
 from layerscatter.coupling import (MultipoleToSommerfeldPlan,
-                                   SommerfeldGridPlan,
+                                   PlaneWaveTable, SommerfeldGridPlan,
                                    multipole_to_sommerfeld_direct,
                                    sommerfeld_to_local_direct,
                                    sommerfeld_to_local_nufft)
@@ -168,6 +168,40 @@ def test_b_block_nufft_vs_direct_physical_betas(contour131, layers131,
     for a, b in ((upd_n.sigma_plus, upd_d.sigma_plus),
                  (upd_n.sigma_minus, upd_d.sigma_minus)):
         assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+
+def test_plane_wave_table_matches_direct(contour131, layers131,
+                                         interface_densities,
+                                         scattered_instances):
+    """The table's C and B (B read in reversed node order) agree with the
+    direct sums to 1e-12 relative."""
+    centers, _ = scattered_instances
+    p = 10
+    table = PlaneWaveTable(contour131, layers131, centers, p)
+    loc_d = sommerfeld_to_local_direct(interface_densities, contour131,
+                                       layers131, centers, p)
+    loc_t = table.sommerfeld_to_local(interface_densities)
+    assert np.abs(loc_t - loc_d).max() <= 1e-12 * np.abs(loc_d).max()
+    rng = np.random.default_rng(1)
+    decay = np.exp(-0.5 * np.abs(np.arange(-p, p + 1)))
+    betas = (rng.standard_normal(loc_d.shape)
+             + 1j * rng.standard_normal(loc_d.shape)) * decay
+    upd_d = multipole_to_sommerfeld_direct(betas, centers, contour131,
+                                           layers131)
+    upd_t = table.multipole_to_sommerfeld(betas)
+    for a, b in ((upd_t.sigma_plus, upd_d.sigma_plus),
+                 (upd_t.sigma_minus, upd_d.sigma_minus)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_plane_wave_table_rejects_asymmetric_contour(contour131, layers131):
+    """B reads the table in reversed node order, which needs
+    lam[::-1] == -lam exactly: one node off by an ulp is refused."""
+    nodes = contour131.nodes.copy()
+    nodes[0] = np.nextafter(nodes[0].real, 0) + 1j * nodes[0].imag
+    with pytest.raises(ValueError, match="lam"):
+        PlaneWaveTable(replace(contour131, nodes=nodes), layers131,
+                       np.array([[0.0, -10.0]]), 10)
 
 
 def _b_plan_retained_mb(contour, layers, insts):

@@ -1,3 +1,7 @@
+import gc
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -257,3 +261,47 @@ def test_use_nufft_paths_agree(contour131, layers131, flower_boundary,
     sol_n = solve_layered_scene(op_n, GmresConfig(tol=1e-10))
     assert np.abs(sol_d.betas - sol_n.betas).max() <= \
         1e-8 * np.abs(sol_d.betas).max()
+
+
+def test_solve_releases_plane_wave_table(contour131, layers131,
+                                         flower_smatrix):
+    """A solve builds the plane-wave table and drops it before returning:
+    the operator retains less than the table's 32 M N_S bytes, and a second
+    solve on the same operator gives the same betas."""
+    smat, _ = flower_smatrix
+    cents = [(-3.0 + 0.5 * (i % 12), -16.0 + 0.5 * (i // 12))
+             for i in range(24)]
+    op = _operator(contour131, layers131, smat, rots=[0.3] * len(cents),
+                   cents=cents)
+    assert not op.use_nufft
+    table_bytes = 32 * op.M * len(contour131)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        first = solve_layered_scene(op, GmresConfig(tol=1e-10))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained - before < table_bytes / 4
+    second = solve_layered_scene(op, GmresConfig(tol=1e-10))
+    assert np.array_equal(second.betas, first.betas)
+
+
+def test_auto_path_by_table_budget(contour131, layers131, flower_smatrix,
+                                   monkeypatch, caplog):
+    """``auto`` couples through the table while it fits TABLE_BUDGET and
+    through the NUFFT plans above it, and logs the choice and its reason."""
+    smat, _ = flower_smatrix
+    table = f"plane-wave table {32 * 3 * len(contour131)} bytes"
+    with caplog.at_level(logging.DEBUG, logger="layerscatter"):
+        assert not _operator(contour131, layers131, smat).use_nufft
+        monkeypatch.setattr(solver_mod, "TABLE_BUDGET", 1024)
+        assert _operator(contour131, layers131, smat).use_nufft
+        assert not _operator(contour131, layers131, smat,
+                             use_nufft=False).use_nufft
+    assert [r.getMessage() for r in caplog.records] == [
+        f"coupling path table (auto): {table}, budget {2 ** 28}",
+        f"coupling path nufft (auto): {table}, budget 1024",
+        f"coupling path table (set): {table}, budget 1024"]

@@ -24,7 +24,7 @@ from .layers import LayerStack, SommerfeldContour, build_contour, \
     build_contour_adaptive
 from .particle import ShapeParams, ScatteringMatrix, discretize_boundary, \
     scattering_matrix_nystrom, scattering_matrix_disk, \
-    rotate_scattering_matrix, save_scattering_matrix, load_scattering_matrix
+    rotate_scattering_matrix
 from .multiscat import ParticleInstance, ExpansionVector
 from .solver import GmresConfig, GmresError, SchurOperator, Solution, \
     solve_layered_scene, eval_total_field
@@ -37,8 +37,7 @@ __all__ = [
     "LayerStack", "SommerfeldContour", "build_contour",
     "build_contour_adaptive", "ShapeParams", "ScatteringMatrix",
     "discretize_boundary", "scattering_matrix_nystrom",
-    "scattering_matrix_disk", "rotate_scattering_matrix",
-    "save_scattering_matrix", "load_scattering_matrix", "ParticleInstance",
+    "scattering_matrix_disk", "rotate_scattering_matrix", "ParticleInstance",
     "ExpansionVector", "GmresConfig", "GmresError", "SchurOperator",
     "Solution", "solve_layered_scene", "eval_total_field", "SceneConfig",
     "FieldGrid", "load_scene", "place_particles", "build_scene",

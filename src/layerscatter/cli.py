@@ -10,40 +10,41 @@ import argparse
 import logging
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from .layers import SpectralDensities
-from .scene import (FieldGrid, build_scene, cache_dir, evaluate_grid,
+from .scene import (FieldGrid, build_scene, cache_entry_path, evaluate_grid,
                     load_field_grid, load_scene, precompute_scattering_matrix,
-                    save_field_grid, solve_scene, _cache_key)
+                    save_field_grid, solve_scene)
 from .solver import GmresError, Solution, solve_layered_scene
 
 
-def _apply_overrides(cfg, args):
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "path", None) is not None:
-        cfg.path = args.path
-    return cfg
+def _load_config(args):
+    """The scene with the command-line overrides; exits with a one-line
+    message if either fails validation."""
+    overrides = {name: getattr(args, name) for name in ("tol", "seed", "path")
+                 if getattr(args, name) is not None}
+    try:
+        return replace(load_scene(args.scene), **overrides)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def cmd_precompute(args):
-    cfg = _apply_overrides(load_scene(args.scene), args)
+    cfg = _load_config(args)
     t0 = time.perf_counter()
     S, boundary, _ = precompute_scattering_matrix(cfg)
     dt = time.perf_counter() - t0
-    dest = cache_dir() / (_cache_key(cfg) + ".lssm")
     print(f"scattering matrix p={S.p} R={S.R:.6g} "
           f"(N={boundary.nodes.shape[0]} boundary nodes) in {dt:.2f}s")
-    print(f"cached at {dest}")
+    print(f"cached at {cache_entry_path(cfg)}")
     return 0
 
 
 def cmd_solve(args):
-    cfg = _apply_overrides(load_scene(args.scene), args)
+    cfg = _load_config(args)
     t0 = time.perf_counter()
     try:
         build, sol = solve_scene(cfg)
@@ -86,7 +87,7 @@ def _load_solution(path, build):
 
 
 def cmd_eval(args):
-    cfg = _apply_overrides(load_scene(args.scene), args)
+    cfg = _load_config(args)
     nx, ny = (int(v) for v in _parse_pair(args.grid, 2, "grid"))
     extent = tuple(float(v) for v in _parse_pair(args.extent, 4, "extent"))
     if args.solution:

@@ -315,6 +315,14 @@ class MultipoleToSommerfeldPlan:
     restriction of one plan per tail over all centers.  The horizontal
     coordinates need no snapping (the NUFFT accepts them exactly), and the
     20-node vertical segment is summed directly.
+
+    Accuracy contract: accurate only for betas whose order-p content is
+    small.  Its relative error against ``multipole_to_sommerfeld_direct``
+    is 1e-10 for betas = S applied to locals, but for betas decaying as
+    e^{-|n|/2} 2.2e-3 on example1 at M=100, 5.6e-4 at M=1000 and 0.20 on
+    band600.  The likely cause: the vertical shift is truncated at order p
+    (zeroing orders +-p cuts the example1 error to 1.5e-4).  ``path=nufft``
+    and ``auto`` above TABLE_BUDGET rely on GMRES vectors being physical.
     """
 
     def __init__(self, contour, layers, instances, p, tol=1e-12):

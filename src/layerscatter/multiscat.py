@@ -9,10 +9,9 @@ import numpy as np
 
 from .special import bessel_j, hankel1
 
-__all__ = ["ExpansionVector", "ParticleInstance", "m2l", "m2m",
-           "point_source_local", "eval_expansion", "PairCoupling",
-           "rotation_phases", "apply_rotated", "solve_free_space",
-           "eval_multipole_field"]
+__all__ = ["ExpansionVector", "ParticleInstance", "m2l", "point_source_local",
+           "eval_expansion", "PairCoupling", "rotation_phases",
+           "apply_rotated", "solve_free_space", "eval_multipole_field"]
 
 
 @dataclass
@@ -44,17 +43,6 @@ class ParticleInstance:
     fingerprint: bytes
 
 
-def _translation_row(k, D, orders, kind):
-    """C_q(k |D|) e^{i q theta_D} for the listed integer orders q, with C the
-    Hankel (kind 'H') or Bessel (kind 'J') function."""
-    dist = np.hypot(D[0], D[1])
-    if dist <= 0:
-        raise ValueError("zero translation distance")
-    theta = np.arctan2(D[1], D[0])
-    fn = hankel1 if kind == "H" else bessel_j
-    return fn(orders, k * dist + 0j) * np.exp(1j * orders * theta)
-
-
 def m2l(source, target_center, p, source_R=0.0, target_R=0.0):
     """Local (J) expansion about target_center reproducing the multipole
     source field on the target disk (Graf's addition theorem):
@@ -65,33 +53,16 @@ def m2l(source, target_center, p, source_R=0.0, target_R=0.0):
         raise ValueError("m2l expects a multipole (H) source")
     D = (target_center[0] - source.center[0],
          target_center[1] - source.center[1])
-    if np.hypot(*D) <= source_R + target_R:
+    dist = np.hypot(*D)
+    if dist <= source_R + target_R:
         raise ValueError("enclosing disks overlap: m2l diverges")
     nu = np.arange(-source.p, source.p + 1)
     n = np.arange(-p, p + 1)
     q = np.subtract.outer(-n, -nu)        # q[i, j] = nu_j - n_i
-    mat = _translation_row(source.k, D, q, "H")
+    mat = (hankel1(q, source.k * dist + 0j)
+           * np.exp(1j * q * np.arctan2(D[1], D[0])))
     return ExpansionVector(p=p, coeffs=mat @ source.coeffs, kind="J",
                            center=tuple(target_center), k=source.k)
-
-
-def m2m(source, new_center):
-    """Re-center a multipole expansion:
-    beta'_n = sum_nu beta_nu J_{nu-n}(k |s|) e^{i (nu-n) theta_s},
-    with s = new_center - source.center (valid outside the shifted disk).
-    """
-    if source.kind != "H":
-        raise ValueError("m2m expects a multipole (H) source")
-    s = (new_center[0] - source.center[0], new_center[1] - source.center[1])
-    if np.hypot(*s) == 0:
-        return ExpansionVector(p=source.p, coeffs=source.coeffs.copy(),
-                               kind="H", center=tuple(new_center), k=source.k)
-    nu = np.arange(-source.p, source.p + 1)
-    n = nu
-    q = np.subtract.outer(-n, -nu)
-    mat = _translation_row(source.k, s, q, "J")
-    return ExpansionVector(p=source.p, coeffs=mat @ source.coeffs, kind="H",
-                           center=tuple(new_center), k=source.k)
 
 
 def point_source_local(k, source_point, center, p):

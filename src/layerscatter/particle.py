@@ -5,7 +5,6 @@ matrices (analytic for disks, numerical for arbitrary smooth shapes).
 """
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +17,7 @@ __all__ = ["ShapeParams", "BoundaryDiscretization", "ScatteringMatrix",
            "PrecomputedDensities", "shape_curve", "discretize_boundary",
            "assemble_muller", "factor_and_solve", "incident_mode_rhs",
            "scattering_matrix_nystrom", "scattering_matrix_disk",
-           "rotate_scattering_matrix",
-           "shape_fingerprint", "save_scattering_matrix",
-           "load_scattering_matrix"]
+           "rotate_scattering_matrix", "shape_fingerprint"]
 
 
 @dataclass(frozen=True)
@@ -300,42 +297,3 @@ def rotate_scattering_matrix(S, theta):
     phase = np.exp(1j * np.subtract.outer(-ns, -ns) * theta)  # e^{i(n-l)theta}
     return ScatteringMatrix(p=S.p, entries=S.entries * phase, R=S.R, k2=S.k2,
                             kp=S.kp, fingerprint=S.fingerprint)
-
-
-_CACHE_MAGIC = b"LSSM"
-_CACHE_VERSION = 1
-
-
-def save_scattering_matrix(path, S):
-    """Write the versioned little-endian binary cache format."""
-    m = 2 * S.p + 1
-    header = struct.pack("<4sIi d dd dd 32s", _CACHE_MAGIC, _CACHE_VERSION,
-                         S.p, S.R, np.real(S.k2), np.imag(S.k2),
-                         np.real(S.kp), np.imag(S.kp), S.fingerprint)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(S.entries,
-                                      dtype="<c16").tobytes())
-    assert len(S.fingerprint) == 32 and S.entries.shape == (m, m)
-
-
-def _read_exact(fh, n, path):
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated scattering-matrix cache: {path}")
-    return data
-
-
-def load_scattering_matrix(path):
-    with open(path, "rb") as fh:
-        head = _read_exact(fh, struct.calcsize("<4sIi d dd dd 32s"), path)
-        magic, version, p, R, k2r, k2i, kpr, kpi, fp = struct.unpack(
-            "<4sIi d dd dd 32s", head)
-        if magic != _CACHE_MAGIC or version != _CACHE_VERSION:
-            raise ValueError(f"not a scattering-matrix cache: {path}")
-        m = 2 * p + 1
-        entries = np.frombuffer(_read_exact(fh, m * m * 16, path),
-                                dtype="<c16")
-    return ScatteringMatrix(p=p, entries=entries.reshape(m, m).copy(), R=R,
-                            k2=complex(k2r, k2i), kp=complex(kpr, kpi),
-                            fingerprint=fp)

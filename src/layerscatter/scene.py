@@ -16,16 +16,16 @@ import os
 import tempfile
 import time
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .layers import LayerStack, build_contour_adaptive
 from .multiscat import ParticleInstance
-from .particle import (PrecomputedDensities, ShapeParams, discretize_boundary,
-                       load_scattering_matrix, save_scattering_matrix,
-                       scattering_matrix_nystrom, shape_fingerprint)
+from .particle import (PrecomputedDensities, ScatteringMatrix, ShapeParams,
+                       discretize_boundary, scattering_matrix_nystrom,
+                       shape_fingerprint)
 from .solver import GmresConfig, SchurOperator, eval_total_field, \
     solve_layered_scene
 
@@ -92,8 +92,10 @@ class SceneConfig:
             raise ValueError(
                 f"region bottom {self.region_y0} within half a wavelength "
                 f"({inset:.4g}) of the interface y = {-self.d}")
-        # the layer-stack constructor enforces the source standoff
+        # the layer stack, shape and GMRES settings check themselves
         self.layers()
+        self.shape()
+        self.gmres_config()
 
     def layers(self):
         return LayerStack(k1=self.k1, k2=self.k2, k3=self.k3, d=self.d,
@@ -141,8 +143,7 @@ def load_scene(path):
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: "
                                  f"{exc}") from None
-    required = [n for n, f in known.items()
-                if f.default.__class__.__name__ == "_MISSING_TYPE"]
+    required = [n for n, f in known.items() if f.default is MISSING]
     missing = [n for n in required if n not in values]
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
@@ -234,22 +235,24 @@ def check_placement(instances, R):
 # Scattering-matrix cache
 # ---------------------------------------------------------------------------
 
-def cache_dir():
-    override = os.environ.get("LAYERSCATTER_CACHE_DIR")
-    base = Path(override) if override else Path.home() / ".cache" / "layerscatter"
-    base.mkdir(parents=True, exist_ok=True)
-    return base
+_CACHE_VERSION = 1
 
 
-def _cache_key(cfg):
+def cache_entry_path(cfg):
+    """The cache file of the config's prototype, one ``.npz`` per shape
+    fingerprint, k2, kp and p, in ``$LAYERSCATTER_CACHE_DIR`` (default
+    ``~/.cache/layerscatter``)."""
+    base = (os.environ.get("LAYERSCATTER_CACHE_DIR")
+            or Path.home() / ".cache" / "layerscatter")
     blob = repr((shape_fingerprint(cfg.shape()).hex(), complex(cfg.k2),
                  complex(cfg.kp), int(cfg.p))).encode()
-    return hashlib.sha256(blob).hexdigest()[:24]
+    return Path(base) / (hashlib.sha256(blob).hexdigest()[:24] + ".npz")
 
 
 def _write_atomic(path, write):
     """Call ``write`` on a temp file beside ``path``, then rename it over
     ``path``: readers see the old entry or the whole new one, never part."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
                                suffix=path.suffix)
     os.close(fd)
@@ -261,39 +264,50 @@ def _write_atomic(path, write):
             os.unlink(tmp)
 
 
+def _load_entry(path, cfg):
+    """``(S, densities)`` from a cache entry; ValueError unless its version,
+    p, k2, kp and shape fingerprint match the config and S is (2p+1, 2p+1)
+    and each density (N, 2p+1)."""
+    m = 2 * cfg.p + 1
+    with np.load(path) as z:
+        entries, mu, sigma = z["entries"], z["mu"], z["sigma"]
+        fingerprint = z["fingerprint"].tobytes()
+        if not (int(z["version"]) == _CACHE_VERSION and int(z["p"]) == cfg.p
+                and complex(z["k2"]) == cfg.k2 and complex(z["kp"]) == cfg.kp
+                and fingerprint == shape_fingerprint(cfg.shape())
+                and entries.shape == (m, m)
+                and mu.shape == sigma.shape == (cfg.N, m)):
+            raise ValueError(f"foreign cache entry: {path}")
+        S = ScatteringMatrix(p=cfg.p, entries=entries, R=float(z["R"]),
+                             k2=cfg.k2, kp=cfg.kp, fingerprint=fingerprint)
+    return S, PrecomputedDensities(p=cfg.p, mu=mu, sigma=sigma)
+
+
 def precompute_scattering_matrix(cfg, use_cache=True):
     """Build (or load from cache) the prototype scattering data.
 
-    Returns ``(S, boundary, mode_densities)``.  A cache entry whose
-    fingerprint or parameters disagree with the config triggers a rebuild,
-    with a warning on the ``layerscatter`` logger.
+    Returns ``(S, boundary, mode_densities)``.  An unreadable cache entry,
+    or one whose identity or array shapes disagree with the config, is
+    rebuilt, with a warning on the ``layerscatter`` logger.
     """
-    shape = cfg.shape()
-    boundary = discretize_boundary(shape)
-    base = cache_dir() / _cache_key(cfg)
-    spath = base.with_suffix(".lssm")
-    dpath = base.with_suffix(".densities.npz")
-    if use_cache and spath.exists() and dpath.exists():
+    boundary = discretize_boundary(cfg.shape())
+    path = cache_entry_path(cfg)
+    if use_cache and path.exists():
         try:
-            S = load_scattering_matrix(spath)
-            with np.load(dpath) as z:
-                dens = PrecomputedDensities(p=int(z["p"]), mu=z["mu"],
-                                            sigma=z["sigma"])
-            ok = (S.fingerprint == shape_fingerprint(shape)
-                  and S.p == cfg.p and dens.p == cfg.p
-                  and S.k2 == complex(cfg.k2) and S.kp == complex(cfg.kp))
-        except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile):
-            ok = False
-        if ok:
+            S, dens = _load_entry(path, cfg)
+        except (ValueError, TypeError, KeyError, OSError, EOFError,
+                zipfile.BadZipFile):
+            logging.getLogger("layerscatter").warning(
+                "cache entry %s stale or corrupt; rebuilding", path)
+        else:
             return S, boundary, dens
-        logging.getLogger("layerscatter").warning(
-            "cache entry %s stale or corrupt; rebuilding", spath)
     S, dens = scattering_matrix_nystrom(boundary, cfg.k2, cfg.kp, cfg.p,
                                         return_densities=True)
     if use_cache:
-        _write_atomic(spath, lambda tmp: save_scattering_matrix(tmp, S))
-        _write_atomic(dpath, lambda tmp: np.savez(tmp, p=cfg.p, mu=dens.mu,
-                                                  sigma=dens.sigma))
+        _write_atomic(path, lambda tmp: np.savez(
+            tmp, version=_CACHE_VERSION, entries=S.entries, p=S.p, R=S.R,
+            k2=S.k2, kp=S.kp, mu=dens.mu, sigma=dens.sigma,
+            fingerprint=np.frombuffer(S.fingerprint, np.uint8)))
     return S, boundary, dens
 
 

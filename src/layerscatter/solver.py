@@ -53,7 +53,11 @@ class GmresConfig:
 
     def __post_init__(self):
         if not self.tol > 0:
-            raise ValueError("GMRES tolerance must be positive")
+            raise ValueError(
+                f"GMRES tolerance must be positive, got {self.tol}")
+        if self.maxiter < 1 or self.restart < 1:
+            raise ValueError("GMRES maxiter and restart must be at least 1, "
+                             f"got {self.maxiter} and {self.restart}")
 
 
 class GmresError(RuntimeError):
@@ -73,6 +77,7 @@ def gmres(op, b, tol=1e-6, maxiter=1000, restart=100):
     on hitting the iteration cap or on stagnation (residual reduction by
     less than a factor 1e-12 over a full restart cycle).
     """
+    GmresConfig(tol, maxiter, restart)          # ValueError if invalid
     b = np.asarray(b, dtype=complex)
     bnorm = np.linalg.norm(b)
     if bnorm == 0:

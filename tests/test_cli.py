@@ -41,7 +41,7 @@ def test_precompute(scene_file, capsys):
     assert main(["precompute", "--scene", str(scene_file)]) == 0
     out = capsys.readouterr().out
     assert "cached at" in out
-    assert list((scene_file.parent / "cache").glob("*.lssm"))
+    assert len(list((scene_file.parent / "cache").glob("*.npz"))) == 1
 
 
 def test_solve_writes_solution(scene_file, tmp_path, capsys):
@@ -82,6 +82,26 @@ def test_tol_override(scene_file, tmp_path, capsys):
     assert main(["solve", "--scene", str(scene_file), "--tol", "1e-4"]) == 0
     out = capsys.readouterr().out
     assert "residual" in out
+
+
+@pytest.mark.parametrize("scene, extra", [
+    (SMALL_SCENE, ["--tol", "0"]),
+    (SMALL_SCENE + "restart = 0\n", []),
+    (SMALL_SCENE.replace("k2 = 3.0\n", ""), []),
+    (None, [])])
+def test_invalid_scene_exits_with_message(scene_file, scene, extra):
+    """A missing scene file, or a scene or override that fails validation,
+    stops the CLI before any precompute with a one-line message instead of
+    a traceback."""
+    if scene is None:
+        scene_file.unlink()
+    else:
+        scene_file.write_text(scene)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--scene", str(scene_file), *extra])
+    msg = str(exc.value.code)
+    assert msg and "\n" not in msg
+    assert not list(scene_file.parent.glob("cache/*"))
 
 
 def test_selftest_fast(scene_file, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from layerscatter.multiscat import (ExpansionVector, PairCoupling,
                                     ParticleInstance, eval_expansion,
-                                    eval_multipole_field, m2l, m2m,
+                                    eval_multipole_field, m2l,
                                     point_source_local, solve_free_space)
 from layerscatter.particle import rotate_scattering_matrix
 from layerscatter.special import hankel1
@@ -30,25 +30,6 @@ def test_m2l_evaluation_oracle():
     ref = eval_expansion(src, pts)
     got = eval_expansion(loc, pts)
     assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
-
-
-def test_m2m_recenter_oracle():
-    """Small shift of a rapidly decaying expansion: the truncation leakage
-    of the edge orders bounds the achievable agreement."""
-    rng = np.random.default_rng(1)
-    src = _random_h_expansion(rng, 6, (0.0, 0.0), decay=3.0)
-    moved = m2m(src, (0.05, 0.02))
-    pts = np.array([[2.0, 0.5], [-1.5, 1.2], [0.3, -2.4]])
-    ref = eval_expansion(src, pts)
-    got = eval_expansion(moved, pts)
-    assert np.abs(got - ref).max() <= 2e-8 * np.abs(ref).max()
-
-
-def test_m2m_zero_shift_is_identity():
-    rng = np.random.default_rng(6)
-    src = _random_h_expansion(rng, 5, (0.3, -0.2))
-    moved = m2m(src, (0.3, -0.2))
-    assert np.array_equal(moved.coeffs, src.coeffs)
 
 
 def test_point_source_local_oracle():

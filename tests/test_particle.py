@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from layerscatter.particle import (ShapeParams, discretize_boundary,
-                                   load_scattering_matrix,
                                    rotate_scattering_matrix,
-                                   save_scattering_matrix,
                                    scattering_matrix_disk,
                                    scattering_matrix_nystrom, shape_curve)
 
@@ -65,23 +63,6 @@ def test_densities_reproduce_matrix(flower_boundary, flower_smatrix):
     w_sigma, w_mu = _multipole_projection(flower_boundary, 3.0, S.p)
     entries = w_sigma.T @ dens.sigma + w_mu.T @ dens.mu
     assert np.abs(entries - S.entries).max() <= 1e-13
-
-
-def test_save_load_round_trip(tmp_path, flower_smatrix):
-    S, _ = flower_smatrix
-    path = tmp_path / "proto.lssm"
-    save_scattering_matrix(path, S)
-    S2 = load_scattering_matrix(path)
-    assert np.array_equal(S2.entries, S.entries)
-    assert (S2.p, S2.R, S2.k2, S2.kp) == (S.p, S.R, S.k2, S.kp)
-    assert S2.fingerprint == S.fingerprint
-
-
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.lssm"
-    path.write_bytes(b"not a cache file" * 10)
-    with pytest.raises(ValueError):
-        load_scattering_matrix(path)
 
 
 def test_enclosing_radius_guard(flower_boundary):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from layerscatter.scene import (FieldGrid, SceneConfig, build_scene,
-                                check_placement, evaluate_grid,
+                                cache_entry_path, check_placement,
+                                evaluate_grid,
                                 load_field_grid, load_scene, place_particles,
                                 placement_capacity,
                                 precompute_scattering_matrix,
@@ -66,6 +67,19 @@ def test_unknown_key_rejected(tmp_path):
     p = tmp_path / "bad.scene"
     p.write_text((SCENES / "example1.scene").read_text() + "\nwhat = 3\n")
     with pytest.raises(ValueError, match="unknown key"):
+        load_scene(p)
+
+
+@pytest.mark.parametrize("line, match", [
+    ("restart = 0", "at least 1"), ("maxiter = 0", "at least 1"),
+    ("tol = 0", "positive"), ("tol = -1", "positive"),
+    ("a2 = 0.2", "a1 > a2")])
+def test_bad_solver_or_shape_setting_rejected_at_load(tmp_path, line, match):
+    """Settings that GMRES or the shape would reject after the precompute
+    are rejected when the scene is loaded."""
+    p = tmp_path / "bad.scene"
+    p.write_text((SCENES / "example1.scene").read_text() + f"\n{line}\n")
+    with pytest.raises(ValueError, match=match):
         load_scene(p)
 
 
@@ -192,7 +206,7 @@ def test_stale_cache_triggers_rebuild(cache_env, caplog):
     cfg = small_config()
     solve_scene(cfg)
     cache = Path(os.environ["LAYERSCATTER_CACHE_DIR"])
-    for f in cache.glob("*.lssm"):
+    for f in cache.glob("*.npz"):
         f.write_bytes(b"garbage!" * 16)
     with caplog.at_level(logging.WARNING, logger="layerscatter"):
         _, sol = solve_scene(cfg)
@@ -200,14 +214,13 @@ def test_stale_cache_triggers_rebuild(cache_env, caplog):
     assert sol.history[-1] <= cfg.tol
 
 
-@pytest.mark.parametrize("suffix", [".lssm", ".densities.npz"])
-def test_truncated_cache_entry_rebuilt(cache_env, suffix, caplog):
+def test_truncated_cache_entry_rebuilt(cache_env, caplog):
     """A cache file cut short (as by a crash mid-write) is rebuilt with a
     logged warning, and the rebuilt entry loads again."""
     cfg = small_config()
     S, _, dens = precompute_scattering_matrix(cfg)
     cache = Path(os.environ["LAYERSCATTER_CACHE_DIR"])
-    (entry,) = cache.glob("*" + suffix)
+    (entry,) = cache.glob("*.npz")
     entry.write_bytes(entry.read_bytes()[:40])
     caplog.set_level(logging.WARNING, logger="layerscatter")
     S2, _, dens2 = precompute_scattering_matrix(cfg)
@@ -217,7 +230,77 @@ def test_truncated_cache_entry_rebuilt(cache_env, suffix, caplog):
     assert np.array_equal(dens2.mu, dens.mu)
     precompute_scattering_matrix(cfg)
     assert len(caplog.records) == 1
-    assert len(list(cache.iterdir())) == 2      # no temp files left over
+    assert len(list(cache.iterdir())) == 1      # no temp files left over
+
+
+def test_warm_cache_entry_bitwise(cache_env, caplog):
+    """A fresh cache holds exactly one entry; loading it gives every field
+    of S and both densities bitwise equal to the cold build."""
+    cfg = small_config()
+    S, _, dens = precompute_scattering_matrix(cfg)
+    assert list(cache_entry_path(cfg).parent.iterdir()) == \
+        [cache_entry_path(cfg)]
+    caplog.set_level(logging.WARNING, logger="layerscatter")
+    S2, _, dens2 = precompute_scattering_matrix(cfg)
+    assert not caplog.records
+    assert (S2.p, S2.R, S2.k2, S2.kp, S2.fingerprint) == \
+        (S.p, S.R, S.k2, S.kp, S.fingerprint)
+    for warm, cold in ((S2.entries, S.entries), (dens2.mu, dens.mu),
+                       (dens2.sigma, dens.sigma)):
+        assert warm.dtype == cold.dtype and warm.shape == cold.shape
+        assert warm.tobytes() == cold.tobytes()
+
+
+def test_uncached_precompute_writes_nothing(cache_env):
+    precompute_scattering_matrix(small_config(), use_cache=False)
+    assert not (cache_env / "cache").exists()
+
+
+@pytest.fixture(scope="module")
+def cold_entry(tmp_path_factory):
+    """One cold build of ``small_config``'s prototype and the fields of the
+    cache entry it wrote."""
+    cache = tmp_path_factory.mktemp("cold")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("LAYERSCATTER_CACHE_DIR", str(cache))
+        S, _, dens = precompute_scattering_matrix(small_config())
+    (path,) = cache.iterdir()
+    with np.load(path) as z:
+        fields = {name: z[name] for name in z.files}
+    return S, dens, fields
+
+
+# each a change that makes the entry foreign to ``small_config``
+FOREIGN_FIELDS = {
+    "version": lambda f: {"version": f["version"] + 1},
+    "fingerprint": lambda f: {"fingerprint": f["fingerprint"] ^ 1},
+    "p": lambda f: {"p": f["p"] + 1},
+    "k2": lambda f: {"k2": f["k2"] + 0.5},
+    "kp": lambda f: {"kp": f["kp"] + 0.5},
+    "mu_shape": lambda f: {"mu": f["mu"][:-1]},
+}
+
+
+@pytest.mark.parametrize("case", ["garbage", *FOREIGN_FIELDS])
+def test_bad_cache_entry_rebuilt(cache_env, cold_entry, case, caplog):
+    """A garbage entry, or one of another version, shape, p, k2 or kp, or
+    with a wrongly shaped mu, is rebuilt with one warning and leaves only
+    the rebuilt entry behind."""
+    cfg = small_config()
+    S, dens, fields = cold_entry
+    path = cache_entry_path(cfg)
+    path.parent.mkdir()
+    if case == "garbage":
+        path.write_bytes(b"garbage!" * 16)
+    else:
+        np.savez(path, **{**fields, **FOREIGN_FIELDS[case](fields)})
+    caplog.set_level(logging.WARNING, logger="layerscatter")
+    S2, _, dens2 = precompute_scattering_matrix(cfg)
+    assert len(caplog.records) == 1
+    assert "rebuild" in caplog.records[0].getMessage()
+    assert np.array_equal(S2.entries, S.entries)
+    assert np.array_equal(dens2.mu, dens.mu)
+    assert list(path.parent.iterdir()) == [path]
 
 
 def test_fingerprint_distinguishes_configs():

@@ -64,6 +64,14 @@ def test_gmres_iteration_cap_raises():
     assert len(info.value.history) >= 1
 
 
+@pytest.mark.parametrize("bad", [dict(maxiter=0), dict(restart=0),
+                                 dict(tol=0.0)])
+def test_gmres_rejects_bad_settings(bad):
+    """Settings GMRES cannot honour are rejected before the first apply."""
+    with pytest.raises(ValueError):
+        gmres(lambda v: v, np.ones(3, dtype=complex), **bad)
+
+
 def test_gmres_history_matches_recomputed_residuals():
     """The reported residual history agrees with directly recomputed
     residuals of the iterates (checked at the final iterate to 1e-12)."""

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -214,14 +215,25 @@ def test_stale_cache_triggers_rebuild(cache_env, caplog):
     assert sol.history[-1] <= cfg.tol
 
 
-def test_truncated_cache_entry_rebuilt(cache_env, caplog):
-    """A cache file cut short (as by a crash mid-write) is rebuilt with a
-    logged warning, and the rebuilt entry loads again."""
+# where the cut falls: in the scattering matrix or in the densities, the two
+# halves of an entry that were once the separate .lssm and .densities.npz
+CUT_MEMBERS = {".lssm": "entries.npy", ".densities.npz": "mu.npy"}
+
+
+@pytest.mark.parametrize("suffix", list(CUT_MEMBERS))
+def test_truncated_cache_entry_rebuilt(cache_env, suffix, caplog):
+    """A cache file cut short (as by a crash mid-write) inside the matrix or
+    inside the densities is rebuilt with a logged warning, and the rebuilt
+    entry loads again."""
     cfg = small_config()
     S, _, dens = precompute_scattering_matrix(cfg)
     cache = Path(os.environ["LAYERSCATTER_CACHE_DIR"])
     (entry,) = cache.glob("*.npz")
-    entry.write_bytes(entry.read_bytes()[:40])
+    with zipfile.ZipFile(entry) as zf:
+        member = zf.getinfo(CUT_MEMBERS[suffix])
+    cut = member.header_offset + 40 + member.compress_size // 2
+    assert cut < entry.stat().st_size
+    entry.write_bytes(entry.read_bytes()[:cut])
     caplog.set_level(logging.WARNING, logger="layerscatter")
     S2, _, dens2 = precompute_scattering_matrix(cfg)
     assert len(caplog.records) == 1

@@ -10,8 +10,8 @@ Library layout:
   and its scattering matrix.
 - :mod:`~layerscatter.multiscat`: free-space multiple scattering between
   inclusions (translation operators, block operator).
-- :mod:`~layerscatter.nufft`, :mod:`~layerscatter.chebgrid`: fast transforms
-  and interpolation used by the accelerated coupling.
+- :mod:`~layerscatter.nufft`: the type-3 nonuniform FFT used by the
+  accelerated coupling.
 - :mod:`~layerscatter.coupling`: particle-to-layer and layer-to-particle
   coupling, direct and NUFFT-accelerated.
 - :mod:`~layerscatter.solver`: Schur-complement GMRES solve and total-field

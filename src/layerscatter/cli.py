@@ -10,6 +10,7 @@ import argparse
 import logging
 import sys
 import time
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -57,10 +58,12 @@ def cmd_solve(args):
     print(f"solved M={cfg.M} in {len(sol.history)} iterations, "
           f"residual {sol.history[-1]:.3e}, {dt:.2f}s")
     if args.out:
-        np.savez_compressed(
-            args.out, betas=sol.betas, alphas=sol.alphas,
-            sigma=sol.densities.values, history=np.array(sol.history),
-            fingerprint=np.frombuffer(sol.fingerprint, dtype=np.uint8))
+        # an open file, so that numpy appends no ".npz" to the name
+        with open(args.out, "wb") as fh:
+            np.savez_compressed(
+                fh, betas=sol.betas, alphas=sol.alphas,
+                sigma=sol.densities.values, history=np.array(sol.history),
+                fingerprint=np.frombuffer(sol.fingerprint, dtype=np.uint8))
         print(f"solution written to {args.out}")
     return 0
 
@@ -72,18 +75,21 @@ def _parse_pair(text, n, what):
     return parts
 
 
-def _load_solution(path, build):
-    with np.load(path) as z:
-        fp = z["fingerprint"].tobytes()
-        if fp != build.config.fingerprint():
-            raise SystemExit(
-                f"solution {path} was produced from a different scene "
-                "(fingerprint mismatch)")
-        return Solution(densities=SpectralDensities(values=z["sigma"]),
-                        betas=z["betas"], alphas=z["alphas"],
-                        history=list(z["history"]), operator=build.operator,
-                        fingerprint=fp, boundary=build.boundary,
-                        mode_densities=build.mode_densities)
+def _read_solution(path, cfg):
+    """The arrays of a ``solve --out`` file for this scene; exits with a
+    one-line message naming the file if it is missing, unreadable or from
+    another scene."""
+    try:
+        with np.load(path) as z:
+            saved = {k: z[k] for k in ("betas", "alphas", "sigma", "history",
+                                       "fingerprint")}
+    except (OSError, ValueError, KeyError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise SystemExit(f"cannot read solution {path}: {exc}") from None
+    if saved["fingerprint"].tobytes() != cfg.fingerprint():
+        raise SystemExit(f"solution {path} was produced from a different "
+                         "scene (fingerprint mismatch)")
+    return saved
 
 
 def cmd_eval(args):
@@ -91,8 +97,14 @@ def cmd_eval(args):
     nx, ny = (int(v) for v in _parse_pair(args.grid, 2, "grid"))
     extent = tuple(float(v) for v in _parse_pair(args.extent, 4, "extent"))
     if args.solution:
+        saved = _read_solution(args.solution, cfg)
         build = build_scene(cfg)
-        sol = _load_solution(args.solution, build)
+        sol = Solution(densities=SpectralDensities(values=saved["sigma"]),
+                       betas=saved["betas"], alphas=saved["alphas"],
+                       history=list(saved["history"]),
+                       operator=build.operator, fingerprint=cfg.fingerprint(),
+                       boundary=build.boundary,
+                       mode_densities=build.mode_densities)
     else:
         build, sol = solve_scene(cfg)
     grid = evaluate_grid(sol, extent, nx, ny)
@@ -234,10 +246,9 @@ def main(argv=None):
         description="Multiple scattering from inclusions in a layered medium")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, scene=True):
-        if scene:
-            p.add_argument("--scene", required=True,
-                           help="scene configuration file")
+    def common(p):
+        p.add_argument("--scene", required=True,
+                       help="scene configuration file")
         p.add_argument("--tol", type=float, help="override GMRES tolerance")
         p.add_argument("--seed", type=int, help="override placement seed")
         p.add_argument("--path", choices=("auto", "direct", "nufft"),

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chebgrid import bary_matrix, cheb_nodes
 from .layers import gamma
 from .nufft import Nufft3Plan
 from .special import bessel_j, bessel_j_prime
@@ -40,17 +39,6 @@ class SpectralUpdate:
     right-hand side, per contour node."""
     sigma_plus: np.ndarray     # induced density on the upper interface
     sigma_minus: np.ndarray    # induced density on the lower interface
-
-    def rhs(self, contour, layers):
-        """The 4-vector right-hand-side increment for the interface blocks:
-        (s+/g2, -s-/g2, s+, -s-) from the value and derivative jumps."""
-        g2 = gamma(contour.nodes, layers.k2)
-        out = np.zeros(self.sigma_plus.shape + (4,), dtype=complex)
-        out[..., 0] = self.sigma_plus / g2
-        out[..., 1] = -self.sigma_minus / g2
-        out[..., 2] = self.sigma_plus
-        out[..., 3] = -self.sigma_minus
-        return out
 
 
 def _ja_powers(lam, g2, k2, p):
@@ -149,6 +137,38 @@ class PlaneWaveTable:
 # ---------------------------------------------------------------------------
 # NUFFT-accelerated C block: field grid + barycentric sampling + projection
 # ---------------------------------------------------------------------------
+
+def cheb_nodes(m, a, b):
+    """m Chebyshev points of the second kind on [a, b], ascending."""
+    if m < 2:
+        raise ValueError("need m >= 2")
+    x = np.cos(np.pi * np.arange(m) / (m - 1))[::-1]
+    return 0.5 * (a + b) + 0.5 * (b - a) * x
+
+
+def bary_matrix(nodes, targets):
+    """Rows of barycentric interpolation weights: (P @ values) interpolates.
+
+    ``nodes`` is one set of m Chebyshev points of the second kind shared by
+    every target, or an (n_targets, m) array holding each target's own node
+    set.  Exact (a cardinal row) when a target coincides with a node.
+    """
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    nodes = np.asarray(nodes)
+    # the points' barycentric weights: alternating signs, halved at the ends
+    w = np.ones(nodes.shape[-1])
+    w[1::2] = -1.0
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    d = targets[:, None] - nodes
+    exact = np.abs(d) < 1e-300
+    d = np.where(exact, 1.0, d)
+    P = w / d
+    P /= P.sum(axis=1, keepdims=True)
+    hit = exact.any(axis=1)
+    P[hit] = exact[hit].astype(float)
+    return P
+
 
 class SommerfeldGridPlan:
     """Precomputed C-block application for a fixed set of instances.

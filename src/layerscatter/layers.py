@@ -240,11 +240,22 @@ class InterfaceSolver:
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular interface block: {exc}") from exc
         self.rhs0 = incident_rhs(contour.nodes, layers)
+        self._g2 = gamma(contour.nodes, layers.k2)
 
-    def solve(self, extra_rhs=None, include_source=True):
+    def solve(self, update=None, include_source=True):
+        """Densities driven by the point source (if ``include_source``) and
+        by the particle fields' interface densities ``update`` (a
+        ``coupling.SpectralUpdate``), whose value and derivative jumps add
+        (s+/g2, -s-/g2, s+, -s-) to the rows of ``interface_matrix``."""
         rhs = self.rhs0 if include_source else np.zeros_like(self.rhs0)
-        if extra_rhs is not None:
-            rhs = rhs + extra_rhs
+        if update is not None:
+            sp, sm = update.sigma_plus, update.sigma_minus
+            jump = np.zeros(sp.shape + (4,), dtype=complex)
+            jump[..., 0] = sp / self._g2
+            jump[..., 1] = -sm / self._g2
+            jump[..., 2] = sp
+            jump[..., 3] = -sm
+            rhs = rhs + jump
         vals = np.einsum("nij,nj->ni", self._inv, rhs)
         return SpectralDensities(values=vals)
 

@@ -43,19 +43,17 @@ class ParticleInstance:
     fingerprint: bytes
 
 
-def m2l(source, target_center, p, source_R=0.0, target_R=0.0):
+def m2l(source, target_center, p):
     """Local (J) expansion about target_center reproducing the multipole
     source field on the target disk (Graf's addition theorem):
     alpha_n = sum_nu beta_nu H_{nu-n}(k |D|) e^{i (nu-n) theta_D},
-    with D = target_center - source.center.
+    with D = target_center - source.center, which must be nonzero.
     """
     if source.kind != "H":
         raise ValueError("m2l expects a multipole (H) source")
     D = (target_center[0] - source.center[0],
          target_center[1] - source.center[1])
     dist = np.hypot(*D)
-    if dist <= source_R + target_R:
-        raise ValueError("enclosing disks overlap: m2l diverges")
     nu = np.arange(-source.p, source.p + 1)
     n = np.arange(-p, p + 1)
     q = np.subtract.outer(-n, -nu)        # q[i, j] = nu_j - n_i
@@ -151,8 +149,7 @@ def apply_rotated(smatrix, phases, locs):
     return np.conj(phases) * ((phases * locs) @ smatrix.entries.T)
 
 
-def solve_free_space(instances, smatrix, incident_locals, tol=1e-6,
-                     maxiter=1000, restart=100):
+def solve_free_space(instances, smatrix, incident_locals, tol=1e-6):
     """GMRES solve of (I - S T) beta = S a for a homogeneous background.
 
     ``smatrix`` is the prototype, rotated for each instance; it sets p and k2.
@@ -172,7 +169,7 @@ def solve_free_space(instances, smatrix, incident_locals, tol=1e-6,
         return (betas - apply_rotated(smatrix, phases,
                                       coupling.apply_m2l(betas))).ravel()
 
-    x, hist = gmres(op, rhs, tol=tol, maxiter=maxiter, restart=restart)
+    x, hist = gmres(op, rhs, tol=tol)
     return x.reshape(M, 2 * p + 1), hist
 
 

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .quadrature import alpert_weights, trig_interp_matrix
+from . import _logquad16
+from .quadrature import trig_interp_matrix
 from .special import bessel_j, bessel_j_prime, hankel1, hankel1_prime
 
 __all__ = ["ShapeParams", "BoundaryDiscretization", "ScatteringMatrix",
@@ -143,17 +144,20 @@ def assemble_muller(boundary, k2, kp):
     equation  mu + [S - S] sigma + [D - D] mu  and the derivative-continuity
     equation  -sigma + [N - N] sigma + [T - T] mu.  The difference kernels
     are only logarithmically singular, handled by the hybrid trapezoidal
-    rule with order-16 endpoint corrections; density values at the off-grid
-    correction nodes come from trigonometric interpolation.
+    rule with order-16 endpoint corrections (``_logquad16``): the grid
+    nodes within OFFSET spacings of each target are replaced by the
+    correction nodes t_i +- CHI h with weights WTS h.  Density values at
+    the off-grid correction nodes come from trigonometric interpolation.
+    N >= 64 (``ShapeParams``) keeps the two-sided windows from overlapping.
     """
     N = boundary.params.N
     h = boundary.h
-    rule = alpert_weights(N)
+    a = _logquad16.OFFSET
     x, nx, sp, t = boundary.nodes, boundary.normals, boundary.speed, boundary.t
 
     # --- regular trapezoidal part: all grid pairs outside the exclusion band
     diff_idx = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
-    active = (diff_idx >= rule.offset) & (diff_idx <= N - rule.offset)
+    active = (diff_idx >= a) & (diff_idx <= N - a)
     kS, kD, kN, kT = _difference_kernels(
         x[:, None, :], nx[:, None, :], x[None, :, :], nx[None, :, :],
         k2, kp, active)
@@ -164,9 +168,9 @@ def assemble_muller(boundary, k2, kp):
     A22 = kN * wreg
 
     # --- correction part: off-grid nodes at t_i +- chi_m h
-    chi = rule.correction_nodes
+    chi = _logquad16.CHI
     delta = np.concatenate([chi, -chi]) * h              # (2m,)
-    wcor = np.tile(rule.correction_weights, 2) * h       # (2m,)
+    wcor = np.tile(_logquad16.WTS, 2) * h                # (2m,)
     tc = t[:, None] + delta[None, :]                     # (N, 2m)
     yc, _, nc, spc = shape_curve(boundary.params, tc)
     cS, cD, cN, cT = _difference_kernels(

@@ -1,14 +1,10 @@
-"""Quadrature rules: Gauss-Legendre and the hybrid trapezoidal rule for
-periodic integrands with logarithmic singularities."""
+"""Quadrature rules: Gauss-Legendre and trigonometric interpolation."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _logquad16
-
-__all__ = ["QuadratureRule", "AlpertRule", "gauss_legendre", "alpert_weights",
-           "trig_interp_matrix"]
+__all__ = ["QuadratureRule", "gauss_legendre", "trig_interp_matrix"]
 
 
 @dataclass(frozen=True)
@@ -16,34 +12,6 @@ class QuadratureRule:
     """Nodes and weights on an interval (a, b)."""
     nodes: np.ndarray
     weights: np.ndarray
-    interval: tuple
-
-    def integrate(self, f):
-        return np.sum(self.weights * f(self.nodes))
-
-
-@dataclass(frozen=True)
-class AlpertRule:
-    """Hybrid trapezoidal rule on the periodic interval [0, 2pi).
-
-    The plain trapezoidal grid has ``n`` points t_i = 2 pi i / n.  For an
-    integrand with a log singularity at grid node s, the nodes within
-    ``offset`` spacings of s are dropped and replaced by the two-sided
-    correction sum  h * sum_m w_m [f(s + chi_m h) + f(s - chi_m h)].
-    For smooth integrands the combined rule agrees with the plain
-    trapezoidal rule to the order of the correction.
-    """
-    n: int
-    order: int
-    offset: int                     # trapezoidal exclusion half-width (a)
-    regular_offsets: np.ndarray     # grid indices relative to s: a..n-a
-    regular_weight: float           # uniform trapezoidal weight h
-    correction_nodes: np.ndarray    # chi_m, in units of h, 0 < chi_m < a
-    correction_weights: np.ndarray  # w_m (dimensionless; multiply by h)
-
-    @property
-    def h(self):
-        return 2.0 * np.pi / self.n
 
 
 def gauss_legendre(n, a, b):
@@ -54,42 +22,7 @@ def gauss_legendre(n, a, b):
         raise ValueError("need a < b")
     x, w = np.polynomial.legendre.leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return QuadratureRule(nodes=mid + half * x, weights=half * w, interval=(a, b))
-
-
-def alpert_weights(n, order=16):
-    """Build the order-16 periodic log-singularity rule for an n-point grid.
-
-    n must be at least 64 so the two-sided exclusion windows cannot wrap
-    into each other.
-    """
-    if order != _logquad16.ORDER:
-        raise ValueError(f"only order {_logquad16.ORDER} is tabulated")
-    if n < 64:
-        raise ValueError("need n >= 64 (correction stencils must not overlap)")
-    a = _logquad16.OFFSET
-    return AlpertRule(
-        n=n,
-        order=order,
-        offset=a,
-        regular_offsets=np.arange(a, n - a + 1),
-        regular_weight=2.0 * np.pi / n,
-        correction_nodes=_logquad16.CHI.copy(),
-        correction_weights=_logquad16.WTS.copy(),
-    )
-
-
-def integrate_periodic_log(rule, f, s=0.0):
-    """Apply ``rule`` to f over [0, 2pi) with the singularity at t = s.
-
-    s must coincide with a grid node of the rule.
-    """
-    h = rule.h
-    t_reg = s + rule.regular_offsets * h
-    chi = rule.correction_nodes * h
-    t_cor = np.concatenate([s + chi, s - chi])
-    w_cor = np.tile(rule.correction_weights, 2) * h
-    return h * np.sum(f(t_reg)) + np.sum(w_cor * f(t_cor))
+    return QuadratureRule(nodes=mid + half * x, weights=half * w)
 
 
 def trig_interp_matrix(n, targets):

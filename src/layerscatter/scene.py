@@ -388,7 +388,7 @@ class FieldGrid:
         return np.stack([X.ravel(), Y.ravel()], axis=-1)
 
 
-def evaluate_grid(solution, extent, nx, ny, fingerprint=None):
+def evaluate_grid(solution, extent, nx, ny):
     """Evaluate the total field of a solution on a regular grid."""
     x0, x1, y0, y1 = extent
     grid = FieldGrid(x0=x0, x1=x1, y0=y0, y1=y1, nx=nx, ny=ny,
@@ -398,9 +398,8 @@ def evaluate_grid(solution, extent, nx, ny, fingerprint=None):
     vals = eval_total_field(solution, pts)
     elapsed = time.perf_counter() - t0
     grid.values = vals.reshape(ny, nx)
-    fp = fingerprint if fingerprint is not None else solution.fingerprint
     grid.metadata = {
-        "fingerprint": fp.hex() if isinstance(fp, bytes) else str(fp),
+        "fingerprint": solution.fingerprint.hex(),
         "residual": float(solution.history[-1]),
         "iterations": len(solution.history),
         "timings": {"eval_seconds": elapsed},
@@ -430,15 +429,23 @@ def save_field_grid(path, grid):
 
 
 def load_field_grid(path):
+    """Read a grid written by ``save_field_grid``, and its sidecar if
+    present; ValueError naming the file unless it holds a valid header and
+    exactly nx*ny values."""
     with open(path, "rb") as fh:
-        header = fh.read(64).decode("ascii")
-        parts = header.split()
-        if parts[0] != _GRID_MAGIC or int(parts[1]) != _GRID_VERSION:
-            raise ValueError(f"not a field-grid file: {path}")
+        data = fh.read()
+    parts = data[:64].decode("ascii", "replace").split()
+    try:
         nx, ny = int(parts[2]), int(parts[3])
-        extent = [float(v) for v in parts[4:8]]
-        values = np.frombuffer(fh.read(nx * ny * 16),
-                               dtype="<c16").reshape(ny, nx).copy()
+        extent = [float(v) for v in parts[4:]]
+        valid = (parts[:2] == [_GRID_MAGIC, str(_GRID_VERSION)]
+                 and len(extent) == 4 and min(nx, ny) >= 0
+                 and len(data) == 64 + 16 * nx * ny)
+    except (IndexError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError(f"not a field-grid file: {path}")
+    values = np.frombuffer(data, "<c16", offset=64).reshape(ny, nx).copy()
     metadata = {}
     sidecar = Path(str(path) + ".json")
     if sidecar.exists():

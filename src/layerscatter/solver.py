@@ -219,8 +219,7 @@ class SchurOperator:
     def apply(self, betas_flat):
         """(D - C A^{-1} B) beta with D = I - S T, all S-preconditioned."""
         betas = betas_flat.reshape(self.M, 2 * self.p + 1)
-        upd = self._b_block(betas)
-        dens = self.interface.solve(extra_rhs=upd.rhs(self.contour, self.layers),
+        dens = self.interface.solve(self._b_block(betas),
                                     include_source=False)
         locs = self.incoming_locals(dens, betas)
         return (betas - apply_rotated(self.smatrix, self.phases,
@@ -228,8 +227,7 @@ class SchurOperator:
 
     def recover_densities(self, betas):
         """One final A-block solve with the full right-hand side b + B beta."""
-        upd = self._b_block(betas)
-        return self.interface.solve(extra_rhs=upd.rhs(self.contour, self.layers))
+        return self.interface.solve(self._b_block(betas))
 
 
 @dataclass

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layerscatter.chebgrid import bary_matrix, bary_weights, cheb_nodes
-from layerscatter.coupling import GRID_NODES
+from layerscatter.coupling import GRID_NODES, bary_matrix, cheb_nodes
 
 
 def test_cheb_nodes_endpoints_and_order():

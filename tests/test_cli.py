@@ -78,6 +78,29 @@ def test_eval_rejects_foreign_solution(scene_file, tmp_path):
               "--out", str(tmp_path / "g.lsfg")])
 
 
+def test_eval_missing_solution_exits_before_building(scene_file, tmp_path):
+    """A missing --solution file stops eval with a one-line message that
+    names it, before the scattering matrix is built or cached."""
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--scene", str(scene_file), "--solution", "nope.npz",
+              "--grid", "4,4", "--extent=-5,5,-24,-8",
+              "--out", str(tmp_path / "g.lsfg")])
+    msg = str(exc.value.code)
+    assert "nope.npz" in msg and "\n" not in msg
+    assert not list(scene_file.parent.glob("cache/*"))
+
+
+def test_solve_out_writes_the_named_file(scene_file, tmp_path):
+    """--out without a .npz suffix writes exactly that file, and eval
+    reads it back."""
+    sol = tmp_path / "sol.bin"
+    assert main(["solve", "--scene", str(scene_file), "--out", str(sol)]) == 0
+    assert sol.exists() and not (tmp_path / "sol.bin.npz").exists()
+    assert main(["eval", "--scene", str(scene_file), "--solution", str(sol),
+                 "--grid", "4,4", "--extent=-5,5,-24,-8",
+                 "--out", str(tmp_path / "g.lsfg")]) == 0
+
+
 def test_tol_override(scene_file, tmp_path, capsys):
     assert main(["solve", "--scene", str(scene_file), "--tol", "1e-4"]) == 0
     out = capsys.readouterr().out
@@ -109,3 +132,12 @@ def test_selftest_fast(scene_file, capsys):
     out = capsys.readouterr().out
     assert "selftest passed" in out
     assert "FAIL" not in out
+
+
+def test_selftest_full(scene_file, capsys):
+    """The full level solves a small scene without touching the cache."""
+    assert main(["selftest", "--level", "full"]) == 0
+    out = capsys.readouterr().out
+    assert "selftest passed" in out
+    assert "FAIL" not in out
+    assert not (scene_file.parent / "cache").exists()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from layerscatter import layers as layers_mod
+from layerscatter.coupling import SpectralUpdate
 from layerscatter.layers import (InterfaceSolver, LayerStack, build_contour,
                                  build_contour_adaptive, eval_sommerfeld_field,
                                  gamma, incident_rhs, interface_matrix,
@@ -197,12 +198,13 @@ def test_equal_wavenumbers_transmit_source():
 
 
 def test_extra_rhs_linearity(layers131, contour131):
-    """solve(extra_rhs) - solve() is linear in the extra right-hand side."""
+    """solve(update) - solve() is the update's own response."""
     solver = InterfaceSolver(contour131, layers131)
     rng = np.random.default_rng(1)
     n = len(contour131)
-    e = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    e = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    upd = SpectralUpdate(sigma_plus=e[:, 0], sigma_minus=e[:, 1])
     base = solver.solve().values
-    full = solver.solve(extra_rhs=e).values
-    only = solver.solve(extra_rhs=e, include_source=False).values
+    full = solver.solve(upd).values
+    only = solver.solve(upd, include_source=False).values
     assert np.abs(full - base - only).max() <= 1e-12 * np.abs(full).max()

@@ -168,10 +168,21 @@ def test_field_grid_shape_guard():
                   values=np.zeros((2, 3)))
 
 
-def test_load_rejects_non_grid(tmp_path):
+@pytest.mark.parametrize("case", ["garbage", "empty", "truncated",
+                                  "trailing"])
+def test_load_rejects_non_grid(tmp_path, case):
+    """Not a grid, or a grid file cut short or with bytes past its values:
+    a ValueError that names the file."""
     p = tmp_path / "bad.lsfg"
-    p.write_bytes(b"x" * 128)
-    with pytest.raises(ValueError):
+    if case == "garbage":
+        p.write_bytes(b"x" * 128)
+    else:
+        save_field_grid(p, FieldGrid(x0=0, x1=1, y0=0, y1=1, nx=3, ny=2,
+                                     values=np.ones((2, 3))))
+        data = p.read_bytes()
+        p.write_bytes({"empty": b"", "truncated": data[:-5],
+                       "trailing": data + b"\0" * 16}[case])
+    with pytest.raises(ValueError, match="bad.lsfg"):
         load_field_grid(p)
 
 

@@ -18,7 +18,7 @@ from layerscatter.special import hankel1
 def main():
     layers = LayerStack(k1=1.0, k2=3.0, k3=1.0, d=8.0, source=(0.0, 1.0))
     contour = build_contour_adaptive(layers, min_vertical_sep=0.5,
-                                     tol=1e-12, max_horiz=10.0)
+                                     max_horiz=10.0)
     print(f"contour: {len(contour)} nodes, tails to +-{contour.t_max:.1f}, "
           f"deformation b = {contour.b}")
 
@@ -37,8 +37,7 @@ def main():
     # equal wavenumbers: the slab disappears
     k = 2.0
     eq = LayerStack(k1=k, k2=k, k3=k, d=8.0, source=(0.0, 1.0))
-    ceq = build_contour_adaptive(eq, min_vertical_sep=0.5, tol=1e-12,
-                                 max_horiz=10.0)
+    ceq = build_contour_adaptive(eq, min_vertical_sep=0.5, max_horiz=10.0)
     deq = InterfaceSolver(ceq, eq).solve()
     pts = np.stack([xs, np.full_like(xs, -3.0)], -1)
     u = eval_sommerfeld_field(deq, ceq, eq, pts)

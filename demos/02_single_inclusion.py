@@ -19,7 +19,7 @@ def main():
     params = ShapeParams(a1=0.12, a2=0.04, a3=3, kp=2.0, N=300)
     boundary = discretize_boundary(params)
     k2, p = 3.0, 10
-    S = scattering_matrix_nystrom(boundary, k2, params.kp, p)
+    S, _ = scattering_matrix_nystrom(boundary, k2, params.kp, p)
     print(f"scattering matrix: order p = {p} -> {S.entries.shape}, "
           f"enclosing radius R = {S.R:.4f}")
 
@@ -29,7 +29,7 @@ def main():
           f"{np.linalg.norm(U.conj().T @ U - np.eye(2 * p + 1), 2):.2e}")
 
     # no contrast, no scattering
-    S0 = scattering_matrix_nystrom(boundary, k2, k2, p)
+    S0, _ = scattering_matrix_nystrom(boundary, k2, k2, p)
     print(f"zero-contrast ||S|| = {np.abs(S0.entries).max():.2e}")
 
     # rotation in coefficient space == rotation of the boundary

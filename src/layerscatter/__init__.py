@@ -15,13 +15,14 @@ Library layout:
 - :mod:`~layerscatter.coupling`: particle-to-layer and layer-to-particle
   coupling, direct and NUFFT-accelerated.
 - :mod:`~layerscatter.solver`: Schur-complement GMRES solve and total-field
-  evaluation.
+  evaluation.  ``SchurOperator`` unpacks the placed instances once into
+  center and rotation arrays and the prototype's enclosing radius; every
+  kernel below it takes arrays.
 - :mod:`~layerscatter.scene`, :mod:`~layerscatter.cli`: scene files,
   particle placement, caching, and the command-line interface.
 """
 
-from .layers import LayerStack, SommerfeldContour, build_contour, \
-    build_contour_adaptive
+from .layers import LayerStack, SommerfeldContour, build_contour_adaptive
 from .particle import ShapeParams, ScatteringMatrix, discretize_boundary, \
     scattering_matrix_nystrom, scattering_matrix_disk, \
     rotate_scattering_matrix
@@ -34,8 +35,8 @@ from .scene import SceneConfig, FieldGrid, load_scene, place_particles, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "LayerStack", "SommerfeldContour", "build_contour",
-    "build_contour_adaptive", "ShapeParams", "ScatteringMatrix",
+    "LayerStack", "SommerfeldContour", "build_contour_adaptive",
+    "ShapeParams", "ScatteringMatrix",
     "discretize_boundary", "scattering_matrix_nystrom",
     "scattering_matrix_disk", "rotate_scattering_matrix", "ParticleInstance",
     "ExpansionVector", "GmresConfig", "GmresError", "SchurOperator",

@@ -95,6 +95,8 @@ def _read_solution(path, cfg):
 def cmd_eval(args):
     cfg = _load_config(args)
     nx, ny = (int(v) for v in _parse_pair(args.grid, 2, "grid"))
+    if min(nx, ny) < 1:
+        raise SystemExit(f"--grid expects counts of at least 1, got {nx},{ny}")
     extent = tuple(float(v) for v in _parse_pair(args.extent, 4, "extent"))
     if args.solution:
         saved = _read_solution(args.solution, cfg)
@@ -128,13 +130,12 @@ def _check(name, value, bound, failures):
 
 
 def _selftest_fast(failures):
-    from .multiscat import ParticleInstance, m2l, ExpansionVector, \
-        eval_expansion
+    from .multiscat import m2l, ExpansionVector, eval_expansion
     from .particle import scattering_matrix_disk
     from .quadrature import gauss_legendre
     from .special import bessel_j, bessel_j_prime, bessel_y, hankel1
     from .solver import gmres
-    from .nufft import nufft1d3
+    from .nufft import Nufft3Plan
 
     # Wronskian of the Bessel pair
     x = np.linspace(0.3, 20.0, 40)
@@ -147,8 +148,8 @@ def _selftest_fast(failures):
     _check("bessel wronskian", err, 1e-12, failures)
 
     # Gauss-Legendre exactness on a degree-17 polynomial
-    rule = gauss_legendre(9, -1.0, 2.0)
-    val = (rule.weights * rule.nodes ** 17).sum()
+    nodes, weights = gauss_legendre(9, -1.0, 2.0)
+    val = (weights * nodes ** 17).sum()
     exact = (2.0 ** 18 - 1.0) / 18
     _check("gauss-legendre degree-17", abs(val - exact) / abs(exact),
            1e-13, failures)
@@ -184,7 +185,8 @@ def _selftest_fast(failures):
     c = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     direct = np.exp(1j * np.outer(t, s)) @ c
     _check("nufft type-3",
-           np.abs(nufft1d3(s, c, t) - direct).max() / np.abs(direct).max(),
+           np.abs(Nufft3Plan(s, t).apply(c) - direct).max()
+           / np.abs(direct).max(),
            1e-11, failures)
 
     # field-grid round trip (bitwise)

@@ -171,7 +171,8 @@ def bary_matrix(nodes, targets):
 
 
 class SommerfeldGridPlan:
-    """Precomputed C-block application for a fixed set of instances.
+    """Precomputed C-block application for inclusions of enclosing radius
+    ``R`` at ``centers``.
 
     ``apply`` samples the middle-layer interface field and its gradient on
     a tensor grid of Chebyshev boxes covering every enclosing disk: one
@@ -181,20 +182,14 @@ class SommerfeldGridPlan:
     stores what ``sommerfeld_to_local_nufft`` needs to go from the grid to
     the local coefficients: the 2p+1 equispaced sample points on each
     enclosing circle, sorted by box, with their x and y barycentric rows,
-    and the Bessel factors of the projection.  All instances share one
-    enclosing radius.
+    and the Bessel factors of the projection.
     """
 
-    def __init__(self, contour, layers, instances, p, tol=1e-12):
-        radii = {inst.R for inst in instances}
-        if len(radii) != 1:
-            raise ValueError("the C plan needs instances with one enclosing "
-                             f"radius, got {sorted(radii)}")
-        R = radii.pop()
+    def __init__(self, contour, layers, centers, R, p, tol):
         self.contour = contour
         self.layers = layers
         self.p = p
-        centers = np.array([inst.center for inst in instances], dtype=float)
+        centers = np.asarray(centers, dtype=float)
         lam2 = 2 * np.pi / abs(layers.k2)
         # pad the enclosing disks' bounding box by one wavelength, clamped to
         # the middle layer; boxes shrink below lam2 as needed to fit
@@ -293,7 +288,7 @@ class SommerfeldGridPlan:
 
 
 def sommerfeld_to_local_nufft(plan, values):
-    """Local coefficients for every instance of ``plan`` from its grid
+    """Local coefficients about every center of ``plan`` from its grid
     ``values`` = (u, ux, uy): each box's values are contracted with the
     stored barycentric rows of its circle samples, and the samples are
     projected robustly onto the local J-expansion,
@@ -342,15 +337,20 @@ class MultipoleToSommerfeldPlan:
     e^{-|n|/2} 2.2e-3 on example1 at M=100, 5.6e-4 at M=1000 and 0.20 on
     band600.  The likely cause: the vertical shift is truncated at order p
     (zeroing orders +-p cuts the example1 error to 1.5e-4).  ``path=nufft``
-    and ``auto`` above TABLE_BUDGET rely on GMRES vectors being physical.
+    and ``auto`` above TABLE_BUDGET rely on GMRES vectors being physical,
+    and in a solve they are: every vector GMRES passes to B lies in the
+    range of S, since the right-hand side is S a and each apply returns
+    v - S(.).  Full solves (GMRES tol 1e-10, seed 0) agree with the table
+    path to 6.6e-11 in the betas and 3.1e-11 in the field at the 2,500
+    band600-probe points (M=600), and to 7.5e-11 and 9.1e-12 on the
+    m100-grid grid (example1, M=100).
     """
 
-    def __init__(self, contour, layers, instances, p, tol=1e-12):
+    def __init__(self, contour, layers, centers, p, tol):
         self.contour = contour
         self.layers = layers
         self.p = p
-        centers = np.array([inst.center for inst in instances], dtype=float)
-        self.centers = centers
+        self.centers = centers = np.asarray(centers, dtype=float)
         row_spacing = 0.2 / abs(layers.k2)
         ylo = centers[:, 1].min()
         self.rows_y = ylo + row_spacing * np.arange(

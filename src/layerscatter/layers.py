@@ -14,9 +14,8 @@ import numpy as np
 from .quadrature import gauss_legendre
 
 __all__ = ["LayerStack", "SommerfeldContour", "SpectralDensities", "gamma",
-           "build_contour", "interface_matrix", "incident_rhs",
+           "build_contour_adaptive", "interface_matrix", "incident_rhs",
            "InterfaceSolver", "eval_sommerfeld_field",
-           "build_contour_adaptive",
            "sommerfeld_point_source"]
 
 MIN_BRANCH_DISTANCE = 0.05
@@ -24,6 +23,8 @@ MIN_BRANCH_DISTANCE = 0.05
 # the vertical segment that joins them
 CONTOUR_B = 0.2
 N_MID = 20
+# the tails end where the slowest-decaying evanescent factor is this small
+CONTOUR_TOL = 1e-12
 # element budget of each (points x nodes) temporary of the spectral sum
 CHUNK_ELEMENTS = 2 ** 20
 
@@ -125,39 +126,47 @@ def _tail_edges(ks, b, t_max):
     return np.array(edges)
 
 
-def build_contour(layers, pad=20.0, n_tail=240):
-    """Gauss-Legendre discretization of the three-segment contour.
+def build_contour_adaptive(layers, min_vertical_sep, max_horiz=0.0):
+    """Gauss-Legendre discretization of the three-segment contour, sized
+    for a given worst-case vertical separation.
 
-    Each horizontal tail of length t_max = max|k_i| + pad is split into
-    panels graded toward the branch-point abscissas |k_i| (at distance b =
-    CONTOUR_B above/below the tails the integrand varies on that scale),
-    with about ``n_tail`` nodes per tail in total; the short vertical
-    segment gets a single N_MID-point panel.
+    The horizontal tails run to t_max = max|k_i| + pad, where the
+    evanescent factor e^{-t * sep} falls below CONTOUR_TOL (with a safety
+    margin; pad >= 20).  Each is split into panels graded toward the
+    branch-point abscissas |k_i| (at distance b = CONTOUR_B above/below the
+    tails the integrand varies on that scale), with at least 240 nodes per
+    tail, more as the tail grows and, if ``max_horiz`` (the largest
+    |x - x0| to be evaluated) is given, with the number of oscillations of
+    e^{i lam dx} along the tail.  The short vertical segment gets a single
+    N_MID-point panel.
     """
-    if pad <= 0:
-        raise ValueError("need pad > 0")
+    if min_vertical_sep <= 0:
+        raise ValueError("need a positive vertical separation")
     b = CONTOUR_B
+    pad = max(20.0, -np.log(CONTOUR_TOL * 1e-2) / min_vertical_sep)
     t_max = max(abs(k) for k in layers.ks) + pad
+    n_osc = int(np.ceil(8.0 * t_max * max_horiz / (2 * np.pi)))
+    n_tail = max(240, int(np.ceil(2.0 * t_max)), n_osc)
     edges = _tail_edges(layers.ks, b, t_max)
     n_per = max(6, int(np.ceil(n_tail / (edges.size - 1))))
 
     nodes, weights, tags = [], [], []
     # Gamma_3: lambda = t + ib, t from -t_max to 0
     for lo, hi in zip(-edges[::-1][:-1], -edges[::-1][1:]):
-        q = gauss_legendre(n_per, lo, hi)
-        nodes.append(q.nodes + 1j * b)
-        weights.append(q.weights.astype(complex))
+        x, w = gauss_legendre(n_per, lo, hi)
+        nodes.append(x + 1j * b)
+        weights.append(w.astype(complex))
         tags.append(np.full(n_per, 3))
     # Gamma_2: lambda = it, t from b down to -b  => d(lambda) = -i dt (ascending t)
-    q = gauss_legendre(N_MID, -b, b)
-    nodes.append(1j * q.nodes)
-    weights.append(-1j * q.weights)
+    x, w = gauss_legendre(N_MID, -b, b)
+    nodes.append(1j * x)
+    weights.append(-1j * w)
     tags.append(np.full(N_MID, 2))
     # Gamma_1: lambda = t - ib, t from 0 to t_max
     for lo, hi in zip(edges[:-1], edges[1:], strict=True):
-        q = gauss_legendre(n_per, lo, hi)
-        nodes.append(q.nodes - 1j * b)
-        weights.append(q.weights.astype(complex))
+        x, w = gauss_legendre(n_per, lo, hi)
+        nodes.append(x - 1j * b)
+        weights.append(w.astype(complex))
         tags.append(np.full(n_per, 1))
 
     contour = SommerfeldContour(
@@ -171,26 +180,6 @@ def build_contour(layers, pad=20.0, n_tail=240):
             raise ValueError(
                 f"contour passes within {dist:.3g} of a branch point of k={k}")
     return contour
-
-
-def build_contour_adaptive(layers, min_vertical_sep, tol=1e-12,
-                           max_horiz=0.0):
-    """Contour sized for a given worst-case vertical separation.
-
-    The tails are truncated where the evanescent factor e^{-t * sep} falls
-    below ``tol`` (with a safety margin), and the node count grows with the
-    tail length -- and, if ``max_horiz`` (the largest |x - x0| to be
-    evaluated) is given, with the number of oscillations of e^{i lam dx}
-    along the tail.
-    """
-    if min_vertical_sep <= 0:
-        raise ValueError("need a positive vertical separation")
-    pad = max(20.0, -np.log(tol * 1e-2) / min_vertical_sep)
-    kmax = max(abs(k) for k in layers.ks)
-    t_max = kmax + pad
-    n_osc = int(np.ceil(8.0 * t_max * max_horiz / (2 * np.pi)))
-    n_tail = max(240, int(np.ceil(2.0 * t_max)), n_osc)
-    return build_contour(layers, pad=pad, n_tail=n_tail)
 
 
 def interface_matrix(lam, layers):

@@ -40,7 +40,6 @@ class ParticleInstance:
     center: tuple
     rotation: float
     R: float
-    fingerprint: bytes
 
 
 def m2l(source, target_center, p):
@@ -136,10 +135,9 @@ class PairCoupling:
         return alphas
 
 
-def rotation_phases(instances, p):
-    """P[m, n] = e^{i n theta_m}, n = -p..p, for instance m's rotation."""
-    return np.exp(1j * np.outer([inst.rotation for inst in instances],
-                                np.arange(-p, p + 1)))
+def rotation_phases(rotations, p):
+    """P[m, n] = e^{i n theta_m}, n = -p..p, for the rotations theta_m."""
+    return np.exp(1j * np.outer(rotations, np.arange(-p, p + 1)))
 
 
 def apply_rotated(smatrix, phases, locs):
@@ -149,20 +147,21 @@ def apply_rotated(smatrix, phases, locs):
     return np.conj(phases) * ((phases * locs) @ smatrix.entries.T)
 
 
-def solve_free_space(instances, smatrix, incident_locals, tol=1e-6):
+def solve_free_space(centers, rotations, smatrix, incident_locals, tol=1e-6):
     """GMRES solve of (I - S T) beta = S a for a homogeneous background.
 
-    ``smatrix`` is the prototype, rotated for each instance; it sets p and k2.
-    ``incident_locals`` is the stacked (M, 2p+1) array of incoming local
-    coefficients of the incident field about each instance center.
+    Instance m is the prototype ``smatrix`` (it sets p and k2) at
+    ``centers[m]``, rotated by ``rotations[m]``.  ``incident_locals`` is the
+    stacked (M, 2p+1) array of incoming local coefficients of the incident
+    field about each center.
     Returns (betas, residual_history).
     """
     from .solver import gmres
 
-    p, M = smatrix.p, len(instances)
-    phases = rotation_phases(instances, p)
+    p, M = smatrix.p, len(centers)
+    phases = rotation_phases(rotations, p)
     rhs = apply_rotated(smatrix, phases, incident_locals).ravel()
-    coupling = PairCoupling([i.center for i in instances], smatrix.k2, p)
+    coupling = PairCoupling(centers, smatrix.k2, p)
 
     def op(v):
         betas = v.reshape(M, 2 * p + 1)
@@ -173,22 +172,22 @@ def solve_free_space(instances, smatrix, incident_locals, tol=1e-6):
     return x.reshape(M, 2 * p + 1), hist
 
 
-def eval_multipole_field(betas, instances, k2, points):
+def eval_multipole_field(betas, centers, R, k2, points):
     """Sum of all outgoing multipole fields at exterior points.
 
-    betas: (M, 2p+1); points: one point or (n, 2).  Points inside any
-    enclosing disk are rejected (interior reconstruction lives in the
-    solver module).
+    betas: (M, 2p+1), one row per center; points: one point or (n, 2).
+    Points inside any enclosing disk (radius R) are rejected (interior
+    reconstruction lives in the solver module).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     betas = np.asarray(betas)
     p = (betas.shape[1] - 1) // 2
     out = np.zeros(pts.shape[0], dtype=complex)
-    for inst, b in zip(instances, betas):
-        dx = pts[:, 0] - inst.center[0]
-        dy = pts[:, 1] - inst.center[1]
+    for c, b in zip(centers, betas):
+        dx = pts[:, 0] - c[0]
+        dy = pts[:, 1] - c[1]
         r = np.hypot(dx, dy)
-        if np.any(r < inst.R):
+        if np.any(r < R):
             raise ValueError("point inside an enclosing disk; use the "
                              "solver's interior reconstruction")
         z = k2 * r + 0j

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-__all__ = ["nufft1d3", "Nufft3Plan"]
+__all__ = ["Nufft3Plan"]
 
 _OVERSAMPLE = 2
 
@@ -104,8 +104,3 @@ class Nufft3Plan:
                              * self._deconv_k[col])
         grid = self._n2 * scipy.fft.ifft(spec, axis=0)
         return (self._gather.T @ grid) * (self._deconv_x * self._phase_f)[col]
-
-
-def nufft1d3(sources, c, targets, tol=1e-12):
-    """Type-3 NUFFT; see :class:`Nufft3Plan`."""
-    return Nufft3Plan(sources, targets, tol).apply(c)

@@ -252,16 +252,12 @@ def shape_fingerprint(params):
     return hashlib.sha256(blob).digest()
 
 
-def scattering_matrix_nystrom(boundary, k2, kp, p, R=None,
-                              return_densities=False):
+def scattering_matrix_nystrom(boundary, k2, kp, p):
     """Scattering matrix of a smooth inclusion by solving the Muller system
     for each incident cylindrical mode and projecting onto the outgoing
-    multipole basis."""
-    rmax = np.hypot(boundary.nodes[:, 0], boundary.nodes[:, 1]).max()
-    if R is None:
-        R = 1.1 * rmax
-    if R < rmax:
-        raise ValueError(f"enclosing radius {R} smaller than the shape ({rmax:.4g})")
+    multipole basis; returns it and the per-mode boundary densities.  The
+    enclosing radius R is 1.1 times the largest node radius."""
+    R = 1.1 * np.hypot(boundary.nodes[:, 0], boundary.nodes[:, 1]).max()
     A = assemble_muller(boundary, k2, kp)
     rhs = incident_mode_rhs(boundary, k2, p)
     dens = factor_and_solve(A, rhs)
@@ -269,7 +265,7 @@ def scattering_matrix_nystrom(boundary, k2, kp, p, R=None,
     entries = w_sigma.T @ dens.sigma + w_mu.T @ dens.mu
     S = ScatteringMatrix(p=p, entries=entries, R=float(R), k2=k2, kp=kp,
                          fingerprint=shape_fingerprint(boundary.params))
-    return (S, dens) if return_densities else S
+    return S, dens
 
 
 def _disk_fingerprint(Rdisk):

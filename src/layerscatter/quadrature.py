@@ -1,28 +1,20 @@
 """Quadrature rules: Gauss-Legendre and trigonometric interpolation."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["QuadratureRule", "gauss_legendre", "trig_interp_matrix"]
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights on an interval (a, b)."""
-    nodes: np.ndarray
-    weights: np.ndarray
+__all__ = ["gauss_legendre", "trig_interp_matrix"]
 
 
 def gauss_legendre(n, a, b):
-    """Gauss-Legendre rule with n points on (a, b); exact to degree 2n-1."""
+    """Nodes and weights of the n-point Gauss-Legendre rule on (a, b);
+    exact to degree 2n-1."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not a < b:
         raise ValueError("need a < b")
     x, w = np.polynomial.legendre.leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return QuadratureRule(nodes=mid + half * x, weights=half * w)
+    return mid + half * x, half * w
 
 
 def trig_interp_matrix(n, targets):

@@ -163,7 +163,7 @@ def placement_capacity(region, R):
     return nx * ny
 
 
-def place_particles(region, M, R, seed, fingerprint=b""):
+def place_particles(region, M, R, seed):
     """Random non-overlapping placement: perturbed-grid with repeated sweeps.
 
     Seeds a regular grid of at least ``M`` points, keeps a random subset,
@@ -212,8 +212,7 @@ def place_particles(region, M, R, seed, fingerprint=b""):
             if d2.min() > sep2:
                 pos[m] = cand
     rotations = rng.uniform(0.0, 2 * np.pi, M)
-    return [ParticleInstance(center=(float(x), float(y)), rotation=float(t),
-                             R=float(R), fingerprint=fingerprint)
+    return [ParticleInstance((float(x), float(y)), float(t), float(R))
             for (x, y), t in zip(pos, rotations)]
 
 
@@ -301,8 +300,7 @@ def precompute_scattering_matrix(cfg, use_cache=True):
                 "cache entry %s stale or corrupt; rebuilding", path)
         else:
             return S, boundary, dens
-    S, dens = scattering_matrix_nystrom(boundary, cfg.k2, cfg.kp, cfg.p,
-                                        return_densities=True)
+    S, dens = scattering_matrix_nystrom(boundary, cfg.k2, cfg.kp, cfg.p)
     if use_cache:
         _write_atomic(path, lambda tmp: np.savez(
             tmp, version=_CACHE_VERSION, entries=S.entries, p=S.p, R=S.R,
@@ -332,8 +330,7 @@ def build_scene(cfg, use_cache=True):
     """Assemble contour, placement, scattering matrix, and the operator."""
     layers = cfg.layers()
     S, boundary, dens = precompute_scattering_matrix(cfg, use_cache=use_cache)
-    instances = place_particles(cfg.region(), cfg.M, S.R, cfg.seed,
-                                fingerprint=S.fingerprint)
+    instances = place_particles(cfg.region(), cfg.M, S.R, cfg.seed)
     sep_v = min(cfg.source_y, -cfg.region_y1, cfg.region_y0 + cfg.d)
     xs = [cfg.region_x0, cfg.region_x1, cfg.source_x]
     contour = build_contour_adaptive(layers, min_vertical_sep=sep_v,
@@ -431,25 +428,31 @@ def save_field_grid(path, grid):
 def load_field_grid(path):
     """Read a grid written by ``save_field_grid``, and its sidecar if
     present; ValueError naming the file unless it holds a valid header and
-    exactly nx*ny values."""
+    exactly nx*ny values, and the sidecar, if any, is a JSON object whose
+    magic, version, nx and ny match the header and whose extent holds four
+    numbers."""
     with open(path, "rb") as fh:
         data = fh.read()
     parts = data[:64].decode("ascii", "replace").split()
+    sidecar = Path(str(path) + ".json")
+    metadata = {}
     try:
         nx, ny = int(parts[2]), int(parts[3])
         extent = [float(v) for v in parts[4:]]
         valid = (parts[:2] == [_GRID_MAGIC, str(_GRID_VERSION)]
                  and len(extent) == 4 and min(nx, ny) >= 0
                  and len(data) == 64 + 16 * nx * ny)
-    except (IndexError, ValueError):
+        if valid and sidecar.exists():
+            metadata = json.loads(sidecar.read_text())
+            extent = metadata["extent"]
+            valid = ([metadata[k] for k in ("magic", "version", "nx", "ny")]
+                     == [_GRID_MAGIC, _GRID_VERSION, nx, ny]
+                     and len(extent) == 4
+                     and all(type(v) in (int, float) for v in extent))
+    except (IndexError, KeyError, TypeError, ValueError):
         valid = False
     if not valid:
         raise ValueError(f"not a field-grid file: {path}")
     values = np.frombuffer(data, "<c16", offset=64).reshape(ny, nx).copy()
-    metadata = {}
-    sidecar = Path(str(path) + ".json")
-    if sidecar.exists():
-        metadata = json.loads(sidecar.read_text())
-        extent = metadata.get("extent", extent)
     return FieldGrid(x0=extent[0], x1=extent[1], y0=extent[2], y1=extent[3],
                      nx=nx, ny=ny, values=values, metadata=metadata)

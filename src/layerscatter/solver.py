@@ -61,8 +61,8 @@ class GmresConfig:
 
 
 class GmresError(RuntimeError):
-    """Non-convergence (iteration cap or stagnation); carries the residual
-    history in ``history``."""
+    """Non-convergence (iteration cap, stagnation or breakdown); carries the
+    residual history in ``history``."""
 
     def __init__(self, message, history):
         super().__init__(message)
@@ -74,8 +74,9 @@ def gmres(op, b, tol=1e-6, maxiter=1000, restart=100):
 
     Solves op(x) = b to relative residual ``tol``; returns (x, history)
     with one relative-residual entry per Arnoldi step.  Raises GmresError
-    on hitting the iteration cap or on stagnation (residual reduction by
-    less than a factor 1e-12 over a full restart cycle).
+    on hitting the iteration cap, on stagnation (residual reduction by
+    less than a factor 1e-12 over a full restart cycle) or on a breakdown
+    (a singular Hessenberg matrix, as when b is not in the range of op).
     """
     GmresConfig(tol, maxiter, restart)          # ValueError if invalid
     b = np.asarray(b, dtype=complex)
@@ -130,7 +131,11 @@ def gmres(op, b, tol=1e-6, maxiter=1000, restart=100):
             j_used = j + 1
             if res <= tol or total >= maxiter:
                 break
-        y = np.linalg.solve(H[:j_used, :j_used], g[:j_used])
+        try:
+            y = np.linalg.solve(H[:j_used, :j_used], g[:j_used])
+        except np.linalg.LinAlgError:
+            raise GmresError(f"GMRES broke down after {total} iterations "
+                             "(singular Hessenberg matrix)", history) from None
         x = x + y @ V[:j_used]
         if history[-1] <= tol:
             return x, history
@@ -146,11 +151,13 @@ def gmres(op, b, tol=1e-6, maxiter=1000, restart=100):
 class SchurOperator:
     """Matrix-free Schur-complement operator and its right-hand side.
 
-    Holds the factored interface blocks, the all-pairs free-space coupling,
-    the prototype scattering matrix (it sets p) and each instance's rotation
-    phases.  B and C use the NUFFT plans if ``use_nufft`` (by default when
-    the plane-wave table would exceed TABLE_BUDGET), else that table, which
-    the first B or C of a solve builds and ``solve_layered_scene`` drops.
+    Unpacks the instances into ``centers``, ``rotations`` and the
+    prototype's enclosing radius ``R``, and holds the factored interface
+    blocks, the all-pairs free-space coupling, the prototype scattering
+    matrix (it sets p) and the rotation phases.  B and C use the NUFFT
+    plans if ``use_nufft`` (by default when the plane-wave table would
+    exceed TABLE_BUDGET), else that table, which the first B or C of a
+    solve builds and ``solve_layered_scene`` drops.
     """
 
     def __init__(self, contour, layers, instances, smatrix, use_nufft=None):
@@ -158,12 +165,13 @@ class SchurOperator:
             raise ValueError(f"matrix k2 {smatrix.k2} != layer k2 {layers.k2}")
         self.contour = contour
         self.layers = layers
-        self.instances = list(instances)
         self.smatrix = smatrix
         self.p = p = smatrix.p
-        self.M = len(self.instances)
-        self.centers = np.array([i.center for i in self.instances], dtype=float)
-        self.phases = rotation_phases(self.instances, p)
+        self.R = smatrix.R
+        self.centers = np.array([i.center for i in instances], dtype=float)
+        self.rotations = np.array([i.rotation for i in instances])
+        self.M = len(self.centers)
+        self.phases = rotation_phases(self.rotations, p)
         self.interface = InterfaceSolver(contour, layers)
         self.pair = (PairCoupling(self.centers, layers.k2, p)
                      if self.M > 1 else None)
@@ -177,12 +185,10 @@ class SchurOperator:
             "auto" if auto else "set", table_bytes, TABLE_BUDGET)
         self._table = None
         if self.use_nufft:
-            self._grid_plan = SommerfeldGridPlan(contour, layers,
-                                                self.instances, p,
-                                                tol=COUPLING_TOL)
-            self._b_plan = MultipoleToSommerfeldPlan(contour, layers,
-                                                     self.instances, p,
-                                                     tol=COUPLING_TOL)
+            self._grid_plan = SommerfeldGridPlan(
+                contour, layers, self.centers, self.R, p, COUPLING_TOL)
+            self._b_plan = MultipoleToSommerfeldPlan(
+                contour, layers, self.centers, p, COUPLING_TOL)
 
     def _plane_waves(self):
         if self._table is None:
@@ -310,17 +316,18 @@ def _trig_upsample(f, m):
 
 
 def _disk_field(solution, pts, owner):
-    """Total field at points in enclosing disks, pts[i] in instance
-    owner[i]'s.  In its owner's frame that is the prototype with locals
-    a'_n = a_n e^{i n theta}: the prototype's interior potential inside the
-    inclusion, its exterior one plus the J-expansion in the annulus."""
+    """Total field at points in enclosing disks, pts[i] in that of the
+    operator's center owner[i].  In its owner's frame that is the prototype
+    with locals a'_n = a_n e^{i n theta}: the prototype's interior potential
+    inside the inclusion, its exterior one plus the J-expansion in the
+    annulus."""
     bd, modes = solution.boundary, solution.mode_densities
     if bd is None or modes is None:
         raise ValueError("interior evaluation requires stored boundary "
                          "densities (solve with boundary/mode_densities)")
     op, params, k2 = solution.operator, bd.params, solution.operator.layers.k2
-    rots = np.array([inst.rotation for inst in op.instances])[owner]
-    z = ((pts - op.centers[owner]) @ [1, 1j]) * np.exp(-1j * rots)
+    z = ((pts - op.centers[owner]) @ [1, 1j]) \
+        * np.exp(-1j * op.rotations[owner])
     r, ang = np.abs(z), np.angle(z)
     inside = r < params.a1 + params.a2 * np.cos(params.a3 * ang)
     fine = discretize_boundary(replace(params, N=UPSAMPLE * params.N))
@@ -350,15 +357,15 @@ def eval_total_field(solution, points):
     out = np.empty(pts.shape[0], dtype=complex)
     mid = (pts[:, 1] < 0) & (pts[:, 1] >= -layers.d)
     owner = np.full(pts.shape[0], -1)
-    for j, inst in enumerate(op.instances):
-        d = np.hypot(pts[:, 0] - inst.center[0], pts[:, 1] - inst.center[1])
-        owner[mid & (d < inst.R) & (owner < 0)] = j
+    for j, (cx, cy) in enumerate(op.centers):
+        d = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
+        owner[mid & (d < op.R) & (owner < 0)] = j
     disk, free = owner >= 0, mid & (owner < 0)
     if not np.all(disk):
         out[~disk] = eval_sommerfeld_field(solution.densities, op.contour,
                                            layers, pts[~disk])
     if np.any(free) and op.M:
-        out[free] += eval_multipole_field(solution.betas, op.instances,
+        out[free] += eval_multipole_field(solution.betas, op.centers, op.R,
                                           layers.k2, pts[free])
     if np.any(disk):
         out[disk] = _disk_field(solution, pts[disk], owner[disk])

@@ -19,8 +19,7 @@ def flower_boundary(flower_params):
 @pytest.fixture(scope="session")
 def flower_smatrix(flower_boundary):
     """Prototype scattering matrix and per-mode densities for k2=3, kp=2."""
-    return scattering_matrix_nystrom(flower_boundary, 3.0, 2.0, 10,
-                                     return_densities=True)
+    return scattering_matrix_nystrom(flower_boundary, 3.0, 2.0, 10)
 
 
 @pytest.fixture(scope="session")
@@ -30,5 +29,5 @@ def layers131():
 
 @pytest.fixture(scope="session")
 def contour131(layers131):
-    return build_contour_adaptive(layers131, min_vertical_sep=1.0, tol=1e-12,
+    return build_contour_adaptive(layers131, min_vertical_sep=1.0,
                                   max_horiz=12.0)

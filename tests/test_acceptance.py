@@ -17,12 +17,12 @@ from layerscatter.coupling import (MultipoleToSommerfeldPlan,
                                    multipole_to_sommerfeld_direct,
                                    sommerfeld_to_local_direct,
                                    sommerfeld_to_local_nufft)
-from layerscatter.layers import (InterfaceSolver, LayerStack, build_contour,
+from layerscatter.layers import (InterfaceSolver, LayerStack,
                                  build_contour_adaptive,
                                  sommerfeld_point_source)
 from layerscatter.multiscat import (ExpansionVector, eval_expansion, m2l,
                                     point_source_local, solve_free_space)
-from layerscatter.nufft import nufft1d3
+from layerscatter.nufft import Nufft3Plan
 from layerscatter.particle import (ShapeParams, discretize_boundary,
                                    scattering_matrix_disk,
                                    scattering_matrix_nystrom)
@@ -75,7 +75,7 @@ def test_criterion_1_sommerfeld_identity():
         sep = 0.2 * 2 * np.pi / k
         layers = LayerStack(k1=k, k2=k, k3=k, d=5.0, source=(0.0, 1.0))
         contour = build_contour_adaptive(layers, min_vertical_sep=sep,
-                                         tol=1e-12, max_horiz=3.2)
+                                         max_horiz=3.2)
         worst = 0.0
         for _ in range(100):
             x0 = rng.uniform(-1, 1)
@@ -100,8 +100,8 @@ def test_criterion_2_disk_cross_validation():
     cylindrical-mode scattering matrix entrywise."""
     t0 = time.perf_counter()
     params = ShapeParams(a1=0.3, a2=0.0, a3=1, kp=2.0, N=300)
-    S_nys = scattering_matrix_nystrom(discretize_boundary(params), 3.0, 2.0,
-                                      10, R=0.3000001)
+    S_nys, _ = scattering_matrix_nystrom(discretize_boundary(params), 3.0,
+                                         2.0, 10)
     S_ana = scattering_matrix_disk(0.3, 3.0, 2.0, 10)
     diff = np.abs(S_nys.entries - S_ana.entries).max()
     _report(2, "disk Nystrom vs analytic", [("entry diff", diff, 1e-10)],
@@ -118,12 +118,13 @@ def test_criterion_3_degenerate_limits():
     free-space Green's function everywhere."""
     t0 = time.perf_counter()
     params = ShapeParams(a1=0.12, a2=0.04, a3=3, kp=3.0, N=300)
-    S0 = scattering_matrix_nystrom(discretize_boundary(params), 3.0, 3.0, 10)
+    S0, _ = scattering_matrix_nystrom(discretize_boundary(params), 3.0, 3.0,
+                                      10)
     s_norm = np.abs(S0.entries).max()
 
     k = 3.0
     layers = LayerStack(k1=k, k2=k, k3=k, d=6.0, source=(1.0, 1.0))
-    contour = build_contour_adaptive(layers, min_vertical_sep=1.0, tol=1e-12,
+    contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
                                      max_horiz=8.0)
     op = SchurOperator(contour, layers, [], S0)
     sol = solve_layered_scene(op)
@@ -151,7 +152,7 @@ def test_criterion_4_monolithic_two_particles():
     three layers."""
     t0 = time.perf_counter()
     layers = LayerStack(k1=1.0, k2=3.0, k3=1.0, d=6.0, source=(1.0, 1.0))
-    contour = build_contour_adaptive(layers, min_vertical_sep=1.0, tol=1e-12,
+    contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
                                      max_horiz=3.6)
     params = ShapeParams(a1=0.12, a2=0.04, a3=3, kp=2.0, N=200)
     centers = [(0.6, -2.2), (1.35, -3.0)]
@@ -166,11 +167,9 @@ def test_criterion_4_monolithic_two_particles():
                                    probes)
 
     boundary = discretize_boundary(params)
-    smat, dens_modes = scattering_matrix_nystrom(boundary, 3.0, 2.0, 10,
-                                                 return_densities=True)
+    smat, dens_modes = scattering_matrix_nystrom(boundary, 3.0, 2.0, 10)
     from layerscatter.multiscat import ParticleInstance
-    insts = [ParticleInstance(center=c, rotation=r, R=smat.R,
-                              fingerprint=smat.fingerprint)
+    insts = [ParticleInstance(center=c, rotation=r, R=smat.R)
              for c, r in zip(centers, rots)]
     op = SchurOperator(contour, layers, insts, smat)
     sol = solve_layered_scene(op, GmresConfig(tol=1e-12), boundary=boundary,
@@ -212,7 +211,7 @@ def test_criterion_5_direct_vs_nufft_example1():
 
     # C block: interface field to incoming locals
     loc_d = sommerfeld_to_local_direct(dens, contour, layers, centers, p)
-    cplan = SommerfeldGridPlan(contour, layers, bd.instances, p, tol=1e-13)
+    cplan = SommerfeldGridPlan(contour, layers, centers, R, p, tol=1e-13)
     loc_n = sommerfeld_to_local_nufft(cplan, cplan.apply(dens))
     wj = np.abs(bessel_j(np.arange(-p, p + 1), layers.k2 * R + 0j))
     c_err = (np.abs(loc_d - loc_n) * wj[None, :]).max() \
@@ -221,7 +220,7 @@ def test_criterion_5_direct_vs_nufft_example1():
     # B block: physical multipole coefficients to interface updates
     betas = sol_d.betas
     upd_d = multipole_to_sommerfeld_direct(betas, centers, contour, layers)
-    bplan = MultipoleToSommerfeldPlan(contour, layers, bd.instances, p,
+    bplan = MultipoleToSommerfeldPlan(contour, layers, centers, p,
                                       tol=1e-13)
     upd_n = bplan.apply(betas)
     b_err = max(
@@ -274,11 +273,11 @@ def test_criterion_6_nufft_speedup():
     (plans precomputed; apply-only timings, best of 3)."""
     region = (-14.0, 14.0, -30.0, -2.0)
     layers = LayerStack(k1=1.0, k2=3.0, k3=1.0, d=32.0, source=(1.0, 1.0))
-    contour = build_contour(layers)
+    contour = build_contour_adaptive(layers, min_vertical_sep=2.0)
     # panel grading rounds the ~500-node default up slightly
     assert 500 <= len(contour) <= 550
     p, R = 10, 0.176
-    insts = place_particles(region, 5000, R, seed=1, fingerprint=b"timing")
+    insts = place_particles(region, 5000, R, seed=1)
     centers = np.array([i.center for i in insts])
     dens = InterfaceSolver(contour, layers).solve()
     rng = np.random.default_rng(0)
@@ -287,8 +286,8 @@ def test_criterion_6_nufft_speedup():
              + 1j * rng.standard_normal((5000, 2 * p + 1))) * decay[None, :]
 
     t0 = time.perf_counter()
-    cplan = SommerfeldGridPlan(contour, layers, insts, p, tol=1e-8)
-    bplan = MultipoleToSommerfeldPlan(contour, layers, insts, p, tol=1e-8)
+    cplan = SommerfeldGridPlan(contour, layers, centers, R, p, tol=1e-8)
+    bplan = MultipoleToSommerfeldPlan(contour, layers, centers, p, tol=1e-8)
     t_cd, t_cn, t_bd, t_bn = _best_of([
         lambda: sommerfeld_to_local_direct(dens, contour, layers, centers, p),
         lambda: sommerfeld_to_local_nufft(cplan, cplan.apply(dens)),
@@ -358,8 +357,9 @@ def test_criterion_7_end_to_end_500():
     inc = np.stack([point_source_local(build.layers.k2, build.layers.source,
                                        i.center, cfg.p).coeffs
                     for i in build.instances])
-    _, hist_free = solve_free_space(build.instances, build.smatrix, inc,
-                                    tol=cfg.tol)
+    _, hist_free = solve_free_space(build.operator.centers,
+                                    build.operator.rotations, build.smatrix,
+                                    inc, tol=cfg.tol)
     print(f"criterion 7 iterations: M=100 {it100}, M=500 {it500}, "
           f"M=1000 {it1000}, homogeneous M=500 {len(hist_free)}", flush=True)
 
@@ -398,7 +398,7 @@ def test_criterion_8_property_suite(flower_smatrix):
     pts = rng.uniform(0, 2 * np.pi, 400)
     c = rng.standard_normal(400) + 1j * rng.standard_normal(400)
     ks = np.arange(-32, 32)
-    f = nufft1d3(pts, c, ks, tol=1e-12)
+    f = Nufft3Plan(pts, ks, tol=1e-12).apply(c)
     f_ref = np.exp(1j * np.outer(ks, pts)) @ c
     checks.append(("NUFFT", np.abs(f - f_ref).max() / np.abs(c).sum(), 1e-12))
 

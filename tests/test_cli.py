@@ -67,6 +67,42 @@ def test_eval_grid_from_saved_solution(scene_file, tmp_path):
     assert g.metadata["residual"] <= 1e-8
 
 
+def test_eval_solves_without_solution(scene_file, tmp_path):
+    """Without --solution, eval solves the scene in memory and writes the
+    grid."""
+    grid = tmp_path / "field.lsfg"
+    assert main(["eval", "--scene", str(scene_file), "--grid", "5,4",
+                 "--extent=-5,5,-24,-8", "--out", str(grid)]) == 0
+    g = load_field_grid(grid)
+    assert g.values.shape == (4, 5)
+    assert np.isfinite(g.values).all()
+    assert g.metadata["residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("grid", ["-3,5", "0,5", "5,0"])
+def test_eval_rejects_nonpositive_grid_counts(scene_file, tmp_path, grid):
+    """A --grid count below 1 stops eval with one line naming --grid,
+    before the scene is built or anything is written."""
+    out = tmp_path / "g.lsfg"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--scene", str(scene_file), f"--grid={grid}",
+              "--extent=-5,5,-24,-8", "--out", str(out)])
+    msg = str(exc.value.code)
+    assert "--grid" in msg and "\n" not in msg
+    assert not list(scene_file.parent.glob("cache/*"))
+    assert not out.exists()
+
+
+def test_solve_reports_gmres_failure(scene_file, capsys):
+    """A solve that GMRES cannot finish (maxiter = 1) exits with 1 and
+    prints the failure and the residual history to stderr."""
+    scene_file.write_text(SMALL_SCENE + "maxiter = 1\n")
+    assert main(["solve", "--scene", str(scene_file)]) == 1
+    err = capsys.readouterr().err
+    assert "solver failed" in err
+    assert "iter    0  residual" in err
+
+
 def test_eval_rejects_foreign_solution(scene_file, tmp_path):
     sol = tmp_path / "sol.npz"
     assert main(["solve", "--scene", str(scene_file), "--out", str(sol)]) == 0

@@ -14,8 +14,7 @@ from layerscatter.coupling import (MultipoleToSommerfeldPlan,
 from layerscatter.layers import (InterfaceSolver, LayerStack,
                                  build_contour_adaptive,
                                  eval_sommerfeld_field, gamma)
-from layerscatter.multiscat import (ExpansionVector, ParticleInstance,
-                                    eval_expansion)
+from layerscatter.multiscat import ExpansionVector, eval_expansion
 from layerscatter.scene import place_particles
 from layerscatter.special import bessel_j, hankel1
 
@@ -70,22 +69,20 @@ def test_multipole_to_sommerfeld_direct_oracle(contour131, layers131, n_test):
 
 
 @pytest.fixture(scope="module")
-def scattered_instances(flower_smatrix):
-    S, _ = flower_smatrix
+def scattered_centers():
     rng = np.random.default_rng(0)
     M = 40
     cx = rng.uniform(-10, 10, M)
     cy = rng.uniform(-20, -6, M)
-    centers = np.stack([cx, cy], -1)
-    insts = [ParticleInstance(center=tuple(c), rotation=0.0, R=S.R,
-                              fingerprint=S.fingerprint) for c in centers]
-    return centers, insts
+    return np.stack([cx, cy], -1)
 
 
 def test_grid_plan_reproduces_field(contour131, layers131,
-                                    interface_densities, scattered_instances):
-    centers, insts = scattered_instances
-    plan = SommerfeldGridPlan(contour131, layers131, insts, 10, tol=1e-13)
+                                    interface_densities, scattered_centers,
+                                    flower_smatrix):
+    S, _ = flower_smatrix
+    plan = SommerfeldGridPlan(contour131, layers131, scattered_centers, S.R,
+                              10, tol=1e-13)
     gu, gux, guy = plan.apply(interface_densities)
     i, j = 17, 23
     pt = np.array([[plan.xnodes[i], plan.ynodes[j]]])
@@ -100,15 +97,16 @@ def test_grid_plan_reproduces_field(contour131, layers131,
 
 def test_c_block_nufft_vs_direct_field_metric(contour131, layers131,
                                               interface_densities,
-                                              scattered_instances):
+                                              scattered_centers,
+                                              flower_smatrix):
     """NUFFT-interpolated locals agree with the direct locals in the
     J-weighted metric (the coefficients as they enter field values); raw
     high orders are unobservable below J_n(k2 R) and are not compared."""
-    centers, insts = scattered_instances
+    centers = scattered_centers
     p = 10
     k2 = layers131.k2
-    R = insts[0].R
-    plan = SommerfeldGridPlan(contour131, layers131, insts, p, tol=1e-13)
+    R = flower_smatrix[0].R
+    plan = SommerfeldGridPlan(contour131, layers131, centers, R, p, tol=1e-13)
     loc_d = sommerfeld_to_local_direct(interface_densities, contour131,
                                        layers131, centers, p)
     loc_n = sommerfeld_to_local_nufft(plan, plan.apply(interface_densities))
@@ -120,13 +118,13 @@ def test_c_block_nufft_vs_direct_field_metric(contour131, layers131,
 
 def test_c_plan_apply_recomputes_no_geometry(contour131, layers131,
                                              interface_densities,
-                                             scattered_instances,
-                                             monkeypatch):
+                                             scattered_centers,
+                                             flower_smatrix, monkeypatch):
     """The C plan builds its sampling geometry once: after construction an
     apply calls no barycentric-weight or Bessel routine and gives exactly
     the same locals."""
-    _, insts = scattered_instances
-    plan = SommerfeldGridPlan(contour131, layers131, insts, 10, tol=1e-13)
+    plan = SommerfeldGridPlan(contour131, layers131, scattered_centers,
+                              flower_smatrix[0].R, 10, tol=1e-13)
     ref = sommerfeld_to_local_nufft(plan, plan.apply(interface_densities))
 
     def forbidden(*args, **kwargs):
@@ -138,29 +136,19 @@ def test_c_plan_apply_recomputes_no_geometry(contour131, layers131,
     assert np.array_equal(got, ref)
 
 
-def test_c_plan_rejects_two_radii(contour131, layers131,
-                                  scattered_instances):
-    """The C plan projects every circle with one set of Bessel factors, so
-    instances with different enclosing radii are refused."""
-    _, insts = scattered_instances
-    mixed = insts[:-1] + [replace(insts[-1], R=1.5 * insts[-1].R)]
-    with pytest.raises(ValueError, match="one enclosing radius"):
-        SommerfeldGridPlan(contour131, layers131, mixed, 10)
-
-
 def test_b_block_nufft_vs_direct_physical_betas(contour131, layers131,
                                                 interface_densities,
-                                                scattered_instances,
+                                                scattered_centers,
                                                 flower_smatrix):
     """With physically attainable multipole coefficients (S applied to the
     incoming locals) the NUFFT path matches the direct path."""
     S, _ = flower_smatrix
-    centers, insts = scattered_instances
+    centers = scattered_centers
     p = S.p
     locs = sommerfeld_to_local_direct(interface_densities, contour131,
                                       layers131, centers, p)
     betas = locs @ S.entries.T
-    plan = MultipoleToSommerfeldPlan(contour131, layers131, insts, p,
+    plan = MultipoleToSommerfeldPlan(contour131, layers131, centers, p,
                                      tol=1e-13)
     upd_n = plan.apply(betas)
     upd_d = multipole_to_sommerfeld_direct(betas, centers, contour131,
@@ -171,27 +159,32 @@ def test_b_block_nufft_vs_direct_physical_betas(contour131, layers131,
 
 
 def test_plane_wave_table_matches_direct(contour131, layers131,
-                                         interface_densities,
-                                         scattered_instances):
+                                         scattered_centers):
     """The table's C and B (B read in reversed node order) agree with the
-    direct sums to 1e-12 relative."""
-    centers, _ = scattered_instances
+    direct sums to 1e-12 relative, on the test contour and on the one
+    ``build_scene`` makes for example1 (N_S = 2540)."""
+    centers = scattered_centers
     p = 10
-    table = PlaneWaveTable(contour131, layers131, centers, p)
-    loc_d = sommerfeld_to_local_direct(interface_densities, contour131,
-                                       layers131, centers, p)
-    loc_t = table.sommerfeld_to_local(interface_densities)
-    assert np.abs(loc_t - loc_d).max() <= 1e-12 * np.abs(loc_d).max()
-    rng = np.random.default_rng(1)
-    decay = np.exp(-0.5 * np.abs(np.arange(-p, p + 1)))
-    betas = (rng.standard_normal(loc_d.shape)
-             + 1j * rng.standard_normal(loc_d.shape)) * decay
-    upd_d = multipole_to_sommerfeld_direct(betas, centers, contour131,
-                                           layers131)
-    upd_t = table.multipole_to_sommerfeld(betas)
-    for a, b in ((upd_t.sigma_plus, upd_d.sigma_plus),
-                 (upd_t.sigma_minus, upd_d.sigma_minus)):
-        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    example1 = build_contour_adaptive(layers131, min_vertical_sep=1.0,
+                                      max_horiz=28.0)
+    assert len(example1) == 2540
+    for contour in (contour131, example1):
+        dens = InterfaceSolver(contour, layers131).solve()
+        table = PlaneWaveTable(contour, layers131, centers, p)
+        loc_d = sommerfeld_to_local_direct(dens, contour, layers131, centers,
+                                           p)
+        loc_t = table.sommerfeld_to_local(dens)
+        assert np.abs(loc_t - loc_d).max() <= 1e-12 * np.abs(loc_d).max()
+        rng = np.random.default_rng(1)
+        decay = np.exp(-0.5 * np.abs(np.arange(-p, p + 1)))
+        betas = (rng.standard_normal(loc_d.shape)
+                 + 1j * rng.standard_normal(loc_d.shape)) * decay
+        upd_d = multipole_to_sommerfeld_direct(betas, centers, contour,
+                                               layers131)
+        upd_t = table.multipole_to_sommerfeld(betas)
+        for a, b in ((upd_t.sigma_plus, upd_d.sigma_plus),
+                     (upd_t.sigma_minus, upd_d.sigma_minus)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_plane_wave_table_rejects_asymmetric_contour(contour131, layers131):
@@ -204,12 +197,12 @@ def test_plane_wave_table_rejects_asymmetric_contour(contour131, layers131):
                        np.array([[0.0, -10.0]]), 10)
 
 
-def _b_plan_retained_mb(contour, layers, insts):
+def _b_plan_retained_mb(contour, layers, centers):
     """The B plan (p = 10, tol 1e-13) and the MB it retains (tracemalloc)."""
     gc.collect()
     tracemalloc.start()
     try:
-        plan = MultipoleToSommerfeldPlan(contour, layers, insts, 10,
+        plan = MultipoleToSommerfeldPlan(contour, layers, centers, 10,
                                          tol=1e-13)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] / 2 ** 20
@@ -227,7 +220,8 @@ def test_b_plan_memory_band600():
                                      max_horiz=56.0)
     assert len(contour) == 5052
     insts = place_particles((-28.0, 28.0, -3.0, -1.1), 600, 0.165, seed=7)
-    plan, retained = _b_plan_retained_mb(contour, layers, insts)
+    plan, retained = _b_plan_retained_mb(contour, layers,
+                                         [i.center for i in insts])
     assert plan.occupied.size > 1
     assert retained <= 32.0
 
@@ -241,14 +235,14 @@ def test_b_plan_memory_example1_m1000(layers131, flower_smatrix):
                                      max_horiz=28.0)
     assert len(contour) == 2540
     insts = place_particles((-14.0, 14.0, -30.0, -2.0), 1000, S.R, seed=7)
-    plan, retained = _b_plan_retained_mb(contour, layers131, insts)
+    plan, retained = _b_plan_retained_mb(contour, layers131,
+                                         [i.center for i in insts])
     assert plan.occupied.size > 300
     assert retained <= 16.0
 
 
-def test_spectral_update_zero_betas(contour131, layers131,
-                                    scattered_instances):
-    centers, insts = scattered_instances
-    betas = np.zeros((len(insts), 21), dtype=complex)
+def test_spectral_update_zero_betas(contour131, layers131, scattered_centers):
+    centers = scattered_centers
+    betas = np.zeros((len(centers), 21), dtype=complex)
     upd = multipole_to_sommerfeld_direct(betas, centers, contour131, layers131)
     assert not np.any(upd.sigma_plus) and not np.any(upd.sigma_minus)

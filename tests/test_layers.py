@@ -6,7 +6,7 @@ import pytest
 
 from layerscatter import layers as layers_mod
 from layerscatter.coupling import SpectralUpdate
-from layerscatter.layers import (InterfaceSolver, LayerStack, build_contour,
+from layerscatter.layers import (InterfaceSolver, LayerStack,
                                  build_contour_adaptive, eval_sommerfeld_field,
                                  gamma, incident_rhs, interface_matrix,
                                  sommerfeld_point_source)
@@ -36,11 +36,15 @@ def test_gamma_branch():
 
 
 def test_contour_structure():
+    """At a vertical separation of 2 the contour sits on both floors: pad
+    20 (t_max = max|k| + 20) and 240 nodes per tail, which 14 graded
+    panels of 18 nodes round up to 252."""
     layers = LayerStack(k1=1.0, k2=3.0, k3=1.0, d=32.0, source=(1, 1))
-    c = build_contour(layers)
+    c = build_contour_adaptive(layers, min_vertical_sep=2.0)
+    assert c.t_max == 23.0
     n_mid = (c.segments == 2).sum()
     assert n_mid == 20
-    assert (c.segments == 1).sum() == (c.segments == 3).sum() >= 240
+    assert (c.segments == 1).sum() == (c.segments == 3).sum() == 252
     tails = c.segments != 2
     assert np.allclose(np.abs(c.nodes[tails].imag), c.b)
     # anti-symmetric traversal: nodes come in pairs lambda, -conj(lambda)
@@ -54,7 +58,7 @@ def test_sommerfeld_identity_free_space():
         sep = 0.2 * 2 * np.pi / k
         layers = LayerStack(k1=k, k2=k, k3=k, d=10.0, source=(0.5, 1.0))
         contour = build_contour_adaptive(layers, min_vertical_sep=sep,
-                                         tol=1e-12, max_horiz=10.0)
+                                         max_horiz=10.0)
         src = (0.5, 1.0)
         x = src[0] + rng.uniform(-5, 5, 25)
         y = src[1] + sep + rng.uniform(0, 3, 25)
@@ -181,7 +185,7 @@ def test_equal_wavenumbers_transmit_source():
     layers."""
     k = 2.0
     layers = LayerStack(k1=k, k2=k, k3=k, d=8.0, source=(0.0, 1.0))
-    contour = build_contour_adaptive(layers, min_vertical_sep=1.0, tol=1e-12,
+    contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
                                      max_horiz=6.0)
     dens = InterfaceSolver(contour, layers).solve()
     mid = np.array([[1.0, -2.0], [-2.5, -4.0], [3.0, -6.5]])

@@ -4,8 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from layerscatter.multiscat import (ExpansionVector, PairCoupling,
-                                    ParticleInstance, eval_expansion,
-                                    eval_multipole_field, m2l,
+                                    eval_expansion, eval_multipole_field, m2l,
                                     point_source_local, solve_free_space)
 from layerscatter.particle import rotate_scattering_matrix
 from layerscatter.special import hankel1
@@ -70,12 +69,9 @@ def test_free_space_solve_small_system_dense_oracle(flower_smatrix):
     p = S.p
     centers = np.array([[0.0, 0.0], [1.2, 0.4], [-0.8, 0.9]])
     rots = [0.4, -1.1, 2.3]
-    insts = [ParticleInstance(center=tuple(c), rotation=r, R=S.R,
-                              fingerprint=S.fingerprint)
-             for c, r in zip(centers, rots)]
     inc = np.stack([point_source_local(K, (0.5, 4.0), tuple(c), p).coeffs
                     for c in centers])
-    betas, hist = solve_free_space(insts, S, inc, tol=1e-12)
+    betas, hist = solve_free_space(centers, rots, S, inc, tol=1e-12)
     # dense assembly
     w = 2 * p + 1
     T = np.zeros((3 * w, 3 * w), dtype=complex)
@@ -96,15 +92,13 @@ def test_eval_multipole_field_matches_expansions(flower_smatrix):
     p = S.p
     rng = np.random.default_rng(4)
     centers = [(0.0, 0.0), (2.0, -1.0)]
-    insts = [ParticleInstance(center=c, rotation=0.0, R=S.R, fingerprint=b"")
-             for c in centers]
     betas = rng.standard_normal((2, 2 * p + 1)) \
         + 1j * rng.standard_normal((2, 2 * p + 1))
     pts = np.array([[1.0, 1.0], [-1.5, 0.2]])
     ref = sum(eval_expansion(
         ExpansionVector(p=p, coeffs=betas[m], kind="H", center=centers[m],
                         k=K), pts) for m in range(2))
-    got = eval_multipole_field(betas, insts, K, pts)
+    got = eval_multipole_field(betas, centers, S.R, K, pts)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

@@ -168,20 +168,35 @@ def test_field_grid_shape_guard():
                   values=np.zeros((2, 3)))
 
 
+# sidecars that do not belong to bad.lsfg's 3 x 2 grid: another grid's, one
+# with two extents, and one that is not JSON
+BAD_SIDECARS = {
+    "foreign_sidecar": lambda meta: json.dumps({**meta, "nx": 4, "ny": 5,
+                                                "extent": [0, 2, 0, 1]}),
+    "short_extent": lambda meta: json.dumps({**meta, "extent": [0, 1]}),
+    "sidecar_not_json": lambda meta: "{nx: 3",
+}
+
+
 @pytest.mark.parametrize("case", ["garbage", "empty", "truncated",
-                                  "trailing"])
+                                  "trailing", *BAD_SIDECARS])
 def test_load_rejects_non_grid(tmp_path, case):
-    """Not a grid, or a grid file cut short or with bytes past its values:
-    a ValueError that names the file."""
+    """Not a grid, a grid file cut short or with bytes past its values, or
+    a sidecar that does not match the header: a ValueError that names the
+    file."""
     p = tmp_path / "bad.lsfg"
+    side = tmp_path / "bad.lsfg.json"
     if case == "garbage":
         p.write_bytes(b"x" * 128)
     else:
         save_field_grid(p, FieldGrid(x0=0, x1=1, y0=0, y1=1, nx=3, ny=2,
                                      values=np.ones((2, 3))))
         data = p.read_bytes()
-        p.write_bytes({"empty": b"", "truncated": data[:-5],
-                       "trailing": data + b"\0" * 16}[case])
+        if case in BAD_SIDECARS:
+            side.write_text(BAD_SIDECARS[case](json.loads(side.read_text())))
+        else:
+            p.write_bytes({"empty": b"", "truncated": data[:-5],
+                           "trailing": data + b"\0" * 16}[case])
     with pytest.raises(ValueError, match="bad.lsfg"):
         load_field_grid(p)
 

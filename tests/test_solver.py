@@ -1,6 +1,8 @@
 import gc
 import logging
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from layerscatter.layers import LayerStack, build_contour_adaptive, \
 from layerscatter.multiscat import ParticleInstance, point_source_local, \
     solve_free_space, eval_multipole_field
 from layerscatter.particle import scattering_matrix_disk
+from layerscatter.scene import load_scene, solve_scene
 from layerscatter import solver as solver_mod
 from layerscatter.solver import (GmresConfig, GmresError, SchurOperator,
                                  eval_total_field, gmres, solve_layered_scene)
@@ -64,6 +67,20 @@ def test_gmres_iteration_cap_raises():
     assert len(info.value.history) >= 1
 
 
+@pytest.mark.parametrize("op, b, match", [
+    (lambda v: np.array([1.0, 0.0]) * v, [0.0, 1.0], "broke down"),
+    (lambda v: np.array([1.0, 0.0]) * v, [1.0, 1.0], "broke down"),
+    (lambda v: np.roll(v, 1), np.eye(20)[0], "stagnated")],
+    ids=["singular-b-in-kernel", "singular-b-off-range", "cyclic-shift"])
+def test_gmres_failure_raises_gmres_error(op, b, match):
+    """A breakdown (A = diag(1, 0), b outside its range: a singular
+    Hessenberg matrix) and a stagnation (a cyclic shift of length 20,
+    restarted every 5 steps) raise GmresError with the history so far."""
+    with pytest.raises(GmresError, match=match) as info:
+        gmres(op, np.asarray(b, dtype=complex), restart=5)
+    assert len(info.value.history) >= 1
+
+
 @pytest.mark.parametrize("bad", [dict(maxiter=0), dict(restart=0),
                                  dict(tol=0.0)])
 def test_gmres_rejects_bad_settings(bad):
@@ -109,8 +126,7 @@ ROTS = [0.0, 0.7, -1.3]
 
 
 def _operator(contour, layers, smat, rots=ROTS, cents=CENTS, **kw):
-    insts = [ParticleInstance(center=c, rotation=r, R=smat.R,
-                              fingerprint=smat.fingerprint)
+    insts = [ParticleInstance(center=c, rotation=r, R=smat.R)
              for c, r in zip(cents, rots)]
     return SchurOperator(contour, layers, insts, smat, **kw)
 
@@ -121,10 +137,9 @@ def test_equal_wavenumbers_reduce_to_free_space(flower_boundary):
     from layerscatter.particle import scattering_matrix_nystrom
     k = 3.0
     layers = LayerStack(k1=k, k2=k, k3=k, d=32.0, source=(1.0, 1.0))
-    contour = build_contour_adaptive(layers, min_vertical_sep=1.0, tol=1e-12,
+    contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
                                      max_horiz=10.0)
-    smat, dens_modes = scattering_matrix_nystrom(flower_boundary, k, 2.0, 10,
-                                                 return_densities=True)
+    smat, dens_modes = scattering_matrix_nystrom(flower_boundary, k, 2.0, 10)
     op = _operator(contour, layers, smat)
     sol = solve_layered_scene(op, GmresConfig(tol=1e-10),
                               boundary=flower_boundary,
@@ -132,14 +147,14 @@ def test_equal_wavenumbers_reduce_to_free_space(flower_boundary):
     p = smat.p
     inc = np.stack([point_source_local(k, layers.source, c, p).coeffs
                     for c in CENTS])
-    insts = op.instances
-    bet_fs, _ = solve_free_space(insts, smat, inc, tol=1e-10)
+    bet_fs, _ = solve_free_space(op.centers, op.rotations, smat, inc,
+                                 tol=1e-10)
     assert np.abs(sol.betas - bet_fs).max() <= 1e-12 * np.abs(bet_fs).max()
 
     pts = np.array([[4.0, -12.0], [-5.0, -20.0], [0.0, -14.0], [2.5, -18.0]])
     u_lay = eval_total_field(sol, pts)
     u_fs = (sommerfeld_point_source(contour, k, layers.source, pts)
-            + eval_multipole_field(bet_fs, insts, k, pts))
+            + eval_multipole_field(bet_fs, op.centers, op.R, k, pts))
     assert np.abs(u_lay - u_fs).max() <= 1e-12 * np.abs(u_fs).max()
 
 
@@ -238,7 +253,7 @@ def test_disk_field_chunks_match_pointwise(layered_solution, flower_params,
     """In-disk evaluation in blocks of a few points agrees with one point at
     a time, for points inside the inclusions and in the annuli of all three
     (differently rotated) instances."""
-    R = layered_solution.operator.instances[0].R
+    R = layered_solution.operator.R
     th = np.linspace(0, 2 * np.pi, 5, endpoint=False)
     rho = flower_params.a1 + flower_params.a2 * np.cos(flower_params.a3 * th)
     pts = np.concatenate([
@@ -269,6 +284,33 @@ def test_use_nufft_paths_agree(contour131, layers131, flower_boundary,
     sol_n = solve_layered_scene(op_n, GmresConfig(tol=1e-10))
     assert np.abs(sol_d.betas - sol_n.betas).max() <= \
         1e-8 * np.abs(sol_d.betas).max()
+
+
+BAND600 = Path(__file__).resolve().parents[1] / "perfbench" / "scenes" \
+    / "band600.scene"
+
+
+def test_nufft_path_agrees_on_band600(tmp_path, monkeypatch):
+    """The NUFFT path solved end to end on production geometry: band600's
+    thin band at M = 40 (N_S = 5052) against the table path, GMRES tol
+    1e-10.  The betas, and the field at 60 points in all three layers,
+    agree to 1e-8."""
+    monkeypatch.setenv("LAYERSCATTER_CACHE_DIR", str(tmp_path))
+    cfg = replace(load_scene(BAND600), M=40, tol=1e-10)
+    sol_d, sol_n = (solve_scene(replace(cfg, path=path))[1]
+                    for path in ("direct", "nufft"))
+    assert sol_n.operator.use_nufft and not sol_d.operator.use_nufft
+    assert len(sol_n.operator.contour) == 5052
+    assert np.abs(sol_d.betas - sol_n.betas).max() <= \
+        1e-8 * np.abs(sol_d.betas).max()
+    rng = np.random.default_rng(0)
+    y = np.concatenate([rng.uniform(0.0, 2.0, 20),
+                        rng.uniform(-cfg.d, 0.0, 20),
+                        rng.uniform(-cfg.d - 2.0, -cfg.d, 20)])
+    pts = np.stack([rng.uniform(cfg.region_x0, cfg.region_x1, 60), y], -1)
+    u_d = eval_total_field(sol_d, pts)
+    u_n = eval_total_field(sol_n, pts)
+    assert np.abs(u_d - u_n).max() <= 1e-8 * np.abs(u_d).max()
 
 
 def test_solve_releases_plane_wave_table(contour131, layers131,

@@ -68,11 +68,17 @@ def cmd_solve(args):
     return 0
 
 
-def _parse_pair(text, n, what):
+def _parse_pair(text, n, what, kind):
+    """``n`` comma-separated values of type ``kind``; exits with one line
+    naming the flag if there are more or fewer, or one does not parse."""
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != n:
         raise SystemExit(f"--{what} expects {n} comma-separated values")
-    return parts
+    try:
+        return [kind(p) for p in parts]
+    except ValueError:
+        raise SystemExit(f"--{what} expects {kind.__name__} values, "
+                         f"got {text!r}") from None
 
 
 def _read_solution(path, cfg):
@@ -94,10 +100,10 @@ def _read_solution(path, cfg):
 
 def cmd_eval(args):
     cfg = _load_config(args)
-    nx, ny = (int(v) for v in _parse_pair(args.grid, 2, "grid"))
+    nx, ny = _parse_pair(args.grid, 2, "grid", int)
     if min(nx, ny) < 1:
         raise SystemExit(f"--grid expects counts of at least 1, got {nx},{ny}")
-    extent = tuple(float(v) for v in _parse_pair(args.extent, 4, "extent"))
+    extent = tuple(_parse_pair(args.extent, 4, "extent", float))
     if args.solution:
         saved = _read_solution(args.solution, cfg)
         build = build_scene(cfg)

@@ -1,17 +1,33 @@
 """Free-space multiple-scattering algebra: multipole (H) and local (J)
-expansions, Graf-theorem translation operators, the block-preconditioned
-operator I - S T, and a standalone homogeneous-background solver.
+expansions, Graf-theorem translation operators, the all-pairs M2L (dense,
+or near pairs plus box expansions), the block-preconditioned operator
+I - S T, and a standalone homogeneous-background solver.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+import scipy.special as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .special import bessel_j, hankel1
+from .special import MAX_ORDER, bessel_j, hankel1
 
 __all__ = ["ExpansionVector", "ParticleInstance", "m2l", "point_source_local",
            "eval_expansion", "PairCoupling", "rotation_phases",
-           "apply_rotated", "solve_free_space", "eval_multipole_field"]
+           "apply_rotated", "solve_free_space", "eval_multipole_field",
+           "COUPLING_TOL", "BOX_CROSSOVER"]
+
+# tolerance of the fast couplings: the NUFFT plans and the box M2L
+COUPLING_TOL = 1e-13
+# from this many centres on, PairCoupling applies M2L through boxes.  On 2
+# cores the dense build and apply (7 ms + 4 ms at M = 100 on example1) beat
+# the boxes (12 + 7 ms) up to M = 150; at M = 200 the boxes are even on
+# example1's square region and 2x faster on band600's band
+BOX_CROSSOVER = 200
+# centres whose boxes are at most this many boxes apart (in x and in y) are
+# near; the closest far box centres are then BOX_BUFFER + 1 widths apart
+BOX_BUFFER = 2
 
 
 @dataclass
@@ -90,49 +106,222 @@ def eval_expansion(exp, points):
     return out[0] if np.asarray(points).ndim == 1 else out
 
 
+def _translate(betas, z, eith, h0, h1, matmul):
+    """sum_q W_q betas, W_q = H_q(z) eith^q acting on orders nu = n + q,
+    with H_q from H_0 and H_1 by the three-term recurrence (upward, stable
+    for H) and W_{-q} = (-1)^q H_q conj(eith^q).  ``matmul(w, x)`` multiplies
+    the kernel values ``w`` of one order, shaped like ``z``, with ``x``."""
+    width = betas.shape[1]
+    p = (width - 1) // 2
+    alphas = matmul(h0, betas)
+    hq_prev, hq = h0, h1
+    pq = eith                                   # eith^q
+    for q in range(1, 2 * p + 1):
+        alphas[:, :width - q] += matmul(hq * pq, betas[:, q:])
+        alphas[:, q:] += matmul((-1) ** q * hq * np.conj(pq),
+                                betas[:, :width - q])
+        if q < 2 * p:
+            pq = pq * eith
+            hq_prev, hq = hq, (2.0 * q / z) * hq - hq_prev
+    return alphas
+
+
+def _expansion_order(k, width):
+    """Smallest box expansion order P whose Graf tail
+    |J_P(k r) H_P(k D)| is at most COUPLING_TOL, with r = sqrt(2) width the
+    two box radii together and D = (BOX_BUFFER + 1) width the closest far
+    box centres; None above order MAX_ORDER / 2 (the m2l kernel reaches
+    order 2P)."""
+    P = np.arange(1, MAX_ORDER // 2 + 1)
+    # scipy's own functions: the orders past the answer may overflow
+    with np.errstate(all="ignore"):
+        tail = np.abs(sp.jv(P, k * np.sqrt(2) * width + 0j)
+                      * sp.hankel1(P, k * (BOX_BUFFER + 1) * width + 0j))
+    ok = np.flatnonzero(tail <= COUPLING_TOL)
+    return int(P[ok[0]]) if ok.size else None
+
+
+def _graf_rows(rel, k, order):
+    """J_d(k rho) e^{-i d phi}, d = -order..order, with (rho, phi) the polar
+    form of each row of ``rel`` = c - C: the Toeplitz rows of the H->H shift
+    from c to C and, reversed with signs (-1)^d, of the J->J shift from C
+    back to c."""
+    d = np.arange(-order, order + 1)
+    return (bessel_j(d, k * np.hypot(rel[:, 0], rel[:, 1])[:, None] + 0j)
+            * np.exp(-1j * np.outer(np.arctan2(rel[:, 1], rel[:, 0]), d)))
+
+
+def _shift_up(rows, betas):
+    """H->H: B_n = sum_nu beta_nu J_{n-nu}(k rho) e^{-i (n-nu) phi}, one
+    row per centre; B has order P when ``rows`` has order P + p."""
+    return np.einsum("maj,mj->ma",
+                     sliding_window_view(rows, betas.shape[1], axis=1),
+                     betas[:, ::-1])
+
+
+def _shift_down(rows, locs):
+    """J->J: alpha_n = sum_l L_l J_{l-n}(k rho) e^{i (l-n) phi}, one row per
+    centre; alpha has order p when ``locs`` has order P and ``rows`` order
+    P + p."""
+    half = (rows.shape[1] - 1) // 2
+    down = (-1.0) ** np.arange(-half, half + 1) * rows[:, ::-1]
+    return np.einsum("mij,mj->mi",
+                     sliding_window_view(down, locs.shape[1], axis=1),
+                     locs)[:, ::-1]
+
+
+def _box_cells(centers, width):
+    """Grid shape and the integer cell of each centre on a grid of square
+    boxes of side ``width`` centred on the centres' bounding box."""
+    lo, hi = centers.min(axis=0), centers.max(axis=0)
+    shape = np.floor((hi - lo) / width).astype(int) + 1
+    origin = (lo + hi - shape * width) / 2
+    cells = np.clip(((centers - origin) // width).astype(int), 0, shape - 1)
+    return shape, origin, cells
+
+
+def _box_plan(centers, k, p):
+    """(width, P) of the cheapest box apply, by a count of complex
+    multiply-adds, among widths 2^(j/2) times the mean centre spacing: near
+    pairs cost (2p+1)^2 each, the shifts 2 M (2p+1)(2P+1) and the m2l
+    (2P+1)^2 per point of the padded grid.  None if no width has an order
+    P (boxes many wavelengths wide)."""
+    M, order = len(centers), 2 * p + 1
+    extent = np.ptp(centers, axis=0)
+    extent = np.maximum(extent, 1e-3 * extent.max())
+    spacing = np.sqrt(extent.prod() / M)
+    best = None
+    for width in spacing * 2.0 ** (np.arange(9) / 2):
+        P = _expansion_order(k, width)
+        if P is None:
+            continue
+        shape, _, cells = _box_cells(centers, width)
+        count = np.zeros(shape + 2 * BOX_BUFFER)
+        np.add.at(count, tuple((cells + BOX_BUFFER).T), 1)
+        near = sum(np.roll(count, (dx, dy), axis=(0, 1))
+                   for dx in range(-BOX_BUFFER, BOX_BUFFER + 1)
+                   for dy in range(-BOX_BUFFER, BOX_BUFFER + 1))
+        cost = ((count * near).sum() - M) * order ** 2 \
+            + 2 * M * order * (2 * P + 1) \
+            + np.prod(2 * shape - 1) * (2 * P + 1) ** 2
+        if best is None or cost < best[0]:
+            best = (cost, width, P)
+    return None if best is None else best[1:]
+
+
 class PairCoupling:
     """All-pairs M2L application for a fixed set of instance centers.
 
-    Stores only O(M^2) geometry; the order-q translation kernels
-    W_q = H_q(k |D|) e^{i q theta_D} are regenerated on each apply by the
-    three-term Hankel recurrence, fused with the per-order matmuls, so the
-    working set stays at a few M x M arrays for any p.
+    The order-q kernel from source j to target m is W_q = H_q(k |D|)
+    e^{i q theta_D}, D = c_m - c_j.  Below BOX_CROSSOVER centres, or when no
+    box width has an expansion order, it is regenerated for all M^2 pairs on
+    each apply by the three-term Hankel recurrence, fused with the per-order
+    matmuls (the dense apply, and the oracle of the box apply).
+
+    From BOX_CROSSOVER centres on, they are sorted into one uniform grid of
+    square boxes (``grid`` boxes of side ``width``, chosen by
+    ``_box_plan``).  Pairs at most BOX_BUFFER boxes apart are near: they keep
+    the recurrence, on stored H_0, H_1 and e^{i theta} of those pairs only,
+    with one CSR pattern for all orders.  Far pairs go through order-P
+    expansions about the box centres: an H->H shift up to each box, one
+    box-to-box m2l kernel per box offset (the grid is translation
+    invariant), applied as an FFT convolution over the grid, and a J->J
+    shift down to each centre.
     """
 
     def __init__(self, centers, k, p):
         centers = np.asarray(centers, dtype=float)
-        self.M = centers.shape[0]
+        self.M = M = centers.shape[0]
         self.p = p
         self.k = k
-        dx = centers[:, 0][:, None] - centers[:, 0][None, :]
-        dy = centers[:, 1][:, None] - centers[:, 1][None, :]
-        dist = np.hypot(dx, dy)
-        np.fill_diagonal(dist, 1.0)
-        self.z = k * dist                       # kernel argument (diag dummy)
-        # theta of D = target - source; row = target, column = source
-        self.phase = np.exp(1j * np.arctan2(dy, dx))
-        # a zero diagonal in H_0 and H_1 stays zero through the recurrence
-        offdiag = ~np.eye(self.M, dtype=bool)
-        self._h0 = hankel1(0, self.z) * offdiag
-        self._h1 = hankel1(1, self.z) * offdiag
+        self.grid = self.width = self.P = None
+        plan = _box_plan(centers, k, p) if M >= BOX_CROSSOVER else None
+        if plan is None:
+            dx = centers[:, 0][:, None] - centers[:, 0][None, :]
+            dy = centers[:, 1][:, None] - centers[:, 1][None, :]
+            dist = np.hypot(dx, dy)
+            np.fill_diagonal(dist, 1.0)
+            z = k * dist                        # kernel argument (diag dummy)
+            # a zero diagonal in H_0 and H_1 stays zero through the recurrence
+            offdiag = ~np.eye(M, dtype=bool)
+            # theta of D = target - source; row = target, column = source
+            self._pairs = (z, np.exp(1j * np.arctan2(dy, dx)),
+                          hankel1(0, z) * offdiag, hankel1(1, z) * offdiag)
+            self.near_pairs = M * (M - 1)
+            return
+        self.width, self.P = width, P = plan
+        shape, origin, cells = _box_cells(centers, width)
+        self.grid = tuple(int(n) for n in shape)
+
+        # imported here: scipy.spatial alone adds 4 MB to a process's
+        # resident memory, which the dense path does not need
+        from scipy.spatial import cKDTree
+
+        # near pairs, each unordered pair once: (j, i) has the same |D| and
+        # the opposite direction
+        i, j = cKDTree(cells).query_pairs(BOX_BUFFER, p=np.inf,
+                                          output_type="ndarray").T
+        D = centers[i] - centers[j]
+        z = k * np.hypot(D[:, 0], D[:, 1])
+        eith = np.exp(1j * np.arctan2(D[:, 1], D[:, 0]))
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+        order = np.lexsort((cols, rows))
+        self._pairs = tuple(np.concatenate([a, s * a])[order] for a, s in (
+            (z, 1), (eith, -1), (hankel1(0, z), 1), (hankel1(1, z), 1)))
+        self._indices = cols[order].astype(np.int32)
+        self._indptr = np.searchsorted(rows[order], np.arange(M + 1)) \
+            .astype(np.int32)
+        self.near_pairs = len(order)
+
+        # far pairs: the shifts between each centre and its box centre
+        self._shift = _graf_rows(centers - (origin + (cells + 0.5) * width),
+                                 k, P + p)
+        # the convolution grid: 2n - 1 points along each axis hold every box
+        # offset without wrap-around
+        self._pad = tuple(2 * shape - 1)
+        self._cell = cells[:, 0] * self._pad[1] + cells[:, 1]
+        off = np.stack(np.meshgrid(*[np.fft.fftfreq(n, 1 / n)
+                                     for n in self._pad], indexing="ij"),
+                       axis=-1).reshape(-1, 2)
+        far = np.abs(off).max(axis=1) > BOX_BUFFER
+        kern = np.zeros((off.shape[0], 4 * P + 1), dtype=complex)
+        zf = k * width * np.hypot(off[far, 0], off[far, 1]) + 0j
+        ef = np.exp(1j * np.arctan2(off[far, 1], off[far, 0]))
+        hq_prev, hq, pq = hankel1(0, zf), hankel1(1, zf), ef
+        kern[far, 2 * P] = hq_prev
+        for q in range(1, 2 * P + 1):
+            kern[far, 2 * P + q] = hq * pq
+            kern[far, 2 * P - q] = (-1) ** q * hq * np.conj(pq)
+            if q < 2 * P:
+                pq = pq * ef
+                hq_prev, hq = hq, (2.0 * q / zf) * hq - hq_prev
+        self._kernel = np.fft.fft2(kern.reshape(self._pad + (-1,)),
+                                   axes=(0, 1)).reshape(kern.shape)
 
     def apply_m2l(self, betas):
         """Incoming locals alpha[m, n] = sum_{j != m} sum_nu
         W_{nu-n}(m, j) betas[j, nu]; betas shaped (M, 2p+1)."""
-        p = self.p
-        width = 2 * p + 1
-        alphas = self._h0 @ betas
-        hq_prev, hq = self._h0, self._h1
-        pq = self.phase                         # phase^q
-        for q in range(1, 2 * p + 1):
-            # W_{+q} = H_q phase^q acts on nu = n + q, and
-            # W_{-q} = (-1)^q H_q conj(phase^q) on nu = n - q
-            alphas[:, :width - q] += (hq * pq) @ betas[:, q:]
-            alphas[:, q:] += ((-1) ** q * hq * np.conj(pq)) @ betas[:, :width - q]
-            if q < 2 * p:
-                pq = pq * self.phase
-                hq_prev, hq = hq, (2.0 * q / self.z) * hq - hq_prev
-        return alphas
+        if self.grid is None:
+            return _translate(betas, *self._pairs, np.matmul)
+        M, P = self.M, self.P
+        pattern = (self._indices, self._indptr)
+
+        def sparse(w, x):
+            return scipy.sparse.csr_matrix((w, *pattern), shape=(M, M)) @ x
+
+        alphas = _translate(betas, *self._pairs, sparse)
+        boxes = np.zeros((self._kernel.shape[0], 2 * P + 1), dtype=complex)
+        np.add.at(boxes, self._cell, _shift_up(self._shift, betas))
+        # m2l: L_l = sum_n B_n H_{n-l}(k |D|) e^{i (n-l) theta_D}, summed
+        # over far boxes, as a convolution per order pair; only the box
+        # offsets are transformed, never the orders
+        boxes = np.fft.fft2(boxes.reshape(self._pad + (-1,)), axes=(0, 1))
+        loc = np.einsum("fin,fn->fi",
+                        sliding_window_view(self._kernel, 2 * P + 1, axis=1),
+                        boxes.reshape(-1, 2 * P + 1))[:, ::-1]
+        loc = np.fft.ifft2(loc.reshape(self._pad + (-1,)), axes=(0, 1))
+        loc = loc.reshape(-1, 2 * P + 1)[self._cell]
+        return alphas + _shift_down(self._shift, loc)
 
 
 def rotation_phases(rotations, p):

@@ -29,8 +29,8 @@ from .coupling import (MultipoleToSommerfeldPlan, PlaneWaveTable,
                        SommerfeldGridPlan, multipole_to_sommerfeld_direct,
                        sommerfeld_to_local_direct, sommerfeld_to_local_nufft)
 from .layers import InterfaceSolver, eval_sommerfeld_field
-from .multiscat import (PairCoupling, apply_rotated, eval_multipole_field,
-                        rotation_phases)
+from .multiscat import (COUPLING_TOL, PairCoupling, apply_rotated,
+                        eval_multipole_field, rotation_phases)
 from .particle import discretize_boundary
 from .special import bessel_j, hankel1
 
@@ -41,8 +41,6 @@ __all__ = ["GmresConfig", "GmresError", "gmres", "SchurOperator",
 # ``auto`` couples through the plane-wave table (32 M N_S bytes) up to this
 # size and above it through the NUFFT plans: slower, but O(M + N_S) memory
 TABLE_BUDGET = 2 ** 28
-# tolerance of the NUFFT coupling plans
-COUPLING_TOL = 1e-13
 
 
 @dataclass
@@ -179,10 +177,14 @@ class SchurOperator:
         auto = use_nufft is None
         self.use_nufft = self.M > 0 and bool(
             table_bytes > TABLE_BUDGET if auto else use_nufft)
+        pair = self.pair
+        m2l = ("none" if pair is None else "dense" if pair.grid is None
+               else f"boxes {pair.grid[0]}x{pair.grid[1]} of width "
+               f"{pair.width:.3g}, P {pair.P}, {pair.near_pairs} near pairs")
         logging.getLogger("layerscatter").debug(
-            "coupling path %s (%s): plane-wave table %d bytes, budget %d",
-            "nufft" if self.use_nufft else "table",
-            "auto" if auto else "set", table_bytes, TABLE_BUDGET)
+            "coupling path %s (%s): plane-wave table %d bytes, budget %d; "
+            "M2L %s", "nufft" if self.use_nufft else "table",
+            "auto" if auto else "set", table_bytes, TABLE_BUDGET, m2l)
         self._table = None
         if self.use_nufft:
             self._grid_plan = SommerfeldGridPlan(

@@ -93,6 +93,24 @@ def test_eval_rejects_nonpositive_grid_counts(scene_file, tmp_path, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,grid,extent", [
+    ("grid", "a,5", "-5,5,-24,-8"),
+    ("extent", "5,4", "-5,5,x,-8")])
+def test_eval_rejects_non_numeric_values(scene_file, tmp_path, flag, grid,
+                                         extent):
+    """A --grid or --extent value that is not a number stops eval with one
+    line naming the flag, before the scene is built or anything is
+    written."""
+    out = tmp_path / "g.lsfg"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--scene", str(scene_file), f"--grid={grid}",
+              f"--extent={extent}", "--out", str(out)])
+    msg = str(exc.value.code)
+    assert f"--{flag}" in msg and "\n" not in msg
+    assert not list(scene_file.parent.glob("cache/*"))
+    assert not out.exists()
+
+
 def test_solve_reports_gmres_failure(scene_file, capsys):
     """A solve that GMRES cannot finish (maxiter = 1) exits with 1 and
     prints the failure and the residual history to stderr."""

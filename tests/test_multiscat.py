@@ -1,12 +1,19 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from layerscatter.multiscat import (ExpansionVector, PairCoupling,
-                                    eval_expansion, eval_multipole_field, m2l,
+from layerscatter import multiscat
+from layerscatter.multiscat import (BOX_BUFFER, ExpansionVector, PairCoupling,
+                                    _expansion_order, _graf_rows, _shift_down,
+                                    _shift_up, eval_expansion,
+                                    eval_multipole_field, m2l,
                                     point_source_local, solve_free_space)
 from layerscatter.particle import rotate_scattering_matrix
+from layerscatter.scene import place_particles
 from layerscatter.special import hankel1
 
 K = 3.0
@@ -60,6 +67,109 @@ def test_pair_coupling_matches_individual_m2l():
                                   center=tuple(centers[j]), k=K)
             ref += m2l(src, tuple(centers[m]), p).coeffs
         assert np.abs(got[m] - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def _circle(center, radius, n=12):
+    th = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    return np.asarray(center) + radius * np.stack([np.cos(th), np.sin(th)],
+                                                  -1)
+
+
+def test_graf_shift_up_to_box_centre():
+    """The H->H shift of an order-10 multipole at a corner of its unit box
+    to the box centre reproduces its field to 1e-12 at points as close to
+    the box centre as the centres of a far box come.  Order 50 resolves
+    this worst single shift; the box order P bounds the error of the whole
+    chain, which test_box_m2l_matches_dense checks."""
+    rng = np.random.default_rng(6)
+    p, P, width = 10, 50, 1.0
+    C = np.array([0.3, -0.2])
+    c = C + [0.49, -0.48]
+    src = _random_h_expansion(rng, p, tuple(c), decay=0.5)
+    up = _shift_up(_graf_rows((c - C)[None], K, P + p), src.coeffs[None])[0]
+    box = ExpansionVector(p=P, coeffs=up, kind="H", center=tuple(C), k=K)
+    pts = _circle(C, (BOX_BUFFER + 1 - np.sqrt(0.5)) * width)
+    ref = eval_expansion(src, pts)
+    assert np.abs(eval_expansion(box, pts) - ref).max() <= \
+        1e-12 * np.abs(ref).max()
+
+
+def test_graf_shift_down_from_box_centre():
+    """The J->J shift of the box order-P local expansion of a point source
+    about a unit box's centre, down to a centre at a corner of the box at
+    order 10, reproduces the box expansion to 1e-12 on the enclosing disk
+    about that centre."""
+    p, width = 10, 1.0
+    P = _expansion_order(K, width)
+    C = np.array([0.3, -0.2])
+    c = C + [-0.47, 0.5]
+    box = point_source_local(K, tuple(C + [2.9, 1.3]), tuple(C), P)
+    down = _shift_down(_graf_rows((c - C)[None], K, P + p),
+                       box.coeffs[None])[0]
+    loc = ExpansionVector(p=p, coeffs=down, kind="J", center=tuple(c), k=K)
+    pts = _circle(c, 0.176)
+    ref = eval_expansion(box, pts)
+    assert np.abs(eval_expansion(loc, pts) - ref).max() <= \
+        1e-12 * np.abs(ref).max()
+
+
+BAND600 = ((-28.0, 28.0, -3.0, -1.1), 0.165)
+EXAMPLE1 = ((-14.0, 14.0, -30.0, -2.0), 0.176)
+
+
+def _placed_centers(scene, M):
+    region, R = scene
+    return np.array([i.center for i in place_particles(region, M, R, 7)])
+
+
+@pytest.mark.parametrize("scene, M", [(BAND600, 600), (EXAMPLE1, 100),
+                                      (EXAMPLE1, 1000)])
+def test_box_m2l_matches_dense(monkeypatch, scene, M):
+    """The box M2L against the dense apply with random betas decaying as
+    e^{-|n|/2}, on band600's band and example1's region: 1e-10 in the max
+    norm relative to the dense output, order by order, with far pairs
+    present.  The max over all orders is set by the near pairs' order -p
+    outputs, which are about 1e20 times the order-0 ones; measured against
+    it, even P = 6 reads 1e-16."""
+    p = 10
+    centers = _placed_centers(scene, M)
+    rng = np.random.default_rng(M)
+    betas = (rng.standard_normal((M, 2 * p + 1))
+             + 1j * rng.standard_normal((M, 2 * p + 1))) \
+        * np.exp(-0.5 * np.abs(np.arange(-p, p + 1)))
+    monkeypatch.setattr(multiscat, "BOX_CROSSOVER", M + 1)
+    dense = PairCoupling(centers, K, p)
+    assert dense.grid is None
+    ref = dense.apply_m2l(betas)
+    monkeypatch.setattr(multiscat, "BOX_CROSSOVER", 0)
+    boxes = PairCoupling(centers, K, p)
+    assert boxes.grid is not None and boxes.near_pairs < M * (M - 1) / 2
+    err = np.abs(boxes.apply_m2l(betas) - ref).max(axis=0)
+    assert np.all(err <= 1e-10 * np.abs(ref).max(axis=0))
+
+
+def test_pair_coupling_dense_without_box_order(monkeypatch):
+    """With boxes many wavelengths wide (k = 200 on band600's band) no
+    expansion order reaches COUPLING_TOL, and PairCoupling keeps the dense
+    apply whatever the crossover."""
+    monkeypatch.setattr(multiscat, "BOX_CROSSOVER", 0)
+    assert PairCoupling(_placed_centers(BAND600, 600), 200.0, 10).grid is None
+
+
+def test_pair_coupling_memory_band600():
+    """On band600 (M = 600) the box PairCoupling retains at most 16 MB,
+    where the dense one held 56 M^2 bytes (20 MB)."""
+    centers = _placed_centers(BAND600, 600)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pair = PairCoupling(centers, K, 10)
+        retained = (tracemalloc.get_traced_memory()[0] - before) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert pair.grid is not None
+    assert retained <= 16.0
 
 
 def test_free_space_solve_small_system_dense_oracle(flower_smatrix):

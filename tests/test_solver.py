@@ -13,7 +13,7 @@ from layerscatter.multiscat import ParticleInstance, point_source_local, \
     solve_free_space, eval_multipole_field
 from layerscatter.particle import scattering_matrix_disk
 from layerscatter.scene import load_scene, solve_scene
-from layerscatter import solver as solver_mod
+from layerscatter import multiscat as multiscat_mod, solver as solver_mod
 from layerscatter.solver import (GmresConfig, GmresError, SchurOperator,
                                  eval_total_field, gmres, solve_layered_scene)
 
@@ -313,6 +313,31 @@ def test_nufft_path_agrees_on_band600(tmp_path, monkeypatch):
     assert np.abs(u_d - u_n).max() <= 1e-8 * np.abs(u_d).max()
 
 
+def test_box_m2l_solve_agrees_on_band600(tmp_path, monkeypatch):
+    """band600 at M = 190 solved with the box M2L (forced below
+    BOX_CROSSOVER) and with the dense one, GMRES tol 1e-10: the betas, and
+    the field at 60 points in all three layers, agree to 1e-9."""
+    monkeypatch.setenv("LAYERSCATTER_CACHE_DIR", str(tmp_path))
+    cfg = replace(load_scene(BAND600), M=190, tol=1e-10)
+    sols = []
+    for crossover in (cfg.M + 1, 0):
+        monkeypatch.setattr(multiscat_mod, "BOX_CROSSOVER", crossover)
+        sols.append(solve_scene(cfg)[1])
+    sol_d, sol_b = sols
+    assert sol_d.operator.pair.grid is None
+    assert sol_b.operator.pair.grid is not None
+    assert np.abs(sol_d.betas - sol_b.betas).max() <= \
+        1e-9 * np.abs(sol_d.betas).max()
+    rng = np.random.default_rng(1)
+    y = np.concatenate([rng.uniform(0.0, 2.0, 20),
+                        rng.uniform(-cfg.d, 0.0, 20),
+                        rng.uniform(-cfg.d - 2.0, -cfg.d, 20)])
+    pts = np.stack([rng.uniform(cfg.region_x0, cfg.region_x1, 60), y], -1)
+    u_d = eval_total_field(sol_d, pts)
+    u_b = eval_total_field(sol_b, pts)
+    assert np.abs(u_d - u_b).max() <= 1e-9 * np.abs(u_d).max()
+
+
 def test_solve_releases_plane_wave_table(contour131, layers131,
                                          flower_smatrix):
     """A solve builds the plane-wave table and drops it before returning:
@@ -352,6 +377,24 @@ def test_auto_path_by_table_budget(contour131, layers131, flower_smatrix,
         assert not _operator(contour131, layers131, smat,
                              use_nufft=False).use_nufft
     assert [r.getMessage() for r in caplog.records] == [
-        f"coupling path table (auto): {table}, budget {2 ** 28}",
-        f"coupling path nufft (auto): {table}, budget 1024",
-        f"coupling path table (set): {table}, budget 1024"]
+        f"coupling path table (auto): {table}, budget {2 ** 28}; M2L dense",
+        f"coupling path nufft (auto): {table}, budget 1024; M2L dense",
+        f"coupling path table (set): {table}, budget 1024; M2L dense"]
+
+
+def test_m2l_form_logged(contour131, layers131, flower_smatrix, monkeypatch,
+                         caplog):
+    """The operator's debug line names the M2L form: dense below
+    BOX_CROSSOVER, else the box grid, its width, the order P and the number
+    of near pairs."""
+    smat, _ = flower_smatrix
+    cents = [(-12.0 + 0.5 * i, -16.0 + 0.3 * (i % 2)) for i in range(48)]
+    monkeypatch.setattr(multiscat_mod, "BOX_CROSSOVER", 10)
+    with caplog.at_level(logging.DEBUG, logger="layerscatter"):
+        op = _operator(contour131, layers131, smat, rots=[0.3] * 48,
+                       cents=cents)
+    pair = op.pair
+    assert pair.grid is not None and pair.near_pairs < 48 * 47
+    assert caplog.records[-1].getMessage().endswith(
+        f"; M2L boxes {pair.grid[0]}x{pair.grid[1]} of width "
+        f"{pair.width:.3g}, P {pair.P}, {pair.near_pairs} near pairs")

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .layers import gamma
+from .multiscat import _graf_rows, _shift_up
 from .nufft import Nufft3Plan
 from .special import bessel_j, bessel_j_prime
 
@@ -317,16 +318,17 @@ def sommerfeld_to_local_nufft(plan, values):
 
 
 # ---------------------------------------------------------------------------
-# NUFFT-accelerated B block: vertical M2M snapping + per-row type-3 NUFFTs
+# NUFFT-accelerated B block: vertical H->H snapping + per-row type-3 NUFFTs
 # ---------------------------------------------------------------------------
 
 class MultipoleToSommerfeldPlan:
     """Precomputed B-block application.
 
-    Expansion centers are shifted vertically (M2M) to the nearest of a set
-    of rows spaced at most 0.2/|k2| apart, so the y-dependent evanescent
-    factor is shared within each row; the x-sums then become Fourier sums
-    evaluated by one batched type-3 NUFFT per row and tail segment, each a
+    Expansion centers are shifted vertically to the nearest of a set of
+    rows spaced at most 0.2/|k2| apart by the box M2L's H->H shift
+    (``_graf_rows``, ``_shift_up``), so the y-dependent evanescent factor is
+    shared within each row; the x-sums then become Fourier sums evaluated
+    by one batched type-3 NUFFT per row and tail segment, each a
     restriction of one plan per tail over all centers.  The horizontal
     coordinates need no snapping (the NUFFT accepts them exactly), and the
     20-node vertical segment is summed directly.
@@ -335,14 +337,13 @@ class MultipoleToSommerfeldPlan:
     small.  Its relative error against ``multipole_to_sommerfeld_direct``
     is 1e-10 for betas = S applied to locals, but for betas decaying as
     e^{-|n|/2} 2.2e-3 on example1 at M=100, 5.6e-4 at M=1000 and 0.20 on
-    band600.  The likely cause: the vertical shift is truncated at order p
-    (zeroing orders +-p cuts the example1 error to 1.5e-4).  ``path=nufft``
-    and ``auto`` above TABLE_BUDGET rely on GMRES vectors being physical,
-    and in a solve they are: every vector GMRES passes to B lies in the
-    range of S, since the right-hand side is S a and each apply returns
-    v - S(.).  Full solves (GMRES tol 1e-10, seed 0) agree with the table
-    path to 6.6e-11 in the betas and 3.1e-11 in the field at the 2,500
-    band600-probe points (M=600), and to 7.5e-11 and 9.1e-12 on the
+    band600, because the shift keeps output orders up to p only.
+    ``path=nufft`` and ``auto`` above TABLE_BUDGET rely on GMRES vectors
+    being physical, and in a solve they are: every vector GMRES passes to B
+    lies in the range of S, since the right-hand side is S a and each apply
+    returns v - S(.).  Full solves (GMRES tol 1e-10, seed 0) agree with the
+    table path to 6.6e-11 in the betas and 3.1e-11 in the field at the
+    2,500 band600-probe points (M=600), and to 7.5e-11 and 9.1e-12 on the
     m100-grid grid (example1, M=100).
     """
 
@@ -361,13 +362,10 @@ class MultipoleToSommerfeldPlan:
         occupied = np.unique(self.row_of)
         self.occupied = occupied
 
-        # per-instance vertical M2M matrices (exact translations); a zero
-        # shift gives the identity, as J_q(0) = delta_q0
-        ns = np.arange(-p, p + 1)
-        q = np.subtract.outer(-ns, -ns)          # q[i, j] = nu_j - n_i
-        shifts = (self.rows_y[self.row_of] - centers[:, 1])[:, None, None]
-        self._m2m = (bessel_j(q, layers.k2 * np.abs(shifts) + 0j)
-                     * np.exp(0.5j * np.pi * q * np.sign(shifts)))
+        # the H->H shift of each centre c to (x_c, y_row), kept at order p
+        self._snap = _graf_rows(
+            centers - np.c_[centers[:, 0], self.rows_y[self.row_of]],
+            layers.k2, 2 * p)
 
         lam = contour.nodes
         self.g2 = gamma(lam, layers.k2)
@@ -394,7 +392,7 @@ class MultipoleToSommerfeldPlan:
 
     def apply(self, betas):
         betas = np.asarray(betas, dtype=complex)
-        snapped = np.einsum("mln,mn->ml", self._m2m, betas)
+        snapped = _shift_up(self._snap, betas)
         n_nodes = self.contour.nodes.size
         sp = np.zeros(n_nodes, dtype=complex)
         sm = np.zeros(n_nodes, dtype=complex)

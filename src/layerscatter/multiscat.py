@@ -80,16 +80,10 @@ def m2l(source, target_center, p):
 
 def point_source_local(k, source_point, center, p):
     """Local expansion of the free-space Green's function (i/4) H_0(k |x -
-    x0|) about ``center``: a_n = (i/4) H_n(k rho) e^{-i n theta0} with
-    (rho, theta0) the polar coordinates of x0 about the center."""
-    dx = source_point[0] - center[0]
-    dy = source_point[1] - center[1]
-    rho = np.hypot(dx, dy)
-    th0 = np.arctan2(dy, dx)
-    n = np.arange(-p, p + 1)
-    coeffs = 0.25j * hankel1(n, k * rho + 0j) * np.exp(-1j * n * th0)
-    return ExpansionVector(p=p, coeffs=coeffs, kind="J",
-                           center=tuple(center), k=k)
+    x0|) about ``center``: the m2l of the order-0 multipole i/4 at x0."""
+    source = ExpansionVector(p=0, coeffs=np.array([0.25j]), kind="H",
+                             center=tuple(source_point), k=k)
+    return m2l(source, center, p)
 
 
 def eval_expansion(exp, points):
@@ -106,23 +100,34 @@ def eval_expansion(exp, points):
     return out[0] if np.asarray(points).ndim == 1 else out
 
 
-def _translate(betas, z, eith, h0, h1, matmul):
-    """sum_q W_q betas, W_q = H_q(z) eith^q acting on orders nu = n + q,
-    with H_q from H_0 and H_1 by the three-term recurrence (upward, stable
-    for H) and W_{-q} = (-1)^q H_q conj(eith^q).  ``matmul(w, x)`` multiplies
-    the kernel values ``w`` of one order, shaped like ``z``, with ``x``."""
-    width = betas.shape[1]
-    p = (width - 1) // 2
-    alphas = matmul(h0, betas)
-    hq_prev, hq = h0, h1
-    pq = eith                                   # eith^q
-    for q in range(1, 2 * p + 1):
-        alphas[:, :width - q] += matmul(hq * pq, betas[:, q:])
-        alphas[:, q:] += matmul((-1) ** q * hq * np.conj(pq),
-                                betas[:, :width - q])
-        if q < 2 * p:
-            pq = pq * eith
+def _polar_hankel(dx, dy, r, k):
+    """(k r, e^{i theta}, H_0(k r), H_1(k r)) of displacements (dx, dy) of
+    length r: the start of ``_hankel_terms``."""
+    z = k * r
+    return z, (dx + 1j * dy) / r, hankel1(0, z), hankel1(1, z)
+
+
+def _hankel_terms(z, eith, h0, h1, order):
+    """(q, W_q, W_{-q}) for q = 1..order, each a new array: W_q = H_q(z)
+    eith^q, H_q by the upward three-term recurrence (stable for H) from H_0
+    and H_1, and W_{-q} = (-1)^q H_q conj(eith^q) = H_q (-conj(eith))^q."""
+    hq_prev, hq, pq = h0, h1, eith              # pq = eith^q
+    mq = m1 = -np.conj(eith)                    # mq = (-conj(eith))^q
+    for q in range(1, order + 1):
+        yield q, hq * pq, hq * mq
+        if q < order:
+            pq, mq = pq * eith, mq * m1
             hq_prev, hq = hq, (2.0 * q / z) * hq - hq_prev
+
+
+def _translate(betas, z, eith, h0, h1, matmul):
+    """sum_q W_q betas, W_q from ``_hankel_terms`` acting on orders
+    nu = n + q; ``matmul(w, x)`` multiplies one order's kernel with ``x``."""
+    width = betas.shape[1]
+    alphas = matmul(h0, betas)
+    for q, wq, wmq in _hankel_terms(z, eith, h0, h1, width - 1):
+        alphas[:, :width - q] += matmul(wq, betas[:, q:])
+        alphas[:, q:] += matmul(wmq, betas[:, :width - q])
     return alphas
 
 
@@ -237,16 +242,13 @@ class PairCoupling:
         self.grid = self.width = self.P = None
         plan = _box_plan(centers, k, p) if M >= BOX_CROSSOVER else None
         if plan is None:
-            dx = centers[:, 0][:, None] - centers[:, 0][None, :]
-            dy = centers[:, 1][:, None] - centers[:, 1][None, :]
+            dx, dy = centers.T[:, :, None] - centers.T[:, None, :]
             dist = np.hypot(dx, dy)
-            np.fill_diagonal(dist, 1.0)
-            z = k * dist                        # kernel argument (diag dummy)
-            # a zero diagonal in H_0 and H_1 stays zero through the recurrence
-            offdiag = ~np.eye(M, dtype=bool)
-            # theta of D = target - source; row = target, column = source
-            self._pairs = (z, np.exp(1j * np.arctan2(dy, dx)),
-                          hankel1(0, z) * offdiag, hankel1(1, z) * offdiag)
+            np.fill_diagonal(dist, 1.0)         # kernel argument (diag dummy)
+            # D = target - source; row = target, column = source
+            self._pairs = _polar_hankel(dx, dy, dist, k)
+            # e^{i theta} is 0 on the diagonal, so only W_0 = H_0 needs a zero
+            np.fill_diagonal(self._pairs[2], 0.0)
             self.near_pairs = M * (M - 1)
             return
         self.width, self.P = width, P = plan
@@ -261,13 +263,12 @@ class PairCoupling:
         # the opposite direction
         i, j = cKDTree(cells).query_pairs(BOX_BUFFER, p=np.inf,
                                           output_type="ndarray").T
-        D = centers[i] - centers[j]
-        z = k * np.hypot(D[:, 0], D[:, 1])
-        eith = np.exp(1j * np.arctan2(D[:, 1], D[:, 0]))
+        dx, dy = (centers[i] - centers[j]).T
+        pairs = _polar_hankel(dx, dy, np.hypot(dx, dy), k)
         rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
         order = np.lexsort((cols, rows))
-        self._pairs = tuple(np.concatenate([a, s * a])[order] for a, s in (
-            (z, 1), (eith, -1), (hankel1(0, z), 1), (hankel1(1, z), 1)))
+        self._pairs = tuple(np.concatenate([a, s * a])[order]
+                            for a, s in zip(pairs, (1, -1, 1, 1)))
         self._indices = cols[order].astype(np.int32)
         self._indptr = np.searchsorted(rows[order], np.arange(M + 1)) \
             .astype(np.int32)
@@ -285,16 +286,12 @@ class PairCoupling:
                        axis=-1).reshape(-1, 2)
         far = np.abs(off).max(axis=1) > BOX_BUFFER
         kern = np.zeros((off.shape[0], 4 * P + 1), dtype=complex)
-        zf = k * width * np.hypot(off[far, 0], off[far, 1]) + 0j
-        ef = np.exp(1j * np.arctan2(off[far, 1], off[far, 0]))
-        hq_prev, hq, pq = hankel1(0, zf), hankel1(1, zf), ef
-        kern[far, 2 * P] = hq_prev
-        for q in range(1, 2 * P + 1):
-            kern[far, 2 * P + q] = hq * pq
-            kern[far, 2 * P - q] = (-1) ** q * hq * np.conj(pq)
-            if q < 2 * P:
-                pq = pq * ef
-                hq_prev, hq = hq, (2.0 * q / zf) * hq - hq_prev
+        dx, dy = width * off[far].T
+        z, eith, h0, h1 = _polar_hankel(dx, dy, np.hypot(dx, dy), k)
+        kern[far, 2 * P] = h0
+        for q, wq, wmq in _hankel_terms(z, eith, h0, h1, 2 * P):
+            kern[far, 2 * P + q] = wq
+            kern[far, 2 * P - q] = wmq
         self._kernel = np.fft.fft2(kern.reshape(self._pad + (-1,)),
                                    axes=(0, 1)).reshape(kern.shape)
 
@@ -373,23 +370,14 @@ def eval_multipole_field(betas, centers, R, k2, points):
     p = (betas.shape[1] - 1) // 2
     out = np.zeros(pts.shape[0], dtype=complex)
     for c, b in zip(centers, betas):
-        dx = pts[:, 0] - c[0]
-        dy = pts[:, 1] - c[1]
+        dx, dy = pts.T - np.reshape(c, (2, 1))
         r = np.hypot(dx, dy)
         if np.any(r < R):
             raise ValueError("point inside an enclosing disk; use the "
                              "solver's interior reconstruction")
-        z = k2 * r + 0j
-        eith = (dx + 1j * dy) / r               # e^{i theta}
-        # orders +-n together: H_{-n} = (-1)^n H_n, e^{-i n theta} =
-        # conj(e^{i n theta}); H_n by upward recurrence (stable for H)
-        h_prev, h = hankel1(0, z), hankel1(1, z)
-        acc = b[p] * h_prev
-        ein = eith
-        for n in range(1, p + 1):
-            acc += h * (b[p + n] * ein + (-1) ** n * b[p - n] * np.conj(ein))
-            if n < p:
-                h_prev, h = h, (2.0 * n / z) * h - h_prev
-                ein = ein * eith
-        out += acc
+        z, eith, h0, h1 = _polar_hankel(dx, dy, r, k2)
+        out += b[p] * h0
+        for n, wn, wmn in _hankel_terms(z, eith, h0, h1, p):
+            out += np.multiply(wn, b[p + n], out=wn)
+            out += np.multiply(wmn, b[p - n], out=wmn)
     return out[0] if np.asarray(points).ndim == 1 else out

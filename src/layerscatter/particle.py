@@ -37,6 +37,8 @@ class ShapeParams:
             raise ValueError("a3 must be a nonnegative integer")
         if self.N < 64:
             raise ValueError("need N >= 64 boundary points")
+        if self.kp == 0:
+            raise ValueError("need kp != 0 inside the inclusion")
 
 
 @dataclass

@@ -72,8 +72,10 @@ class SceneConfig:
                 setattr(self, f.name, f.type(getattr(self, f.name)))
         if self.path not in ("auto", "direct", "nufft"):
             raise ValueError(f"path must be auto|direct|nufft, got {self.path!r}")
-        if self.M < 0:
-            raise ValueError(f"M must be nonnegative, got {self.M}")
+        for name in ("M", "seed", "p"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, "
+                                 f"got {getattr(self, name)}")
         if self.region_x1 <= self.region_x0:
             raise ValueError("placement region has nonpositive width "
                              f"({self.region_x0} .. {self.region_x1})")

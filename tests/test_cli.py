@@ -165,7 +165,8 @@ def test_tol_override(scene_file, tmp_path, capsys):
     (SMALL_SCENE, ["--tol", "0"]),
     (SMALL_SCENE + "restart = 0\n", []),
     (SMALL_SCENE.replace("k2 = 3.0\n", ""), []),
-    (None, [])])
+    (None, []),
+    (SMALL_SCENE, ["--seed", "-1"])])
 def test_invalid_scene_exits_with_message(scene_file, scene, extra):
     """A missing scene file, or a scene or override that fails validation,
     stops the CLI before any precompute with a one-line message instead of

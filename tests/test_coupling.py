@@ -212,9 +212,10 @@ def _b_plan_retained_mb(contour, layers, centers):
 
 
 def test_b_plan_memory_band600():
-    """The B plan shares one type-3 plan per tail among its snap rows: on a
-    600-inclusion thin band (N_S = 5052) it retains at most 32 MB, where
-    one full plan per row retained 97 MB."""
+    """The B plan shares one type-3 plan per tail among its snap rows and
+    keeps each snap as one Graf row: on a 600-inclusion thin band
+    (N_S = 5052) it retains 7.5 MB, at most 10 MB, where one full plan per
+    row retained 97 MB and a (2p+1)^2 shift matrix per centre 11.1 MB."""
     layers = LayerStack(k1=1.0, k2=3.0, k3=1.5, d=8.0, source=(0.0, 1.0))
     contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
                                      max_horiz=56.0)
@@ -223,13 +224,15 @@ def test_b_plan_memory_band600():
     plan, retained = _b_plan_retained_mb(contour, layers,
                                          [i.center for i in insts])
     assert plan.occupied.size > 1
-    assert retained <= 32.0
+    assert retained <= 10.0
 
 
 def test_b_plan_memory_example1_m1000(layers131, flower_smatrix):
-    """The B plan keeps no per-row copies of the evanescent factors: with
-    example1's contour and 1000 inclusions (390 snap rows) it retains at
-    most 16 MB, where two N_S-long rows per snap row retained 43.5 MB."""
+    """The B plan keeps no per-row copies of the evanescent factors and
+    one Graf row per centre for its snap: with example1's contour and 1000
+    inclusions (390 snap rows) it retains 7.0 MB, at most 10 MB, where two
+    N_S-long rows per snap row retained 43.5 MB and a (2p+1)^2 shift
+    matrix per centre 13.1 MB."""
     S, _ = flower_smatrix
     contour = build_contour_adaptive(layers131, min_vertical_sep=1.0,
                                      max_horiz=28.0)
@@ -238,7 +241,7 @@ def test_b_plan_memory_example1_m1000(layers131, flower_smatrix):
     plan, retained = _b_plan_retained_mb(contour, layers131,
                                          [i.center for i in insts])
     assert plan.occupied.size > 300
-    assert retained <= 16.0
+    assert retained <= 10.0
 
 
 def test_spectral_update_zero_betas(contour131, layers131, scattered_centers):

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import layerscatter
@@ -40,3 +42,14 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
               if tracing._resolve(module, path) is None]
     assert not absent
     assert len(tracing.TARGETS) >= 21
+
+
+def test_import_leaves_out_scipy_spatial():
+    """Importing the package does not load ``scipy.spatial``: it adds about
+    4 MB to a process's resident memory and only the box M2L needs it."""
+    src = Path(layerscatter.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, layerscatter; "
+         "print('scipy.spatial' in sys.modules)"],
+        cwd=src, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

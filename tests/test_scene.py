@@ -74,10 +74,12 @@ def test_unknown_key_rejected(tmp_path):
 @pytest.mark.parametrize("line, match", [
     ("restart = 0", "at least 1"), ("maxiter = 0", "at least 1"),
     ("tol = 0", "positive"), ("tol = -1", "positive"),
-    ("a2 = 0.2", "a1 > a2")])
+    ("a2 = 0.2", "a1 > a2"), ("p = -1", "p must be nonnegative"),
+    ("seed = -1", "seed must be nonnegative"), ("kp = 0", "kp != 0")])
 def test_bad_solver_or_shape_setting_rejected_at_load(tmp_path, line, match):
-    """Settings that GMRES or the shape would reject after the precompute
-    are rejected when the scene is loaded."""
+    """Settings that GMRES, the shape, the placement or the scattering
+    matrix would reject after the precompute, or in it, are rejected when
+    the scene is loaded."""
     p = tmp_path / "bad.scene"
     p.write_text((SCENES / "example1.scene").read_text() + f"\n{line}\n")
     with pytest.raises(ValueError, match=match):

@@ -8,6 +8,7 @@ value of the spectral parameter decouples into a 4x4 interface system.
 """
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from .quadrature import gauss_legendre
 
 __all__ = ["LayerStack", "SommerfeldContour", "SpectralDensities", "gamma",
            "build_contour_adaptive", "interface_matrix", "incident_rhs",
-           "InterfaceSolver", "eval_sommerfeld_field",
+           "InterfaceSolver", "eval_sommerfeld_field", "layered_sum_paths",
            "sommerfeld_point_source"]
 
 MIN_BRANCH_DISTANCE = 0.05
@@ -255,21 +256,59 @@ def _vertical_rows(weights, terms, y, want_gradient):
     ``fold`` -- and, with ``want_gradient``, its y-derivative."""
     vert = np.zeros((y.size, weights.size), dtype=complex)
     dvert = np.zeros_like(vert) if want_gradient else None
+    e = np.empty_like(vert)
     for c, a, yref, fold in terms:
         s = np.sign(y - yref) if fold else np.ones_like(y)
-        e = np.exp(np.multiply.outer(s * (y - yref), a)) * (weights * c)
+        np.multiply.outer(s * (y - yref), a, out=e)
+        np.exp(e, out=e)
+        e *= weights * c
         vert += e
         if want_gradient:
-            dvert += e * a * s[:, None]
+            e *= a
+            e *= s[:, None]
+            dvert += e
     return vert, dvert
 
 
-def _spectral_sum(contour, dx, y, terms, want_gradient):
-    """Contour quadrature of sum_j w_j / (4 pi) e^{i lam_j dx} V_j(y) at
-    points with offsets ``dx`` from the source and heights ``y``, V given
-    as terms (see _vertical_rows); returns the values and the (n, 2)
-    gradients, or None without ``want_gradient``.  Points go in chunks of
-    CHUNK_ELEMENTS // N_S; in each, the phase is computed once per distinct
+def _grid_axes(dx, y):
+    """(xu, ix, yu, iy), ``np.unique`` of dx and of y with their inverses,
+    if the points fill at least half of the tensor grid xu x yu; else
+    None."""
+    xu, ix = np.unique(dx, return_inverse=True)
+    yu, iy = np.unique(y, return_inverse=True)
+    return (xu, ix, yu, iy) if xu.size * yu.size <= 2 * dx.size else None
+
+
+def _tensor_sum(contour, xu, ix, yu, iy, terms, want_gradient):
+    """The spectral sum on the grid xu x yu, one block at a time as the
+    product phase(x-block) @ vert(y-block).T, and the gradient as the same
+    product with i lam phase and with dvert; point i reads its values at
+    (ix[i], iy[i]).  Each block has at most CHUNK_ELEMENTS // N_S (and at
+    most sqrt(CHUNK_ELEMENTS)) rows on either axis."""
+    lam = contour.nodes
+    w = contour.weights / (4 * np.pi)
+    step = max(1, min(CHUNK_ELEMENTS // lam.size, isqrt(CHUNK_ELEMENTS)))
+    table = np.empty((3 if want_gradient else 1, xu.size, yu.size),
+                     dtype=complex)
+    for ylo in range(0, yu.size, step):
+        ys = slice(ylo, ylo + step)
+        vert, dvert = _vertical_rows(w, terms, yu[ys], want_gradient)
+        for xlo in range(0, xu.size, step):
+            xs = slice(xlo, xlo + step)
+            phase = np.multiply.outer(xu[xs], 1j * lam)
+            np.exp(phase, out=phase)
+            table[0, xs, ys] = phase @ vert.T
+            if want_gradient:
+                table[2, xs, ys] = phase @ dvert.T
+                phase *= 1j * lam
+                table[1, xs, ys] = phase @ vert.T
+    out = table[:, ix, iy]
+    return out[0], (out[1:].T if want_gradient else None)
+
+
+def _row_dots(contour, dx, y, terms, want_gradient):
+    """The spectral sum at scattered points: in chunks of
+    CHUNK_ELEMENTS // N_S points, the phase is computed once per distinct
     dx and V once per distinct y, and the gathered rows are dotted."""
     lam = contour.nodes
     w = contour.weights / (4 * np.pi)
@@ -290,6 +329,34 @@ def _spectral_sum(contour, dx, y, terms, want_gradient):
     return val, grad
 
 
+def _spectral_sum(contour, dx, y, terms, want_gradient):
+    """Contour quadrature of sum_j w_j / (4 pi) e^{i lam_j dx} V_j(y) at
+    points with offsets ``dx`` from the source and heights ``y``, V given
+    as terms (see _vertical_rows); returns the values and the (n, 2)
+    gradients, or None without ``want_gradient``.  Grid-like points (see
+    ``_grid_axes``) take ``_tensor_sum``, scattered ones ``_row_dots``."""
+    axes = _grid_axes(dx, y)
+    if axes is None:
+        return _row_dots(contour, dx, y, terms, want_gradient)
+    return _tensor_sum(contour, *axes, terms, want_gradient)
+
+
+def _layer_masks(layers, y):
+    """Masks of the heights in the top (y >= 0), middle and bottom
+    (y < -d) layers."""
+    top, bot = y >= 0, y < -layers.d
+    return top, ~(top | bot), bot
+
+
+def layered_sum_paths(layers, points):
+    """Per layer (top, middle, bottom), the form ``eval_sommerfeld_field``
+    takes at the (n, 2) ``points``: "tensor", "rows", or "none"."""
+    x, y = points[:, 0] - layers.source[0], points[:, 1]
+    return tuple("none" if not sel.any()
+                 else "rows" if _grid_axes(x[sel], y[sel]) is None
+                 else "tensor" for sel in _layer_masks(layers, y))
+
+
 def eval_sommerfeld_field(densities, contour, layers, points, *,
                           want_gradient=False):
     """The layered field at one point or an (n, 2) array of points, each
@@ -298,8 +365,9 @@ def eval_sommerfeld_field(densities, contour, layers, points, *,
     and both interface fields in the middle layer in between.
 
     One contour sum per layer, with the layer's vertical factors added
-    before the x-phase is applied.  Gradients differentiate the integrand
-    analytically.
+    before the x-phase is applied: a matrix product over the distinct x and
+    y for grid-like points, row dots for scattered ones (``_spectral_sum``).
+    Gradients differentiate the integrand analytically.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = pts[:, 0], pts[:, 1]
@@ -307,15 +375,14 @@ def eval_sommerfeld_field(densities, contour, layers, points, *,
     s1, sp, sm, s3 = densities.values.T
     x0, y0 = layers.source
     d = layers.d
-    top, bot = y >= 0, y < -d
-    mid = ~(top | bot)
+    top, mid, bot = _layer_masks(layers, y)
     by_layer = (
         (top, [(s1 / g1, -g1, 0.0, False), (1 / g1, -g1, y0, True)]),
         (mid, [(sp / g2, g2, 0.0, False), (sm / g2, -g2, -d, False)]),
         (bot, [(s3 / g3, g3, -d, False)]),
     )
     val = np.empty(len(pts), dtype=complex)
-    grad = np.empty((len(pts), 2), dtype=complex)
+    grad = np.empty((len(pts), 2), dtype=complex) if want_gradient else None
     for sel, terms in by_layer:
         if sel.any():
             val[sel], g = _spectral_sum(contour, x[sel] - x0, y[sel],

@@ -11,7 +11,7 @@ import scipy.sparse
 import scipy.special as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .special import MAX_ORDER, bessel_j, hankel1
+from .special import MAX_ORDER, bessel_j, hankel1, hankel1_01
 
 __all__ = ["ExpansionVector", "ParticleInstance", "m2l", "point_source_local",
            "eval_expansion", "PairCoupling", "rotation_phases",
@@ -102,9 +102,11 @@ def eval_expansion(exp, points):
 
 def _polar_hankel(dx, dy, r, k):
     """(k r, e^{i theta}, H_0(k r), H_1(k r)) of displacements (dx, dy) of
-    length r: the start of ``_hankel_terms``."""
+    length r: the start of ``_hankel_terms``, for the multipole sum, the
+    dense and near-pair M2L and the far box kernel.  H_0 and H_1 come from
+    ``hankel1_01``: the real-argument routines for real k."""
     z = k * r
-    return z, (dx + 1j * dy) / r, hankel1(0, z), hankel1(1, z)
+    return (z, (dx + 1j * dy) / r) + hankel1_01(z)
 
 
 def _hankel_terms(z, eith, h0, h1, order):

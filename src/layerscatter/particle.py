@@ -12,7 +12,8 @@ import scipy.linalg
 
 from . import _logquad16
 from .quadrature import trig_interp_matrix
-from .special import bessel_j, bessel_j_prime, hankel1, hankel1_prime
+from .special import (bessel_j, bessel_j_prime, hankel1, hankel1_01,
+                      hankel1_prime)
 
 __all__ = ["ShapeParams", "BoundaryDiscretization", "ScatteringMatrix",
            "PrecomputedDensities", "shape_curve", "discretize_boundary",
@@ -123,8 +124,8 @@ def _difference_kernels(xt, nt, ys, ns, k2, kp, active=None):
     rs = np.where(active, r, 1.0)
     if np.any(rs <= 0):
         raise ValueError("coincident target/source point in active kernel set")
-    h0a, h1a = hankel1(0, k2 * rs), hankel1(1, k2 * rs)
-    h0b, h1b = hankel1(0, kp * rs), hankel1(1, kp * rs)
+    h0a, h1a = hankel1_01(k2 * rs)
+    h0b, h1b = hankel1_01(kp * rs)
     dh1 = k2 * h1a - kp * h1b               # difference of k H1(k r)
     dh0w = k2 ** 2 * h0a - kp ** 2 * h0b    # difference of k^2 H0(k r)
     dnx = (d * nt).sum(-1)

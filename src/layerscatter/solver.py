@@ -28,11 +28,12 @@ import numpy as np
 from .coupling import (MultipoleToSommerfeldPlan, PlaneWaveTable,
                        SommerfeldGridPlan, multipole_to_sommerfeld_direct,
                        sommerfeld_to_local_direct, sommerfeld_to_local_nufft)
-from .layers import InterfaceSolver, eval_sommerfeld_field
+from .layers import (InterfaceSolver, eval_sommerfeld_field,
+                     layered_sum_paths)
 from .multiscat import (COUPLING_TOL, PairCoupling, apply_rotated,
                         eval_multipole_field, rotation_phases)
 from .particle import discretize_boundary
-from .special import bessel_j, hankel1
+from .special import bessel_j, hankel1_01
 
 __all__ = ["GmresConfig", "GmresError", "gmres", "SchurOperator",
            "Solution", "solve_layered_scene",
@@ -302,9 +303,9 @@ def _layer_potentials(k, nodes, normals, wts, sigma, mu, targets):
         dy = targets[blk, 1][:, None] - nodes[:, 1]
         r = np.hypot(dx, dy)
         cosn = (dx * normals[:, 0] + dy * normals[:, 1]) / r
-        kr = k[blk, None] * r
-        out[blk] = 0.25j * (hankel1(0, kr) @ w_single + k[blk, None]
-                            * ((hankel1(1, kr) * cosn) @ w_double))
+        h0, h1 = hankel1_01(k[blk, None] * r)
+        out[blk] = 0.25j * (h0 @ w_single
+                            + k[blk, None] * ((h1 * cosn) @ w_double))
     return out
 
 
@@ -363,6 +364,13 @@ def eval_total_field(solution, points):
         d = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
         owner[mid & (d < op.R) & (owner < 0)] = j
     disk, free = owner >= 0, mid & (owner < 0)
+    log = logging.getLogger("layerscatter")
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("field at %d top, %d bottom, %d free middle and %d in-disk "
+                  "points; layered sums: top %s, middle %s, bottom %s",
+                  np.sum(pts[:, 1] >= 0), np.sum(pts[:, 1] < -layers.d),
+                  free.sum(), disk.sum(),
+                  *layered_sum_paths(layers, pts[~disk]))
     if not np.all(disk):
         out[~disk] = eval_sommerfeld_field(solution.densities, op.contour,
                                            layers, pts[~disk])

@@ -9,7 +9,7 @@ from layerscatter.coupling import SpectralUpdate
 from layerscatter.layers import (InterfaceSolver, LayerStack,
                                  build_contour_adaptive, eval_sommerfeld_field,
                                  gamma, incident_rhs, interface_matrix,
-                                 sommerfeld_point_source)
+                                 layered_sum_paths, sommerfeld_point_source)
 from layerscatter.scene import load_scene
 from layerscatter.special import hankel1
 
@@ -130,36 +130,52 @@ def test_field_gradient_matches_differences(layers131, contour131):
 
 
 def test_chunked_field_matches_pointwise(layers131, contour131, monkeypatch):
-    """The chunked, factorised spectral sum agrees with one-point-at-a-time
-    evaluation: a grid with repeated x and y plus scattered points in all
-    three layers (top-layer points above and below the source height), with
-    chunks of 7 points so that chunk boundaries and partial chunks occur."""
+    """The tensor-product layered sum agrees with the row dots called
+    directly, point by point, in values and gradients to 1e-13 in all three
+    layers: a grid of 15 x values and 9 heights per layer (top-layer
+    heights above and below the source height) plus 3 scattered points per
+    layer, permuted, with blocks of 7 rows so that blocks split on both
+    axes and partial blocks occur."""
     monkeypatch.setattr(layers_mod, "CHUNK_ELEMENTS", 7 * len(contour131) + 3)
     dens = InterfaceSolver(contour131, layers131).solve()
-    X, Y = np.meshgrid([-3.0, -1.0, 0.5, 2.0],
-                       [2.5, 1.5, 0.4, 0.0, -4.0, -31.5, -33.0, -40.0])
+    X, Y = np.meshgrid(np.linspace(-5.0, 5.0, 15), np.concatenate([
+        np.linspace(0.0, 2.5, 9), np.linspace(-31.5, -0.5, 9),
+        np.linspace(-40.0, -33.0, 9)]))
     rng = np.random.default_rng(3)
     scattered = np.concatenate([
-        np.stack([rng.uniform(-5, 5, 4), rng.uniform(lo, hi, 4)], -1)
+        np.stack([rng.uniform(-5, 5, 3), rng.uniform(lo, hi, 3)], -1)
         for lo, hi in ((0.1, 3.0), (-31.9, -0.1), (-45.0, -32.1))])
     pts = np.concatenate([np.stack([X.ravel(), Y.ravel()], -1), scattered])
     pts = pts[rng.permutation(len(pts))]
+    assert layered_sum_paths(layers131, pts) == ("tensor",) * 3
+    assert layered_sum_paths(layers131, scattered) == ("rows",) * 3
     val, grad = eval_sommerfeld_field(dens, contour131, layers131, pts,
                                       want_gradient=True)
-    one = [eval_sommerfeld_field(dens, contour131, layers131, q,
-                                 want_gradient=True) for q in pts]
-    ref_val = np.array([v for v, _ in one])
-    ref_grad = np.array([g for _, g in one])
-    assert np.abs(val - ref_val).max() <= 1e-13 * np.abs(ref_val).max()
-    assert np.abs(grad - ref_grad).max() <= 1e-13 * np.abs(ref_grad).max()
     plain = eval_sommerfeld_field(dens, contour131, layers131, pts)
-    assert np.abs(plain - ref_val).max() <= 1e-13 * np.abs(ref_val).max()
+    monkeypatch.setattr(layers_mod, "_spectral_sum", layers_mod._row_dots)
+    ref_val, ref_grad = eval_sommerfeld_field(dens, contour131, layers131,
+                                              pts, want_gradient=True)
+    for sel in (pts[:, 1] >= 0, (pts[:, 1] < 0) & (pts[:, 1] >= -32.0),
+                pts[:, 1] < -32.0):
+        assert sel.sum() == 9 * 15 + 3
+        scale = np.abs(ref_val[sel]).max()
+        assert np.abs(val[sel] - ref_val[sel]).max() <= 1e-13 * scale
+        assert np.abs(plain[sel] - ref_val[sel]).max() <= 1e-13 * scale
+        scale = np.abs(ref_grad[sel]).max()
+        assert np.abs(grad[sel] - ref_grad[sel]).max() <= 1e-13 * scale
 
 
-def test_field_memory_bound_m100_grid():
-    """The layered field on the 100 x 140 benchmark grid with example1's
-    contour keeps its tracemalloc peak under 128 MB (a dense points x N_S
-    evaluation needs about 860 MB)."""
+# tracemalloc peak of the layered field on example1's contour: three
+# CHUNK_ELEMENTS blocks (16 MB each) plus the points-sized arrays of a
+# 400 x 560 grid.  The 100 x 140 benchmark grid peaks at 10 MB, the
+# 400 x 560 grid at 47 MB; a dense points x N_S evaluation of the 100 x 140
+# grid needs about 860 MB
+FIELD_PEAK_BOUND = 64 * 2 ** 20
+
+
+def _example1_field_peak(nx, ny):
+    """Values and tracemalloc peak of the layered field of example1 on an
+    nx x ny grid over its extent."""
     cfg = load_scene(SCENES / "example1.scene")
     layers = cfg.layers()
     sep_v = min(cfg.source_y, -cfg.region_y1, cfg.region_y0 + cfg.d)
@@ -167,7 +183,7 @@ def test_field_memory_bound_m100_grid():
     contour = build_contour_adaptive(layers, min_vertical_sep=sep_v,
                                      max_horiz=max(xs) - min(xs))
     dens = InterfaceSolver(contour, layers).solve()
-    X, Y = np.meshgrid(np.linspace(-14, 14, 100), np.linspace(-36, 4, 140))
+    X, Y = np.meshgrid(np.linspace(-14, 14, nx), np.linspace(-36, 4, ny))
     pts = np.stack([X.ravel(), Y.ravel()], -1)
     tracemalloc.start()
     try:
@@ -175,8 +191,23 @@ def test_field_memory_bound_m100_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return vals, peak
+
+
+def test_field_memory_bound_m100_grid():
+    """The layered field on the 100 x 140 benchmark grid stays under
+    FIELD_PEAK_BOUND."""
+    vals, peak = _example1_field_peak(100, 140)
     assert np.isfinite(vals).all()
-    assert peak < 128 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MB"
+    assert peak < FIELD_PEAK_BOUND, f"peak {peak / 2 ** 20:.0f} MB"
+
+
+def test_field_memory_bound_large_grid():
+    """A 400 x 560 grid splits its tensor blocks over y and stays under the
+    same bound: no array grows with points x N_S."""
+    vals, peak = _example1_field_peak(400, 560)
+    assert np.isfinite(vals).all()
+    assert peak < FIELD_PEAK_BOUND, f"peak {peak / 2 ** 20:.0f} MB"
 
 
 def test_equal_wavenumbers_transmit_source():

@@ -1,11 +1,13 @@
 import gc
 import logging
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 from layerscatter.layers import LayerStack, build_contour_adaptive, \
     sommerfeld_point_source
@@ -13,7 +15,8 @@ from layerscatter.multiscat import ParticleInstance, point_source_local, \
     solve_free_space, eval_multipole_field
 from layerscatter.particle import scattering_matrix_disk
 from layerscatter.scene import load_scene, solve_scene
-from layerscatter import multiscat as multiscat_mod, solver as solver_mod
+from layerscatter import multiscat as multiscat_mod, \
+    particle as particle_mod, solver as solver_mod
 from layerscatter.solver import (GmresConfig, GmresError, SchurOperator,
                                  eval_total_field, gmres, solve_layered_scene)
 
@@ -266,6 +269,78 @@ def test_disk_field_chunks_match_pointwise(layered_solution, flower_params,
     monkeypatch.undo()
     ref = np.array([eval_total_field(layered_solution, q) for q in pts])
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+EXAMPLE1 = Path(__file__).resolve().parents[1] / "scenes" / "example1.scene"
+
+
+def test_field_evaluation_logged(layered_solution, monkeypatch, caplog):
+    """eval_total_field's debug line counts the points per region and names
+    each layer's sum: the tensor product on a grid, the row dots on
+    scattered points.  With debug logging off it computes nothing for the
+    line."""
+    X, Y = np.meshgrid(np.linspace(-6.0, 6.0, 7),
+                       [2.0, 0.5, -5.0, -10.0, -36.0, -40.0])
+    grid = np.concatenate([np.stack([X.ravel(), Y.ravel()], -1), [CENTS[0]]])
+    rng = np.random.default_rng(5)
+    scattered = np.stack([rng.uniform(-6.0, 6.0, 9),
+                          np.repeat([1.5, -20.0, -38.0], 3)
+                          + rng.uniform(-0.5, 0.5, 9)], -1)
+    with caplog.at_level(logging.DEBUG, logger="layerscatter"):
+        eval_total_field(layered_solution, grid)
+        eval_total_field(layered_solution, scattered)
+    assert [r.getMessage() for r in caplog.records] == [
+        "field at 14 top, 14 bottom, 14 free middle and 1 in-disk points; "
+        "layered sums: top tensor, middle tensor, bottom tensor",
+        "field at 3 top, 3 bottom, 3 free middle and 0 in-disk points; "
+        "layered sums: top rows, middle rows, bottom rows"]
+
+    def fail(*args):
+        raise AssertionError("debug line built with debug logging off")
+
+    caplog.clear()
+    monkeypatch.setattr(solver_mod, "layered_sum_paths", fail)
+    with caplog.at_level(logging.INFO, logger="layerscatter"):
+        eval_total_field(layered_solution, grid)
+    assert not caplog.records
+
+
+def test_hot_hankel_calls_skip_amos(tmp_path, monkeypatch):
+    """example1 at M = 4, solved and evaluated at free middle-layer,
+    annulus and interior points: H_0 and H_1 of its real wavenumbers never
+    reach AMOS (scipy.special.hankel1) through ``_polar_hankel``,
+    ``_layer_potentials`` or the Nystrom kernels, so a change of dtype
+    cannot silently fall back to it."""
+    monkeypatch.setenv("LAYERSCATTER_CACHE_DIR", str(tmp_path))
+    hot = {"_polar_hankel", "_layer_potentials", "_difference_kernels"}
+    amos, seen, leaks = scipy.special.hankel1, set(), []
+
+    def counting(n, z):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name in hot:
+                leaks.append(frame.f_code.co_name)
+            frame = frame.f_back
+        return amos(n, z)
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            seen.add(name)
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    monkeypatch.setattr(scipy.special, "hankel1", counting)
+    spy(multiscat_mod, "_polar_hankel")
+    spy(solver_mod, "_layer_potentials")
+    spy(particle_mod, "_difference_kernels")
+    _, sol = solve_scene(replace(load_scene(EXAMPLE1), M=4))
+    cx, cy = sol.operator.centers[0]
+    pts = np.array([[cx, cy], [cx + 0.17, cy], [0.0, -1.0], [3.0, -31.0]])
+    assert np.isfinite(eval_total_field(sol, pts)).all()
+    assert seen == hot
+    assert not leaks
 
 
 def test_operator_rejects_foreign_wavenumber(contour131, layers131):

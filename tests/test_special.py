@@ -1,10 +1,11 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
 from layerscatter.special import (bessel_j, bessel_j_prime, bessel_y, hankel1,
-                                  hankel1_prime)
+                                  hankel1_01, hankel1_prime)
 
 mpmath.mp.dps = 30
 
@@ -73,3 +74,43 @@ def test_recurrence_property(n, x, yim):
 def test_rejects_zero_argument():
     with pytest.raises((ValueError, ZeroDivisionError)):
         hankel1(0, 0.0 + 0j)
+
+
+def test_hankel1_01_real_argument_matches_amos():
+    """Positive real z passed as complex, as the callers pass it, takes the
+    real-argument routines and matches AMOS to 1e-14 relative up to
+    z = 100.  Beyond, both lose about z * eps to the argument's condition
+    number (Cephes 3e-14 at z = 600 against mpmath, AMOS 4e-16), so the
+    bound grows as z * 1e-16."""
+    x = np.geomspace(1e-3, 1e3, 4001)
+    h0, h1 = hankel1_01(x + 0j)
+    assert np.array_equal(h0, sp.j0(x) + 1j * sp.y0(x))
+    assert np.array_equal(h1, sp.j1(x) + 1j * sp.y1(x))
+    for n, h in ((0, h0), (1, h1)):
+        ref = hankel1(n, x + 0j)
+        assert np.all(np.abs(h - ref)
+                      <= 1e-14 * np.maximum(1.0, x / 100) * np.abs(ref))
+
+
+@pytest.mark.parametrize("z", [
+    (3.0 + 0.2j) * np.array([0.5, 2.0, 7.0]),       # lossy k
+    -2.0 * np.array([0.5, 2.0, 7.0]) + 0j,          # negative kp
+    np.array([0.5, -2.0, 7.0]),                     # one negative, real dtype
+    np.array(1.5 + 0.1j),                           # complex scalar
+])
+def test_hankel1_01_falls_back_to_amos(z):
+    h0, h1 = hankel1_01(z)
+    assert np.array_equal(h0, hankel1(0, z))
+    assert np.array_equal(h1, hankel1(1, z))
+
+
+@pytest.mark.parametrize("z, error", [
+    (np.array([1.0, 0.0]) + 0j, ValueError),
+    (np.array([2.0, 1e-320]) + 0j, FloatingPointError),   # Y_1 overflows
+    (np.array([2.0, np.inf]) + 0j, FloatingPointError),
+    (np.array([2.0, np.nan]) + 0j, FloatingPointError),
+])
+def test_hankel1_01_raises_as_hankel1(z, error):
+    for call in (lambda: hankel1(1, z), lambda: hankel1_01(z)):
+        with pytest.raises(error):
+            call()

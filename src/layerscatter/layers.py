@@ -284,10 +284,12 @@ def _tensor_sum(contour, xu, ix, yu, iy, terms, want_gradient):
     product phase(x-block) @ vert(y-block).T, and the gradient as the same
     product with i lam phase and with dvert; point i reads its values at
     (ix[i], iy[i]).  Each block has at most CHUNK_ELEMENTS // N_S (and at
-    most sqrt(CHUNK_ELEMENTS)) rows on either axis."""
+    most sqrt(CHUNK_ELEMENTS)) rows on either axis, a quarter as many with
+    ``want_gradient``: dvert and its copy for the product add to vert's."""
     lam = contour.nodes
     w = contour.weights / (4 * np.pi)
-    step = max(1, min(CHUNK_ELEMENTS // lam.size, isqrt(CHUNK_ELEMENTS)))
+    step = max(1, min(CHUNK_ELEMENTS // lam.size, isqrt(CHUNK_ELEMENTS))
+               // (4 if want_gradient else 1))
     table = np.empty((3 if want_gradient else 1, xu.size, yu.size),
                      dtype=complex)
     for ylo in range(0, yu.size, step):

@@ -4,6 +4,7 @@ or near pairs plus box expansions), the block-preconditioned operator
 I - S T, and a standalone homogeneous-background solver.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from .special import MAX_ORDER, bessel_j, hankel1, hankel1_01
 __all__ = ["ExpansionVector", "ParticleInstance", "m2l", "point_source_local",
            "eval_expansion", "PairCoupling", "rotation_phases",
            "apply_rotated", "solve_free_space", "eval_multipole_field",
-           "COUPLING_TOL", "BOX_CROSSOVER"]
+           "disk_owners", "COUPLING_TOL", "BOX_CROSSOVER"]
 
 # tolerance of the fast couplings: the NUFFT plans and the box M2L
 COUPLING_TOL = 1e-13
@@ -28,6 +29,12 @@ BOX_CROSSOVER = 200
 # centres whose boxes are at most this many boxes apart (in x and in y) are
 # near; the closest far box centres are then BOX_BUFFER + 1 widths apart
 BOX_BUFFER = 2
+# largest transformed m2l kernel (bytes) a box width may need
+BOX_KERNEL_BYTES = 2 ** 26
+# order columns per FFT call of the box m2l
+FFT_ORDERS = 8
+# near pairs per block of the box field evaluation
+PAIR_BLOCK = 2 ** 14
 
 
 @dataclass
@@ -177,43 +184,148 @@ def _shift_down(rows, locs):
                      locs)[:, ::-1]
 
 
-def _box_cells(centers, width):
-    """Grid shape and the integer cell of each centre on a grid of square
-    boxes of side ``width`` centred on the centres' bounding box."""
-    lo, hi = centers.min(axis=0), centers.max(axis=0)
+def _box_cells(points, width):
+    """Grid shape and the integer cell of each point on a grid of square
+    boxes of side ``width`` centred on the points' bounding box."""
+    lo, hi = points.min(axis=0), points.max(axis=0)
     shape = np.floor((hi - lo) / width).astype(int) + 1
     origin = (lo + hi - shape * width) / 2
-    cells = np.clip(((centers - origin) // width).astype(int), 0, shape - 1)
+    cells = np.clip(((points - origin) // width).astype(int), 0, shape - 1)
     return shape, origin, cells
 
 
-def _box_plan(centers, k, p):
-    """(width, P) of the cheapest box apply, by a count of complex
-    multiply-adds, among widths 2^(j/2) times the mean centre spacing: near
-    pairs cost (2p+1)^2 each, the shifts 2 M (2p+1)(2P+1) and the m2l
-    (2P+1)^2 per point of the padded grid.  None if no width has an order
-    P (boxes many wavelengths wide)."""
-    M, order = len(centers), 2 * p + 1
-    extent = np.ptp(centers, axis=0)
+def _near_count(cells, shape):
+    """Points of ``cells`` within BOX_BUFFER boxes (in x and in y) of each
+    cell of the grid padded by BOX_BUFFER boxes on every side."""
+    count = np.zeros(shape + 2 * BOX_BUFFER)
+    np.add.at(count, tuple((cells + BOX_BUFFER).T), 1)
+    return sum(np.roll(count, (dx, dy), axis=(0, 1))
+               for dx in range(-BOX_BUFFER, BOX_BUFFER + 1)
+               for dy in range(-BOX_BUFFER, BOX_BUFFER + 1))
+
+
+def _near_pairs(src_cells, tgt_cells, shape):
+    """(target, source) indices of every pair whose cells on a grid of
+    ``shape`` are at most BOX_BUFFER apart in x and in y, by cell buckets:
+    the sources sorted by cell id, one ``searchsorted`` per neighbour
+    offset."""
+    ny = shape[1] + 2 * BOX_BUFFER        # no neighbour id wraps onto a row
+    src_id = src_cells[:, 0] * ny + src_cells[:, 1]
+    by_id = np.argsort(src_id, kind="stable")
+    src_id = src_id[by_id]
+    tgt_id = tgt_cells[:, 0] * ny + tgt_cells[:, 1]
+    tgt, src = [], []
+    for dx in range(-BOX_BUFFER, BOX_BUFFER + 1):
+        for dy in range(-BOX_BUFFER, BOX_BUFFER + 1):
+            nb = tgt_id + (dx * ny + dy)
+            lo = np.searchsorted(src_id, nb)
+            n = np.searchsorted(src_id, nb, "right") - lo
+            tgt.append(np.repeat(np.arange(tgt_id.size), n))
+            src.append(by_id[np.repeat(lo - np.cumsum(n) + n, n)
+                             + np.arange(n.sum())])
+    return np.concatenate(tgt), np.concatenate(src)
+
+
+def disk_owners(centers, R, points):
+    """Index of the first centre closer than R to each point, or -1."""
+    owner = np.full(len(points), len(centers))
+    if len(centers) and len(points):
+        shape, _, cells = _box_cells(np.concatenate([centers, points]), R)
+        t, s = _near_pairs(cells[:len(centers)], cells[len(centers):], shape)
+        inside = np.hypot(*(points[t] - centers[s]).T) < R
+        np.minimum.at(owner, t[inside], s[inside])
+    return np.where(owner < len(centers), owner, -1)
+
+
+def _mean_spacing(points):
+    """sqrt(area / count) of the points' bounding box, its thin side
+    widened to 1e-3 of its long one."""
+    extent = np.ptp(points, axis=0)
     extent = np.maximum(extent, 1e-3 * extent.max())
-    spacing = np.sqrt(extent.prod() / M)
+    return np.sqrt(extent.prod() / len(points))
+
+
+def _box_plan(centers, k, p, targets):
+    """(cost, width, P) of the cheapest box sum from the centres' order-p
+    multipoles to ``targets``, by a count of complex multiply-adds, among
+    widths 2^(j/2) times the smaller mean spacing of the centres and of the
+    targets, on one grid over both.  The targets are the centres themselves for
+    the M2L (order-p locals out), else points (one value out).  Near pairs cost
+    (2p+1) per output order each, the H->H shifts (2p+1)(2P+1) per centre, the
+    way down (2P+1) per target output order, and the m2l (2P+1)^2 per point of
+    the padded grid.  Widths whose transformed m2l kernel would pass
+    BOX_KERNEL_BYTES are skipped.  None if no width is left (boxes many
+    wavelengths wide, or a grid too large)."""
+    M, order = len(centers), 2 * p + 1
+    out_order = order if targets is centers else 1
+    both = np.concatenate([centers, targets])
+    span = np.ptp(both, axis=0)
+    spacing = min(_mean_spacing(centers), _mean_spacing(targets))
     best = None
+    if not spacing > 0:                 # all centres or targets coincide
+        return best
     for width in spacing * 2.0 ** (np.arange(9) / 2):
         P = _expansion_order(k, width)
-        if P is None:
+        pad = 2 * (np.floor(span / width) + 1) - 1
+        if P is None or pad.prod() * (4 * P + 1) * 16 > BOX_KERNEL_BYTES:
             continue
-        shape, _, cells = _box_cells(centers, width)
-        count = np.zeros(shape + 2 * BOX_BUFFER)
-        np.add.at(count, tuple((cells + BOX_BUFFER).T), 1)
-        near = sum(np.roll(count, (dx, dy), axis=(0, 1))
-                   for dx in range(-BOX_BUFFER, BOX_BUFFER + 1)
-                   for dy in range(-BOX_BUFFER, BOX_BUFFER + 1))
-        cost = ((count * near).sum() - M) * order ** 2 \
-            + 2 * M * order * (2 * P + 1) \
-            + np.prod(2 * shape - 1) * (2 * P + 1) ** 2
+        shape, _, cells = _box_cells(both, width)
+        near = _near_count(cells[:M], shape)[tuple((cells[M:]
+                                                    + BOX_BUFFER).T)].sum()
+        cost = near * order * out_order \
+            + M * order * (2 * P + 1) \
+            + len(targets) * out_order * (2 * P + 1) \
+            + pad.prod() * (2 * P + 1) ** 2
         if best is None or cost < best[0]:
             best = (cost, width, P)
-    return None if best is None else best[1:]
+    return best
+
+
+def _box_offsets(n):
+    """Box offsets 0, 1, ..., -1 of the n points of a padded grid axis, in
+    FFT order, as exact integers."""
+    return (np.arange(n) + n // 2) % n - n // 2
+
+
+def _fft_orders(transform, a, pad):
+    """``a`` (one row per cell of the ``pad`` grid) with ``transform``
+    (``np.fft.fft2`` or ``ifft2``) applied over the cells of each column,
+    in place, FFT_ORDERS columns at a time: the result is bitwise that of
+    one call, with temporaries a fraction of ``a``."""
+    grid = a.reshape(tuple(pad) + (-1,))
+    for lo in range(0, grid.shape[2], FFT_ORDERS):
+        cols = slice(lo, lo + FFT_ORDERS)
+        grid[..., cols] = transform(grid[..., cols], axes=(0, 1))
+    return a
+
+
+def _m2l_kernel(pad, width, k, P):
+    """The box-to-box m2l kernel W_q = H_q(k |D|) e^{i q theta_D}, q =
+    -2P..2P, at every far box offset D (zero at the near ones) of the
+    ``pad`` grid, transformed over the offsets: (prod(pad), 4P + 1)."""
+    off = np.stack(np.meshgrid(*map(_box_offsets, pad), indexing="ij"),
+                   axis=-1).reshape(-1, 2)
+    far = np.abs(off).max(axis=1) > BOX_BUFFER
+    kern = np.zeros((off.shape[0], 4 * P + 1), dtype=complex)
+    dx, dy = width * off[far].T
+    z, eith, h0, h1 = _polar_hankel(dx, dy, np.hypot(dx, dy), k)
+    kern[far, 2 * P] = h0
+    for q, wq, wmq in _hankel_terms(z, eith, h0, h1, 2 * P):
+        kern[far, 2 * P + q] = wq
+        kern[far, 2 * P - q] = wmq
+    return _fft_orders(np.fft.fft2, kern, pad)
+
+
+def _box_m2l(kernel, pad, boxes):
+    """m2l: L_l = sum_n B_n H_{n-l}(k |D|) e^{i (n-l) theta_D}, summed over
+    far boxes, as a convolution per order pair; only the box offsets are
+    transformed, never the orders.  ``boxes`` holds the order-P multipole
+    of every cell of the ``pad`` grid (and is overwritten); returns the
+    locals the same way."""
+    loc = np.einsum("fin,fn->fi",
+                    sliding_window_view(kernel, boxes.shape[1], axis=1),
+                    _fft_orders(np.fft.fft2, boxes, pad))
+    return _fft_orders(np.fft.ifft2, loc, pad)[:, ::-1]
 
 
 class PairCoupling:
@@ -242,7 +354,8 @@ class PairCoupling:
         self.p = p
         self.k = k
         self.grid = self.width = self.P = None
-        plan = _box_plan(centers, k, p) if M >= BOX_CROSSOVER else None
+        plan = (_box_plan(centers, k, p, centers) if M >= BOX_CROSSOVER
+                else None)
         if plan is None:
             dx, dy = centers.T[:, :, None] - centers.T[:, None, :]
             dist = np.hypot(dx, dy)
@@ -253,18 +366,15 @@ class PairCoupling:
             np.fill_diagonal(self._pairs[2], 0.0)
             self.near_pairs = M * (M - 1)
             return
-        self.width, self.P = width, P = plan
+        _, width, P = plan
+        self.width, self.P = width, P
         shape, origin, cells = _box_cells(centers, width)
         self.grid = tuple(int(n) for n in shape)
 
-        # imported here: scipy.spatial alone adds 4 MB to a process's
-        # resident memory, which the dense path does not need
-        from scipy.spatial import cKDTree
-
         # near pairs, each unordered pair once: (j, i) has the same |D| and
         # the opposite direction
-        i, j = cKDTree(cells).query_pairs(BOX_BUFFER, p=np.inf,
-                                          output_type="ndarray").T
+        i, j = _near_pairs(cells, cells, shape)
+        i, j = i[i < j], j[i < j]
         dx, dy = (centers[i] - centers[j]).T
         pairs = _polar_hankel(dx, dy, np.hypot(dx, dy), k)
         rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
@@ -283,19 +393,7 @@ class PairCoupling:
         # offset without wrap-around
         self._pad = tuple(2 * shape - 1)
         self._cell = cells[:, 0] * self._pad[1] + cells[:, 1]
-        off = np.stack(np.meshgrid(*[np.fft.fftfreq(n, 1 / n)
-                                     for n in self._pad], indexing="ij"),
-                       axis=-1).reshape(-1, 2)
-        far = np.abs(off).max(axis=1) > BOX_BUFFER
-        kern = np.zeros((off.shape[0], 4 * P + 1), dtype=complex)
-        dx, dy = width * off[far].T
-        z, eith, h0, h1 = _polar_hankel(dx, dy, np.hypot(dx, dy), k)
-        kern[far, 2 * P] = h0
-        for q, wq, wmq in _hankel_terms(z, eith, h0, h1, 2 * P):
-            kern[far, 2 * P + q] = wq
-            kern[far, 2 * P - q] = wmq
-        self._kernel = np.fft.fft2(kern.reshape(self._pad + (-1,)),
-                                   axes=(0, 1)).reshape(kern.shape)
+        self._kernel = _m2l_kernel(self._pad, width, k, P)
 
     def apply_m2l(self, betas):
         """Incoming locals alpha[m, n] = sum_{j != m} sum_nu
@@ -311,15 +409,7 @@ class PairCoupling:
         alphas = _translate(betas, *self._pairs, sparse)
         boxes = np.zeros((self._kernel.shape[0], 2 * P + 1), dtype=complex)
         np.add.at(boxes, self._cell, _shift_up(self._shift, betas))
-        # m2l: L_l = sum_n B_n H_{n-l}(k |D|) e^{i (n-l) theta_D}, summed
-        # over far boxes, as a convolution per order pair; only the box
-        # offsets are transformed, never the orders
-        boxes = np.fft.fft2(boxes.reshape(self._pad + (-1,)), axes=(0, 1))
-        loc = np.einsum("fin,fn->fi",
-                        sliding_window_view(self._kernel, 2 * P + 1, axis=1),
-                        boxes.reshape(-1, 2 * P + 1))[:, ::-1]
-        loc = np.fft.ifft2(loc.reshape(self._pad + (-1,)), axes=(0, 1))
-        loc = loc.reshape(-1, 2 * P + 1)[self._cell]
+        loc = _box_m2l(self._kernel, self._pad, boxes)[self._cell]
         return alphas + _shift_down(self._shift, loc)
 
 
@@ -360,26 +450,119 @@ def solve_free_space(centers, rotations, smatrix, incident_locals, tol=1e-6):
     return x.reshape(M, 2 * p + 1), hist
 
 
+def _eval_locals(locs, cell, rel, k):
+    """sum_l L_l J_l(k rho) e^{i l phi} at each point, L = locs[:, cell]
+    (orders -P..P down the rows), (rho, phi) the polar form of ``rel``.
+    J_P..J_0 come by the downward recurrence from ``bessel_j`` seeds J_P
+    and J_{P-1}, and the sum by Horner's rule in e^{i phi} and, for the
+    negative orders (J_{-l} = (-1)^l J_l), in -e^{-i phi}.  Points where
+    J_P underflows (rho near 0, e.g. at the box centre) take whole
+    ``bessel_j`` rows."""
+    P = (locs.shape[0] - 1) // 2
+    rho = np.hypot(rel[:, 0], rel[:, 1])
+    z = k * rho
+    a, b = bessel_j(P, z), bessel_j(P - 1, z)          # J_l, J_{l-1}
+    small = np.abs(a) < 1e-290
+    z[small], rho[small] = 1.0, 1.0
+    w = (rel[:, 0] + 1j * rel[:, 1]) / rho
+    mw = -np.conj(w)
+    up = dn = 0.0
+    for l in range(P, 0, -1):
+        up = (up + a * locs[P + l, cell]) * w
+        dn = (dn + a * locs[P - l, cell]) * mw
+        a, b = b, (2 * (l - 1) / z) * b - a
+    out = up + dn + a * locs[P, cell]
+    if small.any():
+        ls = np.arange(-P, P + 1)
+        rel = rel[small]
+        rows = bessel_j(ls, k * np.hypot(rel[:, 0], rel[:, 1])[:, None]) \
+            * np.exp(1j * np.outer(np.arctan2(rel[:, 1], rel[:, 0]), ls))
+        out[small] = np.einsum("ij,ji->i", rows, locs[:, cell[small]])
+    return out
+
+
+def _eval_boxes(betas, centers, R, k, pts, width, P):
+    """The multipole field at ``pts`` through one grid of boxes of side
+    ``width`` over the centres and the points: near pairs directly, in
+    blocks of at most PAIR_BLOCK pairs, far boxes through an H->H shift
+    to each box centre, one FFT m2l and one order-P local expansion per
+    point.  Returns the values, the grid shape and the number of near
+    pairs."""
+    M, p = len(centers), (betas.shape[1] - 1) // 2
+    both = np.concatenate([centers, pts])
+    shape, origin, cells = _box_cells(both, width)
+    rel = both - (origin + (cells + 0.5) * width)
+    pad = tuple(2 * shape - 1)
+    cell = cells[:, 0] * pad[1] + cells[:, 1]
+    boxes = np.zeros((np.prod(pad), 2 * P + 1), dtype=complex)
+    np.add.at(boxes, cell[:M],
+              _shift_up(_graf_rows(rel[:M], k, P + p), betas))
+    locs = _box_m2l(_m2l_kernel(pad, width, k, P), pad, boxes)
+    used, cell = np.unique(cell[M:], return_inverse=True)
+    locs = np.ascontiguousarray(locs[used].T)
+    src, cells, rel = cells[:M], cells[M:], rel[M:]
+    bt = np.ascontiguousarray(betas.T)
+    near = _near_count(src, shape)[tuple((cells + BOX_BUFFER).T)]
+    step = max(1, int(PAIR_BLOCK // max(near.max(), 1)))
+    out = np.empty(len(pts), dtype=complex)
+    for lo in range(0, len(pts), step):
+        blk = slice(lo, lo + step)
+        out[blk] = _eval_locals(locs, cell[blk], rel[blk], k)
+        t, s = _near_pairs(src, cells[blk], shape)
+        dx, dy = (pts[blk][t] - centers[s]).T
+        r = np.hypot(dx, dy)
+        if np.any(r < R):
+            raise ValueError("point inside an enclosing disk; use the "
+                             "solver's interior reconstruction")
+        z, eith, h0, h1 = _polar_hankel(dx, dy, r, k)
+        acc = h0 * bt[p, s]
+        for n, wn, wmn in _hankel_terms(z, eith, h0, h1, p):
+            acc += np.multiply(wn, bt[p + n, s], out=wn)
+            acc += np.multiply(wmn, bt[p - n, s], out=wmn)
+        size = out[blk].size
+        out[blk] += np.bincount(t, acc.real, size) \
+            + 1j * np.bincount(t, acc.imag, size)
+    return out, shape, int(near.sum())
+
+
 def eval_multipole_field(betas, centers, R, k2, points):
     """Sum of all outgoing multipole fields at exterior points.
 
     betas: (M, 2p+1), one row per center; points: one point or (n, 2).
     Points inside any enclosing disk (radius R) are rejected (interior
-    reconstruction lives in the solver module).
+    reconstruction lives in the solver module).  Sums through boxes
+    (``_eval_boxes``) where ``_box_plan`` counts fewer multiply-adds than
+    the per-instance sum, (2p+1) per instance and point, which stays the
+    oracle, and where the boxes are wider than R / BOX_BUFFER, so that
+    every point in a disk is in a near pair.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     betas = np.asarray(betas)
     p = (betas.shape[1] - 1) // 2
-    out = np.zeros(pts.shape[0], dtype=complex)
-    for c, b in zip(centers, betas):
-        dx, dy = pts.T - np.reshape(c, (2, 1))
-        r = np.hypot(dx, dy)
-        if np.any(r < R):
-            raise ValueError("point inside an enclosing disk; use the "
-                             "solver's interior reconstruction")
-        z, eith, h0, h1 = _polar_hankel(dx, dy, r, k2)
-        out += b[p] * h0
-        for n, wn, wmn in _hankel_terms(z, eith, h0, h1, p):
-            out += np.multiply(wn, b[p + n], out=wn)
-            out += np.multiply(wmn, b[p - n], out=wmn)
+    M, T = len(centers), len(pts)
+    plan = _box_plan(centers, k2, p, pts) if M > 1 and T else None
+    log = logging.getLogger("layerscatter")
+    if plan is not None and plan[0] < M * T * (2 * p + 1) \
+            and R < BOX_BUFFER * plan[1]:
+        _, width, P = plan
+        out, shape, near = _eval_boxes(betas, centers, R, k2, pts, width, P)
+        log.debug("multipole field at %d points from %d instances: boxes "
+                  "%dx%d of width %.3g, P %d, %d near pairs", T, M, *shape,
+                  width, P, near)
+    else:
+        log.debug("multipole field at %d points from %d instances: "
+                  "per instance", T, M)
+        out = np.zeros(T, dtype=complex)
+        for c, b in zip(centers, betas):
+            dx, dy = pts.T - np.reshape(c, (2, 1))
+            r = np.hypot(dx, dy)
+            if np.any(r < R):
+                raise ValueError("point inside an enclosing disk; use the "
+                                 "solver's interior reconstruction")
+            z, eith, h0, h1 = _polar_hankel(dx, dy, r, k2)
+            out += b[p] * h0
+            for n, wn, wmn in _hankel_terms(z, eith, h0, h1, p):
+                out += np.multiply(wn, b[p + n], out=wn)
+                out += np.multiply(wmn, b[p - n], out=wmn)
     return out[0] if np.asarray(points).ndim == 1 else out

@@ -31,7 +31,7 @@ from .coupling import (MultipoleToSommerfeldPlan, PlaneWaveTable,
 from .layers import (InterfaceSolver, eval_sommerfeld_field,
                      layered_sum_paths)
 from .multiscat import (COUPLING_TOL, PairCoupling, apply_rotated,
-                        eval_multipole_field, rotation_phases)
+                        disk_owners, eval_multipole_field, rotation_phases)
 from .particle import discretize_boundary
 from .special import bessel_j, hankel1_01
 
@@ -360,9 +360,7 @@ def eval_total_field(solution, points):
     out = np.empty(pts.shape[0], dtype=complex)
     mid = (pts[:, 1] < 0) & (pts[:, 1] >= -layers.d)
     owner = np.full(pts.shape[0], -1)
-    for j, (cx, cy) in enumerate(op.centers):
-        d = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
-        owner[mid & (d < op.R) & (owner < 0)] = j
+    owner[mid] = disk_owners(op.centers, op.R, pts[mid])
     disk, free = owner >= 0, mid & (owner < 0)
     log = logging.getLogger("layerscatter")
     if log.isEnabledFor(logging.DEBUG):

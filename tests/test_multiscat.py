@@ -1,4 +1,5 @@
 import gc
+import logging
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from layerscatter import multiscat
 from layerscatter.multiscat import (BOX_BUFFER, ExpansionVector, PairCoupling,
-                                    _expansion_order, _graf_rows, _shift_down,
-                                    _shift_up, eval_expansion,
-                                    eval_multipole_field, m2l,
+                                    _box_cells, _box_offsets, _box_plan,
+                                    _eval_boxes, _expansion_order, _graf_rows,
+                                    _shift_down, _shift_up, disk_owners,
+                                    eval_expansion, eval_multipole_field, m2l,
                                     point_source_local, solve_free_space)
 from layerscatter.particle import rotate_scattering_matrix
 from layerscatter.scene import place_particles
@@ -123,7 +125,7 @@ def _placed_centers(scene, M):
 
 
 @pytest.mark.parametrize("scene, M", [(BAND600, 600), (EXAMPLE1, 100),
-                                      (EXAMPLE1, 1000)])
+                                      (EXAMPLE1, 1000), (EXAMPLE1, 1200)])
 def test_box_m2l_matches_dense(monkeypatch, scene, M):
     """The box M2L against the dense apply with random betas, decaying as
     e^{-|n|/2} and not decaying, on band600's band and example1's region:
@@ -132,7 +134,10 @@ def test_box_m2l_matches_dense(monkeypatch, scene, M):
     of equal size at every order the error stays 4e-14 on band600 (P = 34)
     and 3e-15 on example1 at M = 1000 (P = 35).  The max over all orders
     is set by the near pairs' order -p outputs, which are about 1e20 times
-    the order-0 ones; measured against it, even P = 6 reads 1e-16."""
+    the order-0 ones; measured against it, even P = 6 reads 1e-16.  At
+    M = 1200 the grid is 25 x 25, padded to 49 x 49, a size whose float
+    FFT frequencies put box offset 2 at 2.0000000000000004: with those the
+    far kernel also held the offset-2 neighbours, and order 0 read 2e-5."""
     p = 10
     centers = _placed_centers(scene, M)
     monkeypatch.setattr(multiscat, "BOX_CROSSOVER", M + 1)
@@ -228,3 +233,178 @@ def test_m2l_property_translation_invariance(seed, dx, dy):
     ref = eval_expansion(src, pts)
     got = eval_expansion(loc, pts)
     assert np.abs(got - ref).max() <= 1e-7 * max(np.abs(ref).max(), 1e-3)
+
+
+def test_box_offsets_are_exact_integers():
+    """The box offsets of every padded grid axis up to 400 points are exact
+    integers in FFT order: exactly 2 BOX_BUFFER + 1 of them are near."""
+    for n in range(1, 401):
+        off = _box_offsets(n)
+        assert off.dtype.kind == "i"
+        assert np.array_equal(off, np.rint(np.fft.fftfreq(n, 1 / n)))
+        assert np.array_equal(np.sort(off), np.arange(n) - n // 2)
+        assert np.sum(np.abs(off) <= BOX_BUFFER) == min(n, 2 * BOX_BUFFER + 1)
+
+
+def test_disk_owners_match_loop():
+    """The cell-bucket owner of each point is the lowest-index centre
+    closer than R, as the loop over the centres finds it, with overlapping
+    disks and points exactly at r = R (which belong to no disk)."""
+    rng = np.random.default_rng(3)
+    R = 0.5
+    centers = 0.25 * rng.integers(-20, 20, (60, 2))
+    ang = rng.uniform(0, 2 * np.pi, 300)
+    near = centers[rng.integers(0, 60, 300)] \
+        + rng.uniform(0, 1.5 * R, (300, 1)) * np.stack([np.cos(ang),
+                                                       np.sin(ang)], -1)
+    rim = np.concatenate([centers + [R, 0.0], centers - [0.0, R]])
+    pts = np.concatenate([near, rim, rng.uniform(-6, 6, (300, 2))])
+    ref = np.full(len(pts), -1)
+    for j, (cx, cy) in enumerate(centers):
+        d = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
+        ref[(d < R) & (ref < 0)] = j
+    got = disk_owners(centers, R, pts)
+    assert np.array_equal(got, ref)
+    assert np.all(ref[300:420] != np.arange(120) % 60)
+    assert len(np.unique(ref[ref >= 0])) > 30
+    assert np.array_equal(disk_owners(centers[:0], R, pts), -np.ones(len(pts)))
+
+
+def _per_instance(monkeypatch, *args):
+    """eval_multipole_field with the box plan turned off: the oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(multiscat, "_box_plan", lambda *a: None)
+        return eval_multipole_field(*args)
+
+
+def _free_points(centers, R, n):
+    """An n x n grid over the centres' bounding box widened by 2, without
+    the points in an enclosing disk."""
+    lo, hi = centers.min(axis=0) - 2, centers.max(axis=0) + 2
+    X, Y = np.meshgrid(np.linspace(lo[0], hi[0], n),
+                       np.linspace(lo[1], hi[1], n))
+    pts = np.stack([X.ravel(), Y.ravel()], -1)
+    return pts[disk_owners(centers, R, pts) < 0]
+
+
+@pytest.mark.parametrize("scene, M", [(EXAMPLE1, 500), (EXAMPLE1, 1000),
+                                      (BAND600, 600)])
+def test_box_field_matches_per_instance(monkeypatch, flower_smatrix, scene,
+                                        M):
+    """The field through boxes against the per-instance sum, to 1e-12 of
+    max|field|, for free-space solved betas and random betas decaying as
+    e^{-|n|/2}, at grid points plus points exactly at box centres (rho = 0
+    in the local expansion) and at box corners.  A point inside an
+    enclosing disk still raises ValueError."""
+    S, _ = flower_smatrix
+    p, R = S.p, S.R
+    region, _ = scene
+    centers = np.array([i.center for i in place_particles(region, M, R, 7)])
+    pts = _free_points(centers, R, 60)
+    _, width, P = _box_plan(centers, K, p, pts)
+    both = np.concatenate([centers, pts])
+    shape, origin, _ = _box_cells(both, width)
+    corners = origin + np.indices(shape + 1).reshape(2, -1).T * width
+    extra = np.concatenate([corners + 0.5 * width, corners])
+    inside = np.all((extra > both.min(axis=0)) & (extra < both.max(axis=0)),
+                    axis=1)
+    extra = extra[inside & (disk_owners(centers, R, extra) < 0)]
+    pts = np.concatenate([pts, extra])
+    assert np.array_equal(_box_cells(np.concatenate([centers, pts]),
+                                     width)[1], origin)
+    inc = np.stack([point_source_local(K, (0.5, 4.0), tuple(c), p).coeffs
+                    for c in centers])
+    rots = np.random.default_rng(M).uniform(0, 2 * np.pi, M)
+    solved, _ = solve_free_space(centers, rots, S, inc, tol=1e-8)
+    rng = np.random.default_rng(M)
+    decaying = (rng.standard_normal((M, 2 * p + 1))
+                + 1j * rng.standard_normal((M, 2 * p + 1))) \
+        * np.exp(-0.5 * np.abs(np.arange(-p, p + 1)))
+    for betas in (solved, decaying):
+        ref = _per_instance(monkeypatch, betas, centers, R, K, pts)
+        got, _, _ = _eval_boxes(betas, centers, R, K, pts, width, P)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        got = eval_multipole_field(betas, centers, R, K, pts)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    with pytest.raises(ValueError, match="enclosing disk"):
+        eval_multipole_field(decaying, centers, R, K,
+                             np.concatenate([pts, centers[3:4] + 0.1]))
+
+
+def _m100_grid_case():
+    """The m100-grid benchmark's centres (placement seed 8) and its
+    100 x 140 grid points in the middle layer outside the enclosing
+    disks."""
+    R = 0.176
+    centers = np.array([i.center for i in place_particles(EXAMPLE1[0], 100,
+                                                          R, 8)])
+    X, Y = np.meshgrid(np.linspace(-14, 14, 100), np.linspace(-36, 4, 140))
+    pts = np.stack([X.ravel(), Y.ravel()], -1)
+    pts = pts[(pts[:, 1] < 0) & (pts[:, 1] >= -32)]
+    return centers, R, pts[disk_owners(centers, R, pts) < 0]
+
+
+def test_box_field_memory_m100_grid():
+    """One field evaluation on the m100-grid benchmark's 11,084 free points
+    goes through boxes and peaks at most 10 MB under tracemalloc (the
+    per-instance sum peaked at 2.6 MB, the layered sum of the same grid at
+    10 MB)."""
+    centers, R, pts = _m100_grid_case()
+    assert len(pts) == 11084
+    rng = np.random.default_rng(0)
+    betas = rng.standard_normal((100, 21)) + 1j * rng.standard_normal(
+        (100, 21))
+    cost, _, _ = _box_plan(centers, K, 10, pts)
+    assert cost < 100 * len(pts) * 21
+    gc.collect()
+    tracemalloc.start()
+    try:
+        eval_multipole_field(betas, centers, R, K, pts)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.0
+
+
+def test_multipole_field_logged(monkeypatch, caplog):
+    """One debug line per call names the form: per instance, or the box
+    grid, its width, the order P and the number of near pairs; with debug
+    off there is none."""
+    centers, R, pts = _m100_grid_case()
+    betas = np.ones((100, 21), dtype=complex)
+    with caplog.at_level(logging.DEBUG, logger="layerscatter"):
+        eval_multipole_field(betas, centers, R, K, pts[:5])
+        eval_multipole_field(betas, centers, R, K, pts)
+    _, width, P = _box_plan(centers, K, 10, pts)
+    shape = _box_cells(np.concatenate([centers, pts]), width)[0]
+    near = _eval_boxes(betas, centers, R, K, pts, width, P)[2]
+    assert [r.getMessage() for r in caplog.records] == [
+        "multipole field at 5 points from 100 instances: per instance",
+        f"multipole field at {len(pts)} points from 100 instances: boxes "
+        f"{shape[0]}x{shape[1]} of width {width:.3g}, P {P}, {near} near "
+        "pairs"]
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="layerscatter"):
+        eval_multipole_field(betas, centers, R, K, pts)
+    assert not caplog.records
+
+
+def _kernel_bytes(centers, pts, width, P):
+    shape = _box_cells(np.concatenate([centers, pts]), width)[0]
+    return np.prod(2 * shape - 1) * (4 * P + 1) * 16
+
+
+def test_box_plan_skips_oversized_grids(monkeypatch):
+    """Widths whose transformed m2l kernel would pass BOX_KERNEL_BYTES are
+    skipped.  A point far from the others stretches the grid over both
+    until no width is left (the field then takes the per-instance sum)."""
+    centers = _placed_centers(EXAMPLE1, 1000)
+    pts = _free_points(centers, 0.176, 40)
+    _, width, P = _box_plan(centers, K, 10, pts)
+    assert _box_plan(centers, K, 10,
+                     np.concatenate([pts, [[0.0, 1e5]]])) is None
+    cap = _kernel_bytes(centers, pts, width, P) - 1
+    monkeypatch.setattr(multiscat, "BOX_KERNEL_BYTES", cap)
+    _, width2, P2 = _box_plan(centers, K, 10, pts)
+    assert width2 != width
+    assert _kernel_bytes(centers, pts, width2, P2) <= cap

@@ -45,11 +45,26 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
 
 
 def test_import_leaves_out_scipy_spatial():
-    """Importing the package does not load ``scipy.spatial``: it adds about
-    4 MB to a process's resident memory and only the box M2L needs it."""
+    """Neither importing the package nor a box M2L and a box field
+    evaluation on band600 load ``scipy.spatial``: it adds about 4 MB to a
+    process's resident memory, and the boxes find their near pairs by cell
+    buckets."""
     src = Path(layerscatter.__file__).resolve().parents[1]
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, layerscatter; "
-         "print('scipy.spatial' in sys.modules)"],
-        cwd=src, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    script = """
+import sys, numpy as np, layerscatter
+from layerscatter import multiscat
+print('scipy.spatial' in sys.modules)
+c = np.array([i.center for i in layerscatter.place_particles(
+    (-28.0, 28.0, -3.0, -1.1), 600, 0.165, 8)])
+pair = multiscat.PairCoupling(c, 3.0, 10)
+rng = np.random.default_rng(0)
+pts = np.stack([rng.uniform(-28, 28, 2000), rng.uniform(-8, 0, 2000)], -1)
+pts = pts[multiscat.disk_owners(c, 0.165, pts) < 0]
+plan = multiscat._box_plan(c, 3.0, 10, pts)
+multiscat.eval_multipole_field(np.ones((600, 21)), c, 0.165, 3.0, pts)
+print(pair.grid is not None, plan[0] < 600 * len(pts) * 21,
+      'scipy.spatial' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script], cwd=src,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "True", "True", "False"]

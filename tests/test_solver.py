@@ -292,8 +292,10 @@ def test_field_evaluation_logged(layered_solution, monkeypatch, caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "field at 14 top, 14 bottom, 14 free middle and 1 in-disk points; "
         "layered sums: top tensor, middle tensor, bottom tensor",
+        "multipole field at 14 points from 3 instances: per instance",
         "field at 3 top, 3 bottom, 3 free middle and 0 in-disk points; "
-        "layered sums: top rows, middle rows, bottom rows"]
+        "layered sums: top rows, middle rows, bottom rows",
+        "multipole field at 3 points from 3 instances: per instance"]
 
     def fail(*args):
         raise AssertionError("debug line built with debug logging off")

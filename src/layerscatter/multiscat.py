@@ -196,12 +196,12 @@ def _box_cells(points, width):
 
 def _near_count(cells, shape):
     """Points of ``cells`` within BOX_BUFFER boxes (in x and in y) of each
-    cell of the grid padded by BOX_BUFFER boxes on every side."""
+    cell of the grid padded by BOX_BUFFER boxes, as a filter along x then y."""
     count = np.zeros(shape + 2 * BOX_BUFFER)
     np.add.at(count, tuple((cells + BOX_BUFFER).T), 1)
-    return sum(np.roll(count, (dx, dy), axis=(0, 1))
-               for dx in range(-BOX_BUFFER, BOX_BUFFER + 1)
-               for dy in range(-BOX_BUFFER, BOX_BUFFER + 1))
+    offsets = range(-BOX_BUFFER, BOX_BUFFER + 1)
+    count = sum(np.roll(count, d, axis=0) for d in offsets)
+    return sum(np.roll(count, d, axis=1) for d in offsets)
 
 
 def _near_pairs(src_cells, tgt_cells, shape):
@@ -316,12 +316,13 @@ def _m2l_kernel(pad, width, k, P):
     return _fft_orders(np.fft.fft2, kern, pad)
 
 
-def _box_m2l(kernel, pad, boxes):
+def _box_m2l(kernel, pad, cell, mults):
     """m2l: L_l = sum_n B_n H_{n-l}(k |D|) e^{i (n-l) theta_D}, summed over
     far boxes, as a convolution per order pair; only the box offsets are
-    transformed, never the orders.  ``boxes`` holds the order-P multipole
-    of every cell of the ``pad`` grid (and is overwritten); returns the
-    locals the same way."""
+    transformed, never the orders.  B sums the order-P multipoles ``mults``
+    of the centres in each ``cell`` of the ``pad`` grid; returns L per cell."""
+    boxes = np.zeros((kernel.shape[0], mults.shape[1]), dtype=complex)
+    np.add.at(boxes, cell, mults)
     loc = np.einsum("fin,fn->fi",
                     sliding_window_view(kernel, boxes.shape[1], axis=1),
                     _fft_orders(np.fft.fft2, boxes, pad))
@@ -400,16 +401,14 @@ class PairCoupling:
         W_{nu-n}(m, j) betas[j, nu]; betas shaped (M, 2p+1)."""
         if self.grid is None:
             return _translate(betas, *self._pairs, np.matmul)
-        M, P = self.M, self.P
-        pattern = (self._indices, self._indptr)
+        pattern, M = (self._indices, self._indptr), self.M
 
         def sparse(w, x):
             return scipy.sparse.csr_matrix((w, *pattern), shape=(M, M)) @ x
 
         alphas = _translate(betas, *self._pairs, sparse)
-        boxes = np.zeros((self._kernel.shape[0], 2 * P + 1), dtype=complex)
-        np.add.at(boxes, self._cell, _shift_up(self._shift, betas))
-        loc = _box_m2l(self._kernel, self._pad, boxes)[self._cell]
+        loc = _box_m2l(self._kernel, self._pad, self._cell,
+                       _shift_up(self._shift, betas))[self._cell]
         return alphas + _shift_down(self._shift, loc)
 
 
@@ -481,6 +480,23 @@ def _eval_locals(locs, cell, rel, k):
     return out
 
 
+def _multipole_sum(dx, dy, R, k, rows, at):
+    """sum_n b_n H_n(k r) e^{i n theta}, n = -p..p, elementwise over the
+    displacements (dx, dy) from the centres, b_n = rows[p + n][at] gathered
+    one order at a time; ValueError for a point in a disk (r < R)."""
+    r = np.hypot(dx, dy)
+    if np.any(r < R):
+        raise ValueError("point inside an enclosing disk; use the "
+                         "solver's interior reconstruction")
+    p = (len(rows) - 1) // 2
+    z, eith, h0, h1 = _polar_hankel(dx, dy, r, k)
+    acc = h0 * rows[p][at]
+    for n, wn, wmn in _hankel_terms(z, eith, h0, h1, p):
+        acc += np.multiply(wn, rows[p + n][at], out=wn)
+        acc += np.multiply(wmn, rows[p - n][at], out=wmn)
+    return acc
+
+
 def _eval_boxes(betas, centers, R, k, pts, width, P):
     """The multipole field at ``pts`` through one grid of boxes of side
     ``width`` over the centres and the points: near pairs directly, in
@@ -494,10 +510,8 @@ def _eval_boxes(betas, centers, R, k, pts, width, P):
     rel = both - (origin + (cells + 0.5) * width)
     pad = tuple(2 * shape - 1)
     cell = cells[:, 0] * pad[1] + cells[:, 1]
-    boxes = np.zeros((np.prod(pad), 2 * P + 1), dtype=complex)
-    np.add.at(boxes, cell[:M],
-              _shift_up(_graf_rows(rel[:M], k, P + p), betas))
-    locs = _box_m2l(_m2l_kernel(pad, width, k, P), pad, boxes)
+    locs = _box_m2l(_m2l_kernel(pad, width, k, P), pad, cell[:M],
+                    _shift_up(_graf_rows(rel[:M], k, P + p), betas))
     used, cell = np.unique(cell[M:], return_inverse=True)
     locs = np.ascontiguousarray(locs[used].T)
     src, cells, rel = cells[:M], cells[M:], rel[M:]
@@ -510,15 +524,7 @@ def _eval_boxes(betas, centers, R, k, pts, width, P):
         out[blk] = _eval_locals(locs, cell[blk], rel[blk], k)
         t, s = _near_pairs(src, cells[blk], shape)
         dx, dy = (pts[blk][t] - centers[s]).T
-        r = np.hypot(dx, dy)
-        if np.any(r < R):
-            raise ValueError("point inside an enclosing disk; use the "
-                             "solver's interior reconstruction")
-        z, eith, h0, h1 = _polar_hankel(dx, dy, r, k)
-        acc = h0 * bt[p, s]
-        for n, wn, wmn in _hankel_terms(z, eith, h0, h1, p):
-            acc += np.multiply(wn, bt[p + n, s], out=wn)
-            acc += np.multiply(wmn, bt[p - n, s], out=wmn)
+        acc = _multipole_sum(dx, dy, R, k, bt, s)
         size = out[blk].size
         out[blk] += np.bincount(t, acc.real, size) \
             + 1j * np.bincount(t, acc.imag, size)
@@ -532,9 +538,10 @@ def eval_multipole_field(betas, centers, R, k2, points):
     Points inside any enclosing disk (radius R) are rejected (interior
     reconstruction lives in the solver module).  Sums through boxes
     (``_eval_boxes``) where ``_box_plan`` counts fewer multiply-adds than
-    the per-instance sum, (2p+1) per instance and point, which stays the
-    oracle, and where the boxes are wider than R / BOX_BUFFER, so that
-    every point in a disk is in a near pair.
+    the direct sum, (2p+1) per instance and point, and where the boxes are
+    wider than R / BOX_BUFFER, so that every point in a disk is in a near
+    pair.  The direct sum (the oracle) takes all points against blocks of
+    PAIR_BLOCK // points instances, at least one.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
@@ -554,15 +561,9 @@ def eval_multipole_field(betas, centers, R, k2, points):
         log.debug("multipole field at %d points from %d instances: "
                   "per instance", T, M)
         out = np.zeros(T, dtype=complex)
-        for c, b in zip(centers, betas):
-            dx, dy = pts.T - np.reshape(c, (2, 1))
-            r = np.hypot(dx, dy)
-            if np.any(r < R):
-                raise ValueError("point inside an enclosing disk; use the "
-                                 "solver's interior reconstruction")
-            z, eith, h0, h1 = _polar_hankel(dx, dy, r, k2)
-            out += b[p] * h0
-            for n, wn, wmn in _hankel_terms(z, eith, h0, h1, p):
-                out += np.multiply(wn, b[p + n], out=wn)
-                out += np.multiply(wmn, b[p - n], out=wmn)
+        step = max(1, PAIR_BLOCK // max(T, 1))
+        for lo in range(0, M, step):
+            blk = slice(lo, lo + step)
+            dx, dy = pts.T[:, None, :] - centers[blk].T[:, :, None]
+            out += _multipole_sum(dx, dy, R, k2, betas.T, (blk, None)).sum(0)
     return out[0] if np.asarray(points).ndim == 1 else out

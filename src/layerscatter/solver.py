@@ -30,10 +30,11 @@ from .coupling import (MultipoleToSommerfeldPlan, PlaneWaveTable,
                        sommerfeld_to_local_direct, sommerfeld_to_local_nufft)
 from .layers import (InterfaceSolver, eval_sommerfeld_field,
                      layered_sum_paths)
-from .multiscat import (COUPLING_TOL, PairCoupling, apply_rotated,
-                        disk_owners, eval_multipole_field, rotation_phases)
+from .multiscat import (COUPLING_TOL, PairCoupling, _eval_locals,
+                        apply_rotated, disk_owners, eval_multipole_field,
+                        rotation_phases)
 from .particle import discretize_boundary
-from .special import bessel_j, hankel1_01
+from .special import hankel1_01
 
 __all__ = ["GmresConfig", "GmresError", "gmres", "SchurOperator",
            "Solution", "solve_layered_scene",
@@ -331,19 +332,17 @@ def _disk_field(solution, pts, owner):
     op, params, k2 = solution.operator, bd.params, solution.operator.layers.k2
     z = ((pts - op.centers[owner]) @ [1, 1j]) \
         * np.exp(-1j * op.rotations[owner])
+    rel = np.stack([z.real, z.imag], axis=-1)
     r, ang = np.abs(z), np.angle(z)
     inside = r < params.a1 + params.a2 * np.cos(params.a3 * ang)
     fine = discretize_boundary(replace(params, N=UPSAMPLE * params.N))
     pot = _layer_potentials(np.where(inside, params.kp, k2), fine.nodes,
                             fine.normals, fine.h * fine.speed,
                             _trig_upsample(modes.sigma, UPSAMPLE),
-                            _trig_upsample(modes.mu, UPSAMPLE),
-                            np.stack([z.real, z.imag], axis=-1))
-    ns = np.arange(-op.p, op.p + 1)
-    local = (bessel_j(ns, (k2 * r + 0j)[:, None])
-             * np.exp(1j * np.outer(ang, ns)) * ~inside[:, None])
-    return np.einsum("ij,ij->i", solution.alphas[owner] * op.phases[owner],
-                     pot + local)
+                            _trig_upsample(modes.mu, UPSAMPLE), rel)
+    coeffs = solution.alphas[owner] * op.phases[owner]
+    local = _eval_locals(coeffs.T, np.arange(len(z)), rel, k2)
+    return np.einsum("ij,ij->i", coeffs, pot) + np.where(inside, 0, local)
 
 
 def eval_total_field(solution, points):

@@ -8,11 +8,13 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from layerscatter import multiscat
-from layerscatter.multiscat import (BOX_BUFFER, ExpansionVector, PairCoupling,
-                                    _box_cells, _box_offsets, _box_plan,
-                                    _eval_boxes, _expansion_order, _graf_rows,
-                                    _shift_down, _shift_up, disk_owners,
-                                    eval_expansion, eval_multipole_field, m2l,
+from layerscatter.multiscat import (BOX_BUFFER, PAIR_BLOCK, ExpansionVector,
+                                    PairCoupling, _box_cells, _box_offsets,
+                                    _box_plan, _eval_boxes, _eval_locals,
+                                    _expansion_order, _graf_rows, _near_count,
+                                    _near_pairs, _shift_down, _shift_up,
+                                    disk_owners, eval_expansion,
+                                    eval_multipole_field, m2l,
                                     point_source_local, solve_free_space)
 from layerscatter.particle import rotate_scattering_matrix
 from layerscatter.scene import place_particles
@@ -329,6 +331,102 @@ def test_box_field_matches_per_instance(monkeypatch, flower_smatrix, scene,
     with pytest.raises(ValueError, match="enclosing disk"):
         eval_multipole_field(decaying, centers, R, K,
                              np.concatenate([pts, centers[3:4] + 0.1]))
+
+
+def _expansion_sum(betas, centers, pts):
+    """The multipole field as a sum of ``eval_expansion`` over the
+    instances: the oracle of the direct sum."""
+    p = (betas.shape[1] - 1) // 2
+    return sum((eval_expansion(ExpansionVector(p=p, coeffs=b, kind="H",
+                                               center=tuple(c), k=K), pts)
+                for b, c in zip(betas, centers)), np.zeros(len(pts)))
+
+
+def _random_betas(M, p, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((M, 2 * p + 1))
+            + 1j * rng.standard_normal((M, 2 * p + 1))) \
+        * np.exp(-0.5 * np.abs(np.arange(-p, p + 1)))
+
+
+def test_direct_field_edge_cases(monkeypatch):
+    """The direct sum, which takes blocks of PAIR_BLOCK // points instances
+    against all the points, against sums of ``eval_expansion`` to 1e-12:
+    no points, no instances, one instance, one point given as a 1-D array
+    (a scalar out), a call over several instance blocks (band600 at
+    M = 600 with 40 points) and one with more than PAIR_BLOCK points (one
+    instance per block)."""
+    R, p = 0.165, 10
+    centers = _placed_centers(BAND600, 600)
+    betas = _random_betas(600, p, 5)
+    rng = np.random.default_rng(5)
+    pts = np.stack([rng.uniform(-28, 28, 400),
+                    rng.uniform(-3.5, -0.6, 400)], -1)
+    pts = pts[disk_owners(centers, R, pts) < 0]
+
+    def check(b, c, x):
+        got = _per_instance(monkeypatch, b, c, R, K, x)
+        ref = _expansion_sum(b, c, np.atleast_2d(x))
+        assert np.shape(got) == (() if np.ndim(x) == 1 else ref.shape)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    empty = _per_instance(monkeypatch, betas, centers, R, K, pts[:0])
+    assert empty.shape == (0,) and empty.dtype == complex
+    none = _per_instance(monkeypatch, betas[:0], centers[:0], R, K, pts)
+    assert none.shape == (len(pts),) and not none.any()
+    check(betas[:1], centers[:1], pts[:7])
+    check(betas[:50], centers[:50], pts[0])
+    assert PAIR_BLOCK // 40 < 600
+    check(betas, centers, pts[:40])
+    X, Y = np.meshgrid(np.linspace(-10, 10, 130), np.linspace(-1.5, 1.5, 130))
+    many = np.stack([X.ravel(), Y.ravel()], -1)
+    assert len(many) > PAIR_BLOCK
+    check(betas[:2], np.array([[0.05, 3.0], [-0.3, -2.5]]), many)
+
+
+def test_direct_field_rejects_points_in_disks(monkeypatch):
+    """With the box plan off, a point inside an enclosing disk raises
+    ValueError, also when that disk's instance is in a later block."""
+    R, p = 0.165, 10
+    centers = _placed_centers(BAND600, 600)
+    betas = _random_betas(600, p, 6)
+    pts = np.array([[0.0, 5.0]] * 40)
+    assert PAIR_BLOCK // 41 < 599
+    for inside in (centers[0], centers[599] + [0.0, 0.9 * R]):
+        with pytest.raises(ValueError, match="enclosing disk"):
+            _per_instance(monkeypatch, betas, centers, R, K,
+                          np.concatenate([pts, [inside]]))
+
+
+def test_eval_locals_matches_expansion():
+    """``_eval_locals`` (downward J recurrence, Horner's rule) against
+    ``eval_expansion`` of the same J-expansions to 1e-13, at points in
+    the annulus of an enclosing disk, near its centre and at rho = 0."""
+    p, rng = 10, np.random.default_rng(2)
+    locs = rng.standard_normal((2 * p + 1, 6)) \
+        + 1j * rng.standard_normal((2 * p + 1, 6))
+    rho = np.array([0.0, 1e-9, 1e-3, 0.05, 0.12, 0.176])
+    ang = rng.uniform(0, 2 * np.pi, 6)
+    rel = rho[:, None] * np.stack([np.cos(ang), np.sin(ang)], -1)
+    cell = np.arange(6)
+    got = _eval_locals(locs, cell, rel, K)
+    ref = [eval_expansion(ExpansionVector(p=p, coeffs=locs[:, j], kind="J",
+                                          center=(0.0, 0.0), k=K), rel[j])
+           for j in cell]
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert got[0] == locs[p, 0]
+
+
+def test_near_count_matches_near_pairs():
+    """The separable box filter of ``_near_count`` counts, for every target
+    cell, exactly the sources that ``_near_pairs`` pairs it with."""
+    rng = np.random.default_rng(1)
+    shape = np.array([23, 7])
+    src = rng.integers(0, shape, (300, 2))
+    tgt = rng.integers(0, shape, (200, 2))
+    t, _ = _near_pairs(src, tgt, shape)
+    counts = _near_count(src, shape)[tuple((tgt + BOX_BUFFER).T)]
+    assert np.array_equal(counts, np.bincount(t, minlength=200))
 
 
 def _m100_grid_case():

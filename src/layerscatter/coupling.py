@@ -140,7 +140,8 @@ class PlaneWaveTable:
 # ---------------------------------------------------------------------------
 
 def cheb_nodes(m, a, b):
-    """m Chebyshev points of the second kind on [a, b], ascending."""
+    """m Chebyshev points of the second kind on [a, b], ascending; ends of
+    shape (n, 1) give one row per interval."""
     if m < 2:
         raise ValueError("need m >= 2")
     x = np.cos(np.pi * np.arange(m) / (m - 1))[::-1]
@@ -205,13 +206,10 @@ class SommerfeldGridPlan:
         self.n2 = int(np.ceil((y_hi - y_lo) / lam2))
         wx = (x_hi - x_lo) / self.n1
         wy = (y_hi - y_lo) / self.n2
-        m = GRID_NODES
-        self.xnodes = np.concatenate(
-            [cheb_nodes(m, x_lo + i * wx, x_lo + (i + 1) * wx)
-             for i in range(self.n1)])
-        self.ynodes = np.concatenate(
-            [cheb_nodes(m, y_lo + j * wy, y_lo + (j + 1) * wy)
-             for j in range(self.n2)])
+        i, j = np.arange(self.n1)[:, None], np.arange(self.n2)[:, None]
+        xbox = cheb_nodes(GRID_NODES, x_lo + i * wx, x_lo + (i + 1) * wx)
+        ybox = cheb_nodes(GRID_NODES, y_lo + j * wy, y_lo + (j + 1) * wy)
+        self.xnodes, self.ynodes = xbox.ravel(), ybox.ravel()
 
         lam = contour.nodes
         self.g2 = gamma(lam, layers.k2)
@@ -242,8 +240,8 @@ class SommerfeldGridPlan:
         key = bx * self.n2 + by
         self._order = np.argsort(key, kind="stable")
         bx, by, px, py, key = (a[self._order] for a in (bx, by, px, py, key))
-        self._rows_x = bary_matrix(self.xnodes.reshape(self.n1, m)[bx], px)
-        self._rows_y = bary_matrix(self.ynodes.reshape(self.n2, m)[by], py)
+        self._rows_x = bary_matrix(xbox[bx], px)
+        self._rows_y = bary_matrix(ybox[by], py)
         starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         self._boxes = [(divmod(int(key[s]), self.n2), s, e) for s, e in
                        zip(starts, np.r_[starts[1:], key.size])]

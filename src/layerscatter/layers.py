@@ -139,7 +139,9 @@ def build_contour_adaptive(layers, min_vertical_sep, max_horiz=0.0):
     tail, more as the tail grows and, if ``max_horiz`` (the largest
     |x - x0| to be evaluated) is given, with the number of oscillations of
     e^{i lam dx} along the tail.  The short vertical segment gets a single
-    N_MID-point panel.
+    N_MID-point panel.  The left tail is the right tail's exact mirror,
+    so that nodes[::-1] == -nodes and weights[::-1] == weights hold by
+    construction on the tails.
     """
     if min_vertical_sep <= 0:
         raise ValueError("need a positive vertical separation")
@@ -151,30 +153,17 @@ def build_contour_adaptive(layers, min_vertical_sep, max_horiz=0.0):
     edges = _tail_edges(layers.ks, b, t_max)
     n_per = max(6, int(np.ceil(n_tail / (edges.size - 1))))
 
-    nodes, weights, tags = [], [], []
-    # Gamma_3: lambda = t + ib, t from -t_max to 0
-    for lo, hi in zip(-edges[::-1][:-1], -edges[::-1][1:]):
-        x, w = gauss_legendre(n_per, lo, hi)
-        nodes.append(x + 1j * b)
-        weights.append(w.astype(complex))
-        tags.append(np.full(n_per, 3))
+    # Gamma_1: lambda = t - ib, t from 0 to t_max, one row per panel
+    t, w = gauss_legendre(n_per, edges[:-1], edges[1:])
+    tail, tail_w = t.ravel() - 1j * b, w.ravel().astype(complex)
     # Gamma_2: lambda = it, t from b down to -b  => d(lambda) = -i dt (ascending t)
-    x, w = gauss_legendre(N_MID, -b, b)
-    nodes.append(1j * x)
-    weights.append(-1j * w)
-    tags.append(np.full(N_MID, 2))
-    # Gamma_1: lambda = t - ib, t from 0 to t_max
-    for lo, hi in zip(edges[:-1], edges[1:], strict=True):
-        x, w = gauss_legendre(n_per, lo, hi)
-        nodes.append(x - 1j * b)
-        weights.append(w.astype(complex))
-        tags.append(np.full(n_per, 1))
-
+    t, w = gauss_legendre(N_MID, -b, b)
+    # Gamma_3 (lambda = t + ib, t from -t_max to 0) mirrors Gamma_1
     contour = SommerfeldContour(
         b=b, t_max=t_max,
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
-        segments=np.concatenate(tags).astype(int))
+        nodes=np.concatenate([-tail[::-1], 1j * t, tail]),
+        weights=np.concatenate([tail_w[::-1], -1j * w, tail_w]),
+        segments=np.repeat([3, 2, 1], [tail.size, N_MID, tail.size]))
     for k in layers.ks:
         dist = np.abs(contour.nodes[:, None] - np.array([k, -k])[None, :]).min()
         if dist < MIN_BRANCH_DISTANCE:

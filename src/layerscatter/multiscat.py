@@ -159,10 +159,16 @@ def _graf_rows(rel, k, order):
     """J_d(k rho) e^{-i d phi}, d = -order..order, with (rho, phi) the polar
     form of each row of ``rel`` = c - C: the Toeplitz rows of the H->H shift
     from c to C and, reversed with signs (-1)^d, of the J->J shift from C
-    back to c."""
-    d = np.arange(-order, order + 1)
-    return (bessel_j(d, k * np.hypot(rel[:, 0], rel[:, 1])[:, None] + 0j)
-            * np.exp(-1j * np.outer(np.arctan2(rel[:, 1], rel[:, 0]), d)))
+    back to c.  ``bessel_j`` gives the orders d >= 0, on real arguments
+    when Im k = 0, and J_{-d} = (-1)^d J_d the rest."""
+    kr = (np.real(k) if np.imag(k) == 0 else k) \
+        * np.hypot(rel[:, 0], rel[:, 1])[:, None]
+    rows = np.exp(-1j * np.outer(np.arctan2(rel[:, 1], rel[:, 0]),
+                                 np.arange(-order, order + 1)))
+    pos = bessel_j(np.arange(order + 1), kr)
+    rows[:, order:] *= pos
+    rows[:, :order] *= pos[:, :0:-1] * (-1.0) ** np.arange(order, 0, -1)
+    return rows
 
 
 def _shift_up(rows, betas):
@@ -245,7 +251,7 @@ def _mean_spacing(points):
     return np.sqrt(extent.prod() / len(points))
 
 
-def _box_plan(centers, k, p, targets):
+def _box_plan(centers, k, p, targets, ceiling=np.inf):
     """(cost, width, P) of the cheapest box sum from the centres' order-p
     multipoles to ``targets``, by a count of complex multiply-adds, among
     widths 2^(j/2) times the smaller mean spacing of the centres and of the
@@ -254,8 +260,10 @@ def _box_plan(centers, k, p, targets):
     (2p+1) per output order each, the H->H shifts (2p+1)(2P+1) per centre, the
     way down (2P+1) per target output order, and the m2l (2P+1)^2 per point of
     the padded grid.  Widths whose transformed m2l kernel would pass
-    BOX_KERNEL_BYTES are skipped.  None if no width is left (boxes many
-    wavelengths wide, or a grid too large)."""
+    BOX_KERNEL_BYTES are skipped, and so are, before their near pairs are
+    counted, widths whose other costs already reach ``ceiling`` or the best
+    cost so far.  None if no width is left (boxes many wavelengths wide, a
+    grid too large, or no cost below ``ceiling``)."""
     M, order = len(centers), 2 * p + 1
     out_order = order if targets is centers else 1
     both = np.concatenate([centers, targets])
@@ -269,13 +277,14 @@ def _box_plan(centers, k, p, targets):
         pad = 2 * (np.floor(span / width) + 1) - 1
         if P is None or pad.prod() * (4 * P + 1) * 16 > BOX_KERNEL_BYTES:
             continue
-        shape, _, cells = _box_cells(both, width)
-        near = _near_count(cells[:M], shape)[tuple((cells[M:]
-                                                    + BOX_BUFFER).T)].sum()
-        cost = near * order * out_order \
-            + M * order * (2 * P + 1) \
+        cost = M * order * (2 * P + 1) \
             + len(targets) * out_order * (2 * P + 1) \
             + pad.prod() * (2 * P + 1) ** 2
+        if cost >= (ceiling if best is None else min(ceiling, best[0])):
+            continue
+        shape, _, cells = _box_cells(both, width)
+        near = _near_count(cells[:M], shape)[tuple((cells[M:] + BOX_BUFFER).T)]
+        cost += near.sum() * order * out_order
         if best is None or cost < best[0]:
             best = (cost, width, P)
     return best
@@ -548,10 +557,10 @@ def eval_multipole_field(betas, centers, R, k2, points):
     betas = np.asarray(betas)
     p = (betas.shape[1] - 1) // 2
     M, T = len(centers), len(pts)
-    plan = _box_plan(centers, k2, p, pts) if M > 1 and T else None
+    direct = M * T * (2 * p + 1)
+    plan = _box_plan(centers, k2, p, pts, direct) if M > 1 and T else None
     log = logging.getLogger("layerscatter")
-    if plan is not None and plan[0] < M * T * (2 * p + 1) \
-            and R < BOX_BUFFER * plan[1]:
+    if plan is not None and plan[0] < direct and R < BOX_BUFFER * plan[1]:
         _, width, P = plan
         out, shape, near = _eval_boxes(betas, centers, R, k2, pts, width, P)
         log.debug("multipole field at %d points from %d instances: boxes "

@@ -7,13 +7,15 @@ __all__ = ["gauss_legendre", "trig_interp_matrix"]
 
 def gauss_legendre(n, a, b):
     """Nodes and weights of the n-point Gauss-Legendre rule on (a, b);
-    exact to degree 2n-1."""
+    exact to degree 2n-1.  1-D for scalar ends; for arrays of panel ends,
+    one row per panel, all from one ``leggauss`` rule."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if not a < b:
+    a, b = np.asarray(a), np.asarray(b)
+    if not np.all(a < b):
         raise ValueError("need a < b")
     x, w = np.polynomial.legendre.leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    mid, half = 0.5 * (a + b)[..., None], 0.5 * (b - a)[..., None]
     return mid + half * x, half * w
 
 

@@ -13,6 +13,17 @@ def test_cheb_nodes_endpoints_and_order():
     assert (np.diff(x) > 0).all()
 
 
+def test_cheb_nodes_rows_match_one_interval_calls():
+    """Ends of shape (n, 1) give one row per interval, bitwise the nodes of
+    that interval alone, as the C plan's boxes use them."""
+    i = np.arange(37)[:, None]
+    rows = cheb_nodes(GRID_NODES, -20.3 + i * 1.7, -20.3 + (i + 1) * 1.7)
+    assert rows.shape == (37, GRID_NODES)
+    for n in range(37):
+        one = cheb_nodes(GRID_NODES, -20.3 + n * 1.7, -20.3 + (n + 1) * 1.7)
+        assert rows[n].tobytes() == one.tobytes()
+
+
 def test_bary_matrix_cardinality():
     nodes = cheb_nodes(8, 0.0, 1.0)
     P = bary_matrix(nodes, nodes)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layerscatter import layers as layers_mod
 from layerscatter.coupling import SpectralUpdate
@@ -10,6 +11,7 @@ from layerscatter.layers import (InterfaceSolver, LayerStack,
                                  build_contour_adaptive, eval_sommerfeld_field,
                                  gamma, incident_rhs, interface_matrix,
                                  layered_sum_paths, sommerfeld_point_source)
+from layerscatter.quadrature import gauss_legendre
 from layerscatter.scene import load_scene
 from layerscatter.special import hankel1
 
@@ -49,6 +51,72 @@ def test_contour_structure():
     assert np.allclose(np.abs(c.nodes[tails].imag), c.b)
     # anti-symmetric traversal: nodes come in pairs lambda, -conj(lambda)
     assert np.allclose(np.sort(c.nodes.real), np.sort(-c.nodes.real))
+
+
+def _contour_per_panel(layers, sep, max_horiz=0.0):
+    """(t_max, nodes, weights, segments) of the contour built one
+    Gauss-Legendre rule per panel, left tail, vertical segment, right
+    tail: the oracle of ``build_contour_adaptive``."""
+    b = layers_mod.CONTOUR_B
+    t_max = max(abs(k) for k in layers.ks) \
+        + max(20.0, -np.log(layers_mod.CONTOUR_TOL * 1e-2) / sep)
+    n_tail = max(240, int(np.ceil(2.0 * t_max)),
+                 int(np.ceil(8.0 * t_max * max_horiz / (2 * np.pi))))
+    edges = layers_mod._tail_edges(layers.ks, b, t_max)
+    n_per = max(6, int(np.ceil(n_tail / (edges.size - 1))))
+    panels = []
+    for lo, hi in zip(-edges[::-1][:-1], -edges[::-1][1:]):
+        x, w = gauss_legendre(n_per, lo, hi)
+        panels.append((x + 1j * b, w.astype(complex), 3))
+    x, w = gauss_legendre(layers_mod.N_MID, -b, b)
+    panels.append((1j * x, -1j * w, 2))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        x, w = gauss_legendre(n_per, lo, hi)
+        panels.append((x - 1j * b, w.astype(complex), 1))
+    nodes, weights, _ = zip(*panels)
+    return (t_max, np.concatenate(nodes), np.concatenate(weights),
+            np.concatenate([np.full(x.size, s) for x, _, s in panels]))
+
+
+def _check_against_per_panel(layers, sep, max_horiz=0.0):
+    """The contour equals the per-panel oracle bitwise, and its nodes and
+    weights are exactly odd and even under reversal; returns N_S."""
+    c = build_contour_adaptive(layers, sep, max_horiz)
+    t_max, nodes, weights, segments = _contour_per_panel(layers, sep,
+                                                         max_horiz)
+    assert c.t_max == t_max
+    assert c.nodes.tobytes() == nodes.tobytes()
+    assert c.weights.tobytes() == weights.tobytes()
+    assert np.array_equal(c.segments, segments)
+    assert np.array_equal(c.nodes[::-1], -c.nodes)
+    assert np.array_equal(c.weights[::-1], c.weights)
+    return len(c)
+
+
+def test_contour_matches_per_panel_build(contour131):
+    """example1's and band600's scene contours (sizes as their scene files
+    make them: the smallest vertical separation, the source height 1, and
+    the horizontal span of the region and the source), criterion 6's
+    contour and the test fixture's."""
+    example1 = LayerStack(k1=1.0, k2=3.0, k3=1.0, d=32.0, source=(1.0, 1.0))
+    band600 = LayerStack(k1=1.0, k2=3.0, k3=1.5, d=8.0, source=(0.0, 1.0))
+    assert _check_against_per_panel(example1, 1.0, 28.0) == 2540
+    assert _check_against_per_panel(band600, 1.0, 56.0) == 5052
+    assert _check_against_per_panel(example1, 2.0) == 524
+    assert _check_against_per_panel(example1, 1.0, 12.0) == len(contour131)
+
+
+@settings(deadline=None, max_examples=40)
+@given(k1=st.floats(1.0, 6.0), k2=st.floats(0.5, 8.0),
+       loss=st.sampled_from([0.0, 0.0, 0.05, 0.5]), k3=st.floats(0.5, 8.0),
+       d=st.floats(0.3, 40.0), sep=st.floats(0.2, 5.0),
+       max_horiz=st.floats(0.0, 60.0))
+def test_contour_matches_per_panel_build_random_stacks(k1, k2, loss, k3, d,
+                                                       sep, max_horiz):
+    """Random layer stacks, lossy k2 included."""
+    layers = LayerStack(k1=k1, k2=k2 + 1j * loss, k3=k3, d=d,
+                        source=(0.0, 1.0))
+    _check_against_per_panel(layers, sep, max_horiz)
 
 
 def test_sommerfeld_identity_free_space():

@@ -9,16 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from layerscatter import multiscat
 from layerscatter.multiscat import (BOX_BUFFER, PAIR_BLOCK, ExpansionVector,
-                                    PairCoupling, _box_cells, _box_offsets,
-                                    _box_plan, _eval_boxes, _eval_locals,
-                                    _expansion_order, _graf_rows, _near_count,
-                                    _near_pairs, _shift_down, _shift_up,
+                                    PairCoupling, _box_cells, _box_m2l,
+                                    _box_offsets, _box_plan, _eval_boxes,
+                                    _eval_locals, _expansion_order,
+                                    _graf_rows, _near_count, _near_pairs,
+                                    _shift_down, _shift_up, _translate,
                                     disk_owners, eval_expansion,
                                     eval_multipole_field, m2l,
                                     point_source_local, solve_free_space)
 from layerscatter.particle import rotate_scattering_matrix
 from layerscatter.scene import place_particles
-from layerscatter.special import hankel1
+from layerscatter.special import bessel_j, hankel1
 
 K = 3.0
 
@@ -156,6 +157,62 @@ def test_box_m2l_matches_dense(monkeypatch, scene, M):
         ref = dense.apply_m2l(betas)
         err = np.abs(boxes.apply_m2l(betas) - ref).max(axis=0)
         assert np.all(err <= 1e-10 * np.abs(ref).max(axis=0))
+
+
+@pytest.mark.parametrize("scene, M", [(BAND600, 600), (EXAMPLE1, 1200)])
+def test_box_m2l_far_pass_matches_dense_far_pairs(monkeypatch, scene, M):
+    """The box M2L's far pass alone (H->H shift, FFT m2l, J->J shift)
+    against the dense sum over the far pairs only: the dense recurrence
+    with H_0 = H_1 = 0 on the box grid's near pairs.  The error is weighted
+    as the locals are used, on each enclosing circle: per centre,
+    sum_n |err_n| |J_n(k R)| relative to the same sum of the far locals,
+    at most 1e-6 at every centre.  With betas decaying as e^{-|n|/2} and
+    flat, the worst centre reads 3.6e-7 and 4.3e-7 on band600 (P = 34),
+    1.7e-10 and 1.3e-8 on example1 at M = 1200 (P = 35), and 1e-12 and
+    4e-11 at M = 500 (P = 36).  Unweighted, order by order, the far pass
+    reads 3e-6 to 7e-5 relative to the largest far local of that order,
+    4e-9 at order 0 on band600: COUPLING_TOL sizes P from one Graf tail,
+    not from the whole chain."""
+    p, (region, R) = 10, scene
+    centers = _placed_centers(scene, M)
+    monkeypatch.setattr(multiscat, "BOX_CROSSOVER", M + 1)
+    z, eith, h0, h1 = PairCoupling(centers, K, p)._pairs
+    monkeypatch.setattr(multiscat, "BOX_CROSSOVER", 0)
+    boxes = PairCoupling(centers, K, p)
+    shape, _, cells = _box_cells(centers, boxes.width)
+    near = np.zeros((M, M), dtype=bool)
+    near[_near_pairs(cells, cells, shape)] = True
+    h0, h1 = np.where(near, 0.0, h0), np.where(near, 0.0, h1)
+    weight = np.abs(bessel_j(np.arange(-p, p + 1), K * R))
+    for decay in (0.5, 0.0):
+        rng = np.random.default_rng(M)
+        betas = (rng.standard_normal((M, 2 * p + 1))
+                 + 1j * rng.standard_normal((M, 2 * p + 1))) \
+            * np.exp(-decay * np.abs(np.arange(-p, p + 1)))
+        ref = _translate(betas, z, eith, h0, h1, np.matmul)
+        loc = _box_m2l(boxes._kernel, boxes._pad, boxes._cell,
+                       _shift_up(boxes._shift, betas))[boxes._cell]
+        err = np.abs(_shift_down(boxes._shift, loc) - ref) @ weight
+        assert np.all(err <= 1e-6 * (np.abs(ref) @ weight))
+
+
+@pytest.mark.parametrize("k", [3.0, 3.0 + 0j, 3.0 + 0.1j])
+def test_graf_rows_match_complex_bessel_rows(k):
+    """``_graf_rows`` (``bessel_j`` at orders d >= 0 only, on real
+    arguments when Im k = 0, and J_{-d} = (-1)^d J_d) against whole rows
+    of complex-argument ``bessel_j``, to 1e-15 of each row's largest
+    entry, for a real, a complex-typed real and a lossy k, rho = 0
+    included."""
+    order = 44
+    rel = np.random.default_rng(3).uniform(-0.6, 0.6, (200, 2))
+    rel[0] = 0.0
+    d = np.arange(-order, order + 1)
+    ref = bessel_j(d, k * np.hypot(rel[:, 0], rel[:, 1])[:, None] + 0j) \
+        * np.exp(-1j * np.outer(np.arctan2(rel[:, 1], rel[:, 0]), d))
+    got = _graf_rows(rel, k, order)
+    assert np.all(np.abs(got - ref).max(axis=1)
+                  <= 1e-15 * np.abs(ref).max(axis=1))
+    assert np.array_equal(got[0], d == 0)
 
 
 def test_pair_coupling_dense_without_box_order(monkeypatch):
@@ -506,3 +563,34 @@ def test_box_plan_skips_oversized_grids(monkeypatch):
     _, width2, P2 = _box_plan(centers, K, 10, pts)
     assert width2 != width
     assert _kernel_bytes(centers, pts, width2, P2) <= cap
+
+
+def test_box_plan_counts_no_near_pairs_above_the_direct_sum(monkeypatch):
+    """A 40-point field from band600's 600 centres: every width's shift and
+    m2l cost alone reaches the direct sum's 600 * 40 * 21 multiply-adds,
+    the ceiling ``eval_multipole_field`` passes, so ``_box_plan`` counts
+    no near pairs and the direct sum runs.  With and without a ceiling the
+    plans lead to the same choice, also at 400 and 4,000 points."""
+    R, p = 0.165, 10
+    centers = _placed_centers(BAND600, 600)
+    betas = _random_betas(600, p, 8)
+    rng = np.random.default_rng(8)
+    pts = np.stack([rng.uniform(-28, 28, 4000),
+                    rng.uniform(-3.5, -0.6, 4000)], -1)
+    pts = pts[disk_owners(centers, R, pts) < 0]
+    for n in (400, 4000):
+        direct = 600 * n * (2 * p + 1)
+        full = _box_plan(centers, K, p, pts[:n])
+        capped = _box_plan(centers, K, p, pts[:n], direct)
+        assert (capped is not None and capped[0] < direct) \
+            == (full[0] < direct)
+        assert capped is None or capped[0] >= direct or capped == full
+    ref = _per_instance(monkeypatch, betas, centers, R, K, pts[:40])
+
+    def counted(*a):
+        raise AssertionError("near pairs counted")
+
+    monkeypatch.setattr(multiscat, "_near_count", counted)
+    assert _box_plan(centers, K, p, pts[:40], 600 * 40 * (2 * p + 1)) is None
+    assert np.array_equal(eval_multipole_field(betas, centers, R, K,
+                                               pts[:40]), ref)

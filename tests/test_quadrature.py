@@ -19,6 +19,24 @@ def test_gauss_legendre_rejects_bad_input():
         gauss_legendre(0, 0, 1)
     with pytest.raises(ValueError):
         gauss_legendre(4, 1, 1)
+    with pytest.raises(ValueError):
+        gauss_legendre(4, [0.0, 2.0, 3.0], [1.0, 2.0, 4.0])
+
+
+def test_gauss_legendre_panels_match_one_panel_rules():
+    """Arrays of panel ends give one row per panel, bitwise the rule
+    mapped onto that panel alone; scalar ends give 1-D arrays."""
+    edges = np.array([0.0, 0.37, 1.1, 2.0, 7.5, 23.0])
+    x, w = gauss_legendre(9, edges[:-1], edges[1:])
+    assert x.shape == w.shape == (5, 9)
+    t, v = np.polynomial.legendre.leggauss(9)
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        xs, ws = gauss_legendre(9, a, b)
+        assert xs.shape == ws.shape == (9,)
+        ref = [(0.5 * (a + b) + 0.5 * (b - a) * t).tobytes(),
+               (0.5 * (b - a) * v).tobytes()]
+        for got in ((x[i], w[i]), (xs, ws)):
+            assert [g.tobytes() for g in got] == ref
 
 
 @settings(deadline=None, max_examples=30)

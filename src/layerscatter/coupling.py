@@ -15,12 +15,13 @@ the tests):
   [-i (lam + gamma)/k2]^n on the lower one, for n of either sign.
 """
 
+import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .layers import gamma
-from .multiscat import _graf_rows, _shift_up
+from .multiscat import BLAS_BLOCK, _graf_rows, _shift_up
 from .nufft import Nufft3Plan
 from .special import bessel_j, bessel_j_prime
 
@@ -101,6 +102,31 @@ def multipole_to_sommerfeld_direct(betas, centers, contour, layers):
     return SpectralUpdate(sigma_plus=sp, sigma_minus=sm)
 
 
+def _plane_wave_rows(centers, lam, g2, layers, out=None):
+    """A block of rows of the plane-wave table, into ``out`` if given, shape
+    (2, len(centers), lam.size): e^{i lam (x - x0) + g2 y} and
+    e^{i lam (x - x0) - g2 (y + d)} about each of ``centers``, g2 the
+    middle-layer gamma of the nodes ``lam``."""
+    if out is None:
+        out = np.empty((2, len(centers), lam.size), dtype=complex)
+    phase = 1j * (centers[:, :1] - layers.source[0]) * lam
+    np.exp(phase + centers[:, 1:] * g2, out=out[0])
+    np.exp(phase - (centers[:, 1:] + layers.d) * g2, out=out[1])
+    return out
+
+
+def _table_factors(contour, layers, p):
+    """g2 and the per-node factors of C (with the quadrature weight and
+    1/(4 pi g2)) and of B, each (2, N_S, 2p+1), upper interface first."""
+    lam = contour.nodes
+    if not np.array_equal(lam[::-1], -lam):
+        raise ValueError("the plane-wave table needs lam[::-1] == -lam")
+    g2 = gamma(lam, layers.k2)
+    base = (contour.weights / (4 * np.pi * g2))[:, None]
+    c = np.stack([base * f for f in _ja_powers(lam, g2, layers.k2, p)])
+    return g2, c, -4j * np.stack(_hankel_factors(lam, g2, layers.k2, p))
+
+
 class PlaneWaveTable:
     """B and C, exactly, from one stored table of 32 M N_S bytes,
     E[0, m, j] = e^{i lam_j (x_m - x0) + gamma2_j y_m} and
@@ -109,18 +135,12 @@ class PlaneWaveTable:
     gamma2 is even."""
 
     def __init__(self, contour, layers, centers, p):
-        lam = contour.nodes
-        if not np.array_equal(lam[::-1], -lam):
-            raise ValueError("the plane-wave table needs lam[::-1] == -lam")
-        g2 = gamma(lam, layers.k2)
-        base = (contour.weights / (4 * np.pi * g2))[:, None]
-        self._c = [base * f for f in _ja_powers(lam, g2, layers.k2, p)]
-        self._b = -4j * np.stack(_hankel_factors(lam, g2, layers.k2, p))
-        self.E = np.empty((2, len(centers), lam.size), dtype=complex)
-        for m, (x, y) in enumerate(centers):
-            phase = 1j * (x - layers.source[0]) * lam
-            np.exp(phase + y * g2, out=self.E[0, m])
-            np.exp(phase - (y + layers.d) * g2, out=self.E[1, m])
+        centers = np.asarray(centers, dtype=float)
+        g2, self._c, self._b = _table_factors(contour, layers, p)
+        self.E = np.empty((2, len(centers), g2.size), dtype=complex)
+        for m in range(len(centers)):
+            _plane_wave_rows(centers[m:m + 1], contour.nodes, g2, layers,
+                             self.E[:, m:m + 1])
 
     def sommerfeld_to_local(self, densities):
         """As ``sommerfeld_to_local_direct`` at the table's centers."""
@@ -133,6 +153,38 @@ class PlaneWaveTable:
         t = (np.asarray(betas, dtype=complex).T @ self.E)[..., ::-1]
         sp, sm = np.einsum("snj,sjn->sj", t, self._b)
         return SpectralUpdate(sigma_plus=sp, sigma_minus=sm)
+
+
+def subtract_order0_layered(out, contour, layers, centers, srow, mix):
+    """out -= [R+ R-] [X+ X-]^T: the order-0 rows and columns of
+    S_theta C A^{-1} B, through the plane waves of ``contour``.
+
+    B_s = E_s at the mirrored nodes times b_s's order-0 column are the B
+    rows of unit order-0 betas, and X_a = sum_s mix[:, a, s] B_s mixes them
+    per node by ``mix``, the (N_S, 2, 2) map of the sourceless interface
+    solve from (sigma+, sigma-) to the middle-layer densities.  R_s = E_s
+    (srow @ c_s^T) are the C rows contracted with ``srow``, the (M, 2p+1)
+    order-0 rows of S_theta.  X is stored whole, 32 M N_S bytes, in an
+    anonymous memory map of its own, so that its pages go back to the
+    system on return instead of staying in the heap under the later
+    plane-wave table (on band600 that kept 9.6 MB on top of the solve's
+    peak).  B and R come in blocks of BLAS_BLOCK centres, each block of R
+    times X subtracted from its rows of the (M, M) ``out``."""
+    M, p = len(centers), (srow.shape[1] - 1) // 2
+    g2, c, b = _table_factors(contour, layers, p)
+    lam = contour.nodes
+    X = np.frombuffer(mmap.mmap(-1, 32 * lam.size * M), dtype=complex) \
+        .reshape(2, lam.size, M)
+    for lo in range(0, M, BLAS_BLOCK):
+        blk = slice(lo, lo + BLAS_BLOCK)
+        B = _plane_wave_rows(centers[blk], lam[::-1], g2[::-1], layers)
+        B *= b[:, None, :, p]
+        X[:, :, blk] = np.einsum("jas,smj->ajm", mix, B)
+    for lo in range(0, M, BLAS_BLOCK):
+        blk = slice(lo, lo + BLAS_BLOCK)
+        R = _plane_wave_rows(centers[blk], lam, g2, layers)
+        R *= srow[blk] @ c.transpose(0, 2, 1)
+        out[blk] -= R[0] @ X[0] + R[1] @ X[1]
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ from .special import MAX_ORDER, bessel_j, hankel1, hankel1_01
 
 __all__ = ["ExpansionVector", "ParticleInstance", "m2l", "point_source_local",
            "eval_expansion", "PairCoupling", "rotation_phases",
-           "apply_rotated", "solve_free_space", "eval_multipole_field",
-           "disk_owners", "COUPLING_TOL", "BOX_CROSSOVER"]
+           "apply_rotated", "order0_block", "solve_free_space",
+           "eval_multipole_field", "disk_owners", "COUPLING_TOL",
+           "BOX_CROSSOVER"]
 
 # tolerance of the fast couplings: the NUFFT plans and the box M2L
 COUPLING_TOL = 1e-13
@@ -35,6 +36,10 @@ BOX_KERNEL_BYTES = 2 ** 26
 FFT_ORDERS = 8
 # near pairs per block of the box field evaluation
 PAIR_BLOCK = 2 ** 14
+# rows or columns per block of the order-0 block's products and LU: tall
+# enough for BLAS to run near full speed (15-row blocks took 2.3-3.0 s at
+# M = 2000, 64-row ones 1.7-2.6 s), small enough for small temporaries
+BLAS_BLOCK = 64
 
 
 @dataclass
@@ -433,29 +438,54 @@ def apply_rotated(smatrix, phases, locs):
     return np.conj(phases) * ((phases * locs) @ smatrix.entries.T)
 
 
+def order0_block(centers, k, s00):
+    """I - s00 H_0(k |c_m - c_j|), zero H_0 on the diagonal: the order-0 rows
+    and columns of the free-space I - S T with S's order-0 row cut to its
+    entry s00 (the others are at most 4e-4 of it on example1), (M, M).
+    H_0 is symmetric in m and j, so each block of PAIR_BLOCK // M columns
+    (at least one) is computed on and below the diagonal and mirrored."""
+    M = len(centers)
+    out = np.empty((M, M), dtype=complex)
+    step = max(1, PAIR_BLOCK // max(M, 1))
+    for lo in range(0, M, step):
+        blk = slice(lo, lo + step)
+        dx = centers[lo:, :1] - centers[blk, 0]
+        dy = centers[lo:, 1:] - centers[blk, 1]
+        r = np.hypot(dx, dy)
+        r[r == 0] = 1.0                 # kernel argument (diagonal dummy)
+        out[lo:, blk] = -s00 * _polar_hankel(dx, dy, r, k)[2]
+        out[blk, lo:] = out[lo:, blk].T
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
 def solve_free_space(centers, rotations, smatrix, incident_locals, tol=1e-6):
     """GMRES solve of (I - S T) beta = S a for a homogeneous background.
 
     Instance m is the prototype ``smatrix`` (it sets p and k2) at
     ``centers[m]``, rotated by ``rotations[m]``.  ``incident_locals`` is the
     stacked (M, 2p+1) array of incoming local coefficients of the incident
-    field about each center.
+    field about each center.  Right-preconditioned, as the layered solve,
+    by the inverse of ``order0_block`` on the order-0 unknowns.
     Returns (betas, residual_history).
     """
-    from .solver import gmres
+    from .solver import gmres, order0_preconditioner
 
     p, M = smatrix.p, len(centers)
     phases = rotation_phases(rotations, p)
     rhs = apply_rotated(smatrix, phases, incident_locals).ravel()
     coupling = PairCoupling(centers, smatrix.k2, p)
+    precond = order0_preconditioner(
+        lambda: order0_block(np.asarray(centers, dtype=float), smatrix.k2,
+                             smatrix.entries[p, p]), M, p)
 
     def op(v):
-        betas = v.reshape(M, 2 * p + 1)
+        betas = precond(v).reshape(M, 2 * p + 1)
         return (betas - apply_rotated(smatrix, phases,
                                       coupling.apply_m2l(betas))).ravel()
 
     x, hist = gmres(op, rhs, tol=tol)
-    return x.reshape(M, 2 * p + 1), hist
+    return precond(x).reshape(M, 2 * p + 1), hist
 
 
 def _eval_locals(locs, cell, rel, k):

@@ -20,28 +20,32 @@ local coefficients of the transmitted incident field.
 """
 
 import logging
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 # the direct oracles stay importable from here for perfbench/tracing.py
 from .coupling import (MultipoleToSommerfeldPlan, PlaneWaveTable,
-                       SommerfeldGridPlan, multipole_to_sommerfeld_direct,
-                       sommerfeld_to_local_direct, sommerfeld_to_local_nufft)
-from .layers import (InterfaceSolver, eval_sommerfeld_field,
-                     layered_sum_paths)
-from .multiscat import (COUPLING_TOL, PairCoupling, _eval_locals,
-                        apply_rotated, disk_owners, eval_multipole_field,
-                        rotation_phases)
+                       SommerfeldGridPlan, SpectralUpdate,
+                       multipole_to_sommerfeld_direct,
+                       sommerfeld_to_local_direct, sommerfeld_to_local_nufft,
+                       subtract_order0_layered)
+from .layers import (InterfaceSolver, build_contour_adaptive,
+                     eval_sommerfeld_field, layered_sum_paths)
+from .multiscat import (BLAS_BLOCK, COUPLING_TOL, PairCoupling,
+                        _eval_locals, apply_rotated, disk_owners,
+                        eval_multipole_field, order0_block, rotation_phases)
 from .particle import discretize_boundary
 from .special import hankel1_01
 
-__all__ = ["GmresConfig", "GmresError", "gmres", "SchurOperator",
-           "Solution", "solve_layered_scene",
+__all__ = ["GmresConfig", "GmresError", "gmres", "order0_preconditioner",
+           "SchurOperator", "Solution", "solve_layered_scene",
            "eval_total_field", "TABLE_BUDGET"]
 
 # ``auto`` couples through the plane-wave table (32 M N_S bytes) up to this
-# size and above it through the NUFFT plans: slower, but O(M + N_S) memory
+# size and above it through the NUFFT plans: slower, but O(M + N_S) memory.
+# The order-0 preconditioner's (M, M) block (16 M^2 bytes) has the same cap
 TABLE_BUDGET = 2 ** 28
 
 
@@ -148,6 +152,69 @@ def gmres(op, b, tol=1e-6, maxiter=1000, restart=100):
                 f"GMRES stagnated at residual {history[-1]:.3e}", history)
 
 
+def _lu_factor(a):
+    """LU with partial pivoting of the square ``a``, in place, in blocks of
+    BLAS_BLOCK columns: each block a column at a time, then its U rows by
+    one triangular solve and the trailing rows BLAS_BLOCK at a time.  Returns
+    the row order.  numpy's BLAS only: scipy's LAPACK brings a second
+    OpenBLAS, and its threads, spinning after each call, slowed the
+    solve's numpy products by up to 0.1 s on 2 cores."""
+    n = len(a)
+    order = np.arange(n)
+    for k in range(0, n, BLAS_BLOCK):
+        e = min(k + BLAS_BLOCK, n)
+        for j in range(k, e):
+            i = j + np.argmax(np.abs(a[j:, j]))
+            a[[j, i]] = a[[i, j]]
+            order[[j, i]] = order[[i, j]]
+            a[j + 1:, j] /= a[j, j]
+            a[j + 1:, j + 1:e] -= np.outer(a[j + 1:, j], a[j, j + 1:e])
+        a[k:e, e:] = np.linalg.solve(np.tril(a[k:e, k:e], -1) + np.eye(e - k),
+                                     a[k:e, e:])
+        for r in range(e, n, BLAS_BLOCK):
+            a[r:r + BLAS_BLOCK, e:] -= a[r:r + BLAS_BLOCK, k:e] @ a[k:e, e:]
+    return order
+
+
+def _lu_solve(a, order, b):
+    """x with A x = b, from ``_lu_factor``'s in-place factors and order."""
+    x = b[order]
+    blocks = range(0, len(x), BLAS_BLOCK)
+    for k in blocks:
+        e = k + BLAS_BLOCK
+        x[k:e] = np.linalg.solve(
+            np.tril(a[k:e, k:e], -1) + np.eye(len(x[k:e])), x[k:e])
+        x[e:] -= a[e:, k:e] @ x[k:e]
+    for k in reversed(blocks):
+        e = k + BLAS_BLOCK
+        x[k:e] = np.linalg.solve(np.triu(a[k:e, k:e]), x[k:e])
+        x[:k] -= a[:k, k:e] @ x[k:e]
+    return x
+
+
+def order0_preconditioner(build, M, p):
+    """Right preconditioner P for (M, 2p+1) unknowns: v with its order-0
+    entries replaced by K^{-1} of them, K = ``build()`` an (M, M) block,
+    LU-factored in place; every other order is left as it is.  GMRES on
+    v -> A P v returns y, the solution is x = P y, and its residual
+    history is that of x.  The identity, with ``build`` never called, for
+    M = 0 or when K's 16 M^2 bytes pass TABLE_BUDGET."""
+    if not 0 < 16 * M * M <= TABLE_BUDGET:
+        if M:
+            logging.getLogger("layerscatter").debug(
+                "coarse block skipped: 16 M^2 = %d bytes over TABLE_BUDGET "
+                "%d", 16 * M * M, TABLE_BUDGET)
+        return lambda v: v
+    K = build()
+    order = _lu_factor(K)
+
+    def apply(v):
+        out = v.reshape(M, 2 * p + 1).copy()
+        out[:, p] = _lu_solve(K, order, out[:, p])
+        return out.ravel()
+    return apply
+
+
 class SchurOperator:
     """Matrix-free Schur-complement operator and its right-hand side.
 
@@ -235,6 +302,36 @@ class SchurOperator:
         return (betas - apply_rotated(self.smatrix, self.phases,
                                       locs)).ravel()
 
+    def coarse_block(self, contour=None):
+        """K, the order-0 rows and columns of I - S_theta (T + C A^{-1} B),
+        an (M, M) array: ``order0_block`` (the free part, S's
+        order-0 row cut to s00) less the layered part from
+        ``subtract_order0_layered`` on ``contour``.  By default that is a
+        coarse contour sized for twice the smallest centre-to-interface
+        distance, the shortest path between two particles through an
+        interface.  Logs the contour size, K's bytes and the build time."""
+        t0 = time.perf_counter()
+        if contour is None:
+            y = self.centers[:, 1]
+            depth = min(-y.max(), (y + self.layers.d).min())
+            contour = build_contour_adaptive(self.layers, 2 * depth)
+        p, n = self.p, len(contour)
+        K = order0_block(self.centers, self.layers.k2,
+                         self.smatrix.entries[p, p])
+        # the sourceless interface solve of unit sigma+ and unit sigma-:
+        # per node, the 2x2 map to the middle-layer densities
+        iface = InterfaceSolver(contour, self.layers)
+        one, zero = np.ones(n), np.zeros(n)
+        mix = np.stack([iface.solve(SpectralUpdate(sp, sm),
+                                    include_source=False).values[:, 1:3]
+                        for sp, sm in ((one, zero), (zero, one))], axis=-1)
+        subtract_order0_layered(K, contour, self.layers, self.centers,
+                                self.phases * self.smatrix.entries[p], mix)
+        logging.getLogger("layerscatter").debug(
+            "coarse block: N_S %d, %d bytes, built in %.3f s", n, K.nbytes,
+            time.perf_counter() - t0)
+        return K
+
     def recover_densities(self, betas):
         """One final A-block solve with the full right-hand side b + B beta."""
         return self.interface.solve(self._b_block(betas))
@@ -256,17 +353,23 @@ class Solution:
 
 def solve_layered_scene(operator, config=None, boundary=None,
                         mode_densities=None, fingerprint=b""):
-    """GMRES on the Schur system, then density recovery.
+    """GMRES on the Schur system, right-preconditioned on the order-0
+    unknowns by the operator's ``coarse_block`` (built for this solve and
+    dropped with it), then density recovery.
 
     ``operator`` is a prepared SchurOperator (the scene module builds it
     from a SceneConfig).  Optional prototype boundary data enables interior
     field reconstruction in eval_total_field.
     """
     config = config or GmresConfig()
+    # K is built before the plane-wave table, which rhs() builds
+    precond = order0_preconditioner(operator.coarse_block, operator.M,
+                                    operator.p)
     # with no inclusions the right-hand side is empty and GMRES returns it
-    x, history = gmres(operator.apply, operator.rhs(), tol=config.tol,
-                       maxiter=config.maxiter, restart=config.restart)
-    betas = x.reshape(operator.M, 2 * operator.p + 1)
+    y, history = gmres(lambda v: operator.apply(precond(v)), operator.rhs(),
+                       tol=config.tol, maxiter=config.maxiter,
+                       restart=config.restart)
+    betas = precond(y).reshape(operator.M, 2 * operator.p + 1)
     densities = operator.recover_densities(betas)
     # C is linear, so one apply to A^{-1} (b + B beta) gives the locals of
     # the transmitted incident field and of the interface-scattered field

@@ -1,5 +1,6 @@
 import gc
 import logging
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -11,10 +12,10 @@ import scipy.special
 
 from layerscatter.layers import LayerStack, build_contour_adaptive, \
     sommerfeld_point_source
-from layerscatter.multiscat import ParticleInstance, point_source_local, \
-    solve_free_space, eval_multipole_field
+from layerscatter.multiscat import ParticleInstance, apply_rotated, \
+    order0_block, point_source_local, solve_free_space, eval_multipole_field
 from layerscatter.particle import scattering_matrix_disk
-from layerscatter.scene import load_scene, solve_scene
+from layerscatter.scene import build_scene, load_scene, solve_scene
 from layerscatter import multiscat as multiscat_mod, \
     particle as particle_mod, solver as solver_mod
 from layerscatter.solver import (GmresConfig, GmresError, SchurOperator,
@@ -390,6 +391,52 @@ def test_nufft_path_agrees_on_band600(tmp_path, monkeypatch):
     assert np.abs(u_d - u_n).max() <= 1e-8 * np.abs(u_d).max()
 
 
+def _assert_preconditioned_matches_oracle(op, tol, pts):
+    """solve_layered_scene (right-preconditioned by the coarse block)
+    against unpreconditioned GMRES on op.apply: betas and field within
+    10 tol, the recomputed residual within tol, no more iterations."""
+    b = op.rhs()
+    x, hist = gmres(op.apply, b, tol=tol)
+    sol = solve_layered_scene(op, GmresConfig(tol=tol))
+    assert np.abs(sol.betas.ravel() - x).max() <= 10 * tol * np.abs(x).max()
+    res = np.linalg.norm(b - op.apply(sol.betas.ravel())) / np.linalg.norm(b)
+    assert res <= tol and abs(res - sol.history[-1]) <= 1e-3 * tol
+    assert len(sol.history) <= len(hist)
+    oracle = replace(sol, betas=x.reshape(sol.betas.shape))
+    oracle.densities = op.recover_densities(oracle.betas)
+    oracle.alphas = op.incoming_locals(oracle.densities, oracle.betas)
+    u, u_oracle = eval_total_field(sol, pts), eval_total_field(oracle, pts)
+    assert np.abs(u - u_oracle).max() <= 10 * tol * np.abs(u_oracle).max()
+
+
+def test_preconditioned_solve_matches_oracle(contour131, layers131,
+                                             flower_smatrix):
+    """The flower fixture at 24 inclusions, GMRES tol 1e-8."""
+    smat, _ = flower_smatrix
+    cents = [(-6.0 + 0.9 * (i % 8), -4.0 - 9.0 * (i // 8)) for i in range(24)]
+    op = _operator(contour131, layers131, smat, rots=np.linspace(0, 3, 24),
+                   cents=cents)
+    pts = np.array([[4.0, 1.0], [-5.0, -30.0], [0.5, -12.5], [2.5, -40.0]])
+    _assert_preconditioned_matches_oracle(op, 1e-8, pts)
+
+
+@pytest.mark.parametrize("path", ["direct", "nufft"])
+def test_preconditioned_solve_matches_oracle_on_band600(path, tmp_path,
+                                                        monkeypatch):
+    """band600 at M = 40 on the table and on the NUFFT path, GMRES tol
+    1e-8: B sees P(v), which differs from v only in order 0, so the NUFFT
+    B plan's range-of-S accuracy is kept."""
+    monkeypatch.setenv("LAYERSCATTER_CACHE_DIR", str(tmp_path))
+    cfg = replace(load_scene(BAND600), M=40, path=path)
+    op = build_scene(cfg).operator
+    assert op.use_nufft == (path == "nufft")
+    rng = np.random.default_rng(2)
+    y = np.concatenate([rng.uniform(0.0, 2.0, 10),
+                        rng.uniform(-cfg.d - 2.0, -cfg.d, 10)])
+    pts = np.stack([rng.uniform(cfg.region_x0, cfg.region_x1, 20), y], -1)
+    _assert_preconditioned_matches_oracle(op, 1e-8, pts)
+
+
 def test_box_m2l_solve_agrees_on_band600(tmp_path, monkeypatch):
     """band600 at M = 190 solved with the box M2L (forced below
     BOX_CROSSOVER) and with the dense one, GMRES tol 1e-10: the betas, and
@@ -413,6 +460,64 @@ def test_box_m2l_solve_agrees_on_band600(tmp_path, monkeypatch):
     u_d = eval_total_field(sol_d, pts)
     u_b = eval_total_field(sol_b, pts)
     assert np.abs(u_d - u_b).max() <= 1e-9 * np.abs(u_d).max()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_lu_solve_matches_numpy_solve(n):
+    """The order-0 block's numpy-only LU, on matrices whose small diagonal
+    forces row swaps, against np.linalg.solve, across the BLAS_BLOCK edges."""
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A[np.diag_indices(n)] *= 1e-3
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    a = A.copy()
+    x = solver_mod._lu_solve(a, solver_mod._lu_factor(a), b)
+    ref = np.linalg.solve(A, b)
+    assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_coarse_block_assembly(contour131, layers131, flower_smatrix):
+    """K on the operator's own contour: its free part is s00 times the dense
+    PairCoupling's H_0 (zero diagonal), and its layered part is the order-0
+    column of e_j - op.apply(e_j) less that of S_theta T e_j, to 1e-12."""
+    smat, _ = flower_smatrix
+    rng = np.random.default_rng(3)
+    cents = np.c_[rng.uniform(-8, 8, 12), rng.uniform(-30, -2, 12)]
+    op = _operator(contour131, layers131, smat, rots=rng.uniform(0, 6, 12),
+                   cents=[tuple(c) for c in cents])
+    p, M = op.p, op.M
+    free = np.eye(M) - order0_block(op.centers, op.layers.k2,
+                                    smat.entries[p, p])
+    pair = multiscat_mod.PairCoupling(op.centers, op.layers.k2, p)
+    assert pair.grid is None
+    assert np.array_equal(free, smat.entries[p, p] * pair._pairs[2])
+    layered = np.eye(M) - free - op.coarse_block(op.contour)
+    for j in (0, 5, 11):
+        e = np.zeros((M, 2 * p + 1), dtype=complex)
+        e[j, p] = 1.0
+        col = (e.ravel() - op.apply(e.ravel())).reshape(M, -1)
+        col -= apply_rotated(smat, op.phases, pair.apply_m2l(e))
+        assert np.abs(layered[:, j] - col[:, p]).max() <= \
+            1e-12 * np.abs(col[:, p]).max()
+
+
+def test_coarse_block_logged(contour131, layers131, flower_smatrix,
+                             monkeypatch, caplog):
+    """One debug line per solve: the coarse contour's N_S, K's bytes and the
+    build time, or the skip when 16 M^2 passes TABLE_BUDGET."""
+    smat, _ = flower_smatrix
+    op = _operator(contour131, layers131, smat)
+    with caplog.at_level(logging.DEBUG, logger="layerscatter"):
+        solve_layered_scene(op)
+        monkeypatch.setattr(solver_mod, "TABLE_BUDGET", 16 * 3 * 3 - 1)
+        solve_layered_scene(op)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("coarse block")]
+    assert len(lines) == 2
+    assert re.fullmatch(r"coarse block: N_S \d+, 144 bytes, built in "
+                        r"\d+\.\d{3} s", lines[0])
+    assert lines[1] == ("coarse block skipped: 16 M^2 = 144 bytes over "
+                        "TABLE_BUDGET 143")
 
 
 def test_solve_releases_plane_wave_table(contour131, layers131,

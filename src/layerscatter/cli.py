@@ -98,6 +98,21 @@ def _read_solution(path, cfg):
     return saved
 
 
+def _check_solution(path, saved, build):
+    """Exits with one line naming the file unless betas and alphas are
+    finite (M, 2p+1), sigma finite (N_S, 4) and history non-empty."""
+    m = (build.config.M, 2 * build.config.p + 1)
+    for name, shape in (("betas", m), ("alphas", m),
+                        ("sigma", (len(build.contour), 4))):
+        a = saved[name]
+        if not (a.shape == shape and np.issubdtype(a.dtype, np.number)
+                and np.isfinite(a).all()):
+            raise SystemExit(f"solution {path}: {name} must be finite "
+                             f"{shape}, got {a.dtype} {a.shape}")
+    if saved["history"].ndim != 1 or not saved["history"].size:
+        raise SystemExit(f"solution {path}: empty residual history")
+
+
 def cmd_eval(args):
     cfg = _load_config(args)
     nx, ny = _parse_pair(args.grid, 2, "grid", int)
@@ -107,6 +122,7 @@ def cmd_eval(args):
     if args.solution:
         saved = _read_solution(args.solution, cfg)
         build = build_scene(cfg)
+        _check_solution(args.solution, saved, build)
         sol = Solution(densities=SpectralDensities(values=saved["sigma"]),
                        betas=saved["betas"], alphas=saved["alphas"],
                        history=list(saved["history"]),

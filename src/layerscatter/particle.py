@@ -8,7 +8,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import _logquad16
 from .quadrature import trig_interp_matrix
@@ -17,9 +16,9 @@ from .special import (bessel_j, bessel_j_prime, hankel1, hankel1_01,
 
 __all__ = ["ShapeParams", "BoundaryDiscretization", "ScatteringMatrix",
            "PrecomputedDensities", "shape_curve", "discretize_boundary",
-           "assemble_muller", "factor_and_solve", "incident_mode_rhs",
-           "scattering_matrix_nystrom", "scattering_matrix_disk",
-           "rotate_scattering_matrix", "shape_fingerprint"]
+           "assemble_muller", "scattering_matrix_nystrom",
+           "scattering_matrix_disk", "rotate_scattering_matrix",
+           "shape_fingerprint"]
 
 
 @dataclass(frozen=True)
@@ -212,30 +211,6 @@ def _cylindrical_modes(boundary, k2, p):
     return jn * phase, dudn
 
 
-def incident_mode_rhs(boundary, k2, p):
-    """Right-hand sides (-u_inc, -du_inc/dn) for the cylindrical incident
-    modes u_inc = J_n(k2 r) e^{i n theta}, n = -p..p, about the origin."""
-    u, dudn = _cylindrical_modes(boundary, k2, p)
-    return np.concatenate([-u, -dudn], axis=0)
-
-
-def factor_and_solve(system, rhs_set):
-    """LU-factor the Nystrom system once and solve all incident modes."""
-    n2 = system.shape[0]
-    if system.shape != (n2, n2) or rhs_set.shape[0] != n2:
-        raise ValueError("shape mismatch between system and right-hand sides")
-    try:
-        lu, piv = scipy.linalg.lu_factor(system)
-    except (ValueError, scipy.linalg.LinAlgError) as exc:
-        raise RuntimeError(f"Nystrom factorization failed: {exc}") from exc
-    if np.min(np.abs(np.diag(lu))) < 1e-13 * np.max(np.abs(np.diag(lu))):
-        raise RuntimeError("numerically singular Nystrom system")
-    sol = scipy.linalg.lu_solve((lu, piv), rhs_set)
-    N = n2 // 2
-    p = (rhs_set.shape[1] - 1) // 2
-    return PrecomputedDensities(p=p, mu=sol[:N], sigma=sol[N:])
-
-
 def _multipole_projection(boundary, k2, p):
     """Weights turning boundary densities into outgoing H-expansion
     coefficients: beta_l = (i/4) integral [ J_l(k2 r) e^{-i l th} sigma
@@ -262,8 +237,17 @@ def scattering_matrix_nystrom(boundary, k2, kp, p):
     enclosing radius R is 1.1 times the largest node radius."""
     R = 1.1 * np.hypot(boundary.nodes[:, 0], boundary.nodes[:, 1]).max()
     A = assemble_muller(boundary, k2, kp)
-    rhs = incident_mode_rhs(boundary, k2, p)
-    dens = factor_and_solve(A, rhs)
+    rhs = -np.concatenate(_cylindrical_modes(boundary, k2, p))  # -u, -du/dn
+    try:
+        sol = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"Nystrom factorization failed: {exc}") from exc
+    # |x| <= |A^-1| |b|, so this ratio is a lower bound on cond(A); written
+    # as "not <=" so that a non-finite solution fails it too
+    if not (np.abs(A).sum(1).max() * np.abs(sol).max()
+            <= 1e13 * np.abs(rhs).max()):
+        raise RuntimeError("numerically singular Nystrom system")
+    dens = PrecomputedDensities(p, *np.split(sol, 2))
     w_sigma, w_mu = _multipole_projection(boundary, k2, p)
     entries = w_sigma.T @ dens.sigma + w_mu.T @ dens.mu
     S = ScatteringMatrix(p=p, entries=entries, R=float(R), k2=k2, kp=kp,

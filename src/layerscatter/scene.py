@@ -69,7 +69,10 @@ class SceneConfig:
         # config was constructed (e.g. float vs complex wavenumbers)
         for f in fields(self):
             if f.type in (complex, float, int):
-                setattr(self, f.name, f.type(getattr(self, f.name)))
+                value = f.type(getattr(self, f.name))
+                if f.type is not int and not np.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
+                setattr(self, f.name, value)
         if self.path not in ("auto", "direct", "nufft"):
             raise ValueError(f"path must be auto|direct|nufft, got {self.path!r}")
         for name in ("M", "seed", "p"):
@@ -120,9 +123,6 @@ class SceneConfig:
         return hashlib.sha256(repr(items).encode()).digest()
 
 
-_CONVERTERS = {complex: complex, float: float, int: int, str: str}
-
-
 def load_scene(path):
     """Parse and validate a ``key = value`` scene file."""
     known = {f.name: f for f in fields(SceneConfig)}
@@ -139,9 +139,8 @@ def load_scene(path):
             key, val = key.strip(), val.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            conv = _CONVERTERS[known[key].type]
             try:
-                values[key] = conv(val)
+                values[key] = known[key].type(val)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: "
                                  f"{exc}") from None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from layerscatter.cli import main
-from layerscatter.scene import load_field_grid
+from layerscatter.scene import load_field_grid, load_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -132,6 +132,35 @@ def test_eval_rejects_foreign_solution(scene_file, tmp_path):
               "--out", str(tmp_path / "g.lsfg")])
 
 
+@pytest.mark.parametrize("name,change", [
+    ("sigma", lambda a: a[:-7]),
+    ("history", lambda a: a[:0]),
+    ("betas", lambda a: a[:, :5]),
+    ("alphas", lambda a: a[:2]),
+    ("alphas", lambda a: a * np.nan)],
+    ids=["sigma-short", "history-empty", "betas-5-columns", "alphas-2-rows",
+         "alphas-nan"])
+def test_eval_rejects_solution_that_does_not_fit(scene_file, tmp_path, name,
+                                                 change):
+    """A solution file of this scene whose arrays are cut short, empty or
+    not finite stops eval with one line naming the file, and writes no
+    grid."""
+    sol = tmp_path / "sol.npz"
+    bad = tmp_path / "bad.npz"
+    out = tmp_path / "g.lsfg"
+    assert main(["solve", "--scene", str(scene_file), "--out", str(sol)]) == 0
+    with np.load(sol) as z:
+        arrays = dict(z)
+    arrays[name] = change(arrays[name])
+    np.savez(bad, **arrays)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--scene", str(scene_file), "--solution", str(bad),
+              "--grid", "4,4", "--extent=-5,5,-24,-8", "--out", str(out)])
+    msg = str(exc.value.code)
+    assert str(bad) in msg and "\n" not in msg
+    assert not out.exists()
+
+
 def test_eval_missing_solution_exits_before_building(scene_file, tmp_path):
     """A missing --solution file stops eval with a one-line message that
     names it, before the scattering matrix is built or cached."""
@@ -179,6 +208,23 @@ def test_invalid_scene_exits_with_message(scene_file, scene, extra):
         main(["solve", "--scene", str(scene_file), *extra])
     msg = str(exc.value.code)
     assert msg and "\n" not in msg
+    assert not list(scene_file.parent.glob("cache/*"))
+
+
+@pytest.mark.parametrize("line", [
+    "source_x = nan", "source_y = nan", "region_x0 = nan", "kp = nan",
+    "kp = 2+nanj", "k1 = inf", "d = -inf", "tol = inf"])
+def test_non_finite_scene_value_rejected(scene_file, line):
+    """A nan or inf value fails validation at load, naming its key, and
+    stops the CLI with a one-line message before any precompute."""
+    key = line.split()[0]
+    scene_file.write_text(SMALL_SCENE + line + "\n")
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        load_scene(scene_file)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--scene", str(scene_file)])
+    msg = str(exc.value.code)
+    assert key in msg and "\n" not in msg
     assert not list(scene_file.parent.glob("cache/*"))
 
 

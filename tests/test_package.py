@@ -68,3 +68,27 @@ print(pair.grid is not None, plan[0] < 600 * len(pts) * 21,
     out = subprocess.run([sys.executable, "-c", script], cwd=src,
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False", "True", "True", "False"]
+
+
+def test_solve_leaves_out_scipy_linalg():
+    """Neither importing the package nor a band600 solve at M = 8 on the
+    auto and NUFFT paths (the Nystrom scattering matrix, the couplings,
+    the coarse block's LU and GMRES) loads ``scipy.linalg``: its LAPACK
+    runs on a second OpenBLAS whose threads contend with numpy's."""
+    root = Path(__file__).resolve().parents[1]
+    band600 = root / "perfbench" / "scenes" / "band600.scene"
+    script = f"""
+import sys
+from dataclasses import replace
+import layerscatter
+from layerscatter.scene import load_scene, solve_scene
+print('scipy.linalg' in sys.modules)
+cfg = replace(load_scene({str(band600)!r}), M=8)
+for path in ("auto", "nufft"):
+    build, sol = solve_scene(replace(cfg, path=path), use_cache=False)
+    print(build.operator.use_nufft, sol.history[-1] <= cfg.tol)
+print('scipy.linalg' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script], cwd=root / "src",
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "False", "True", "True", "True", "False"]

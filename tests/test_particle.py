@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from layerscatter import particle
 from layerscatter.particle import (ShapeParams, discretize_boundary,
                                    rotate_scattering_matrix,
                                    scattering_matrix_disk,
@@ -85,3 +87,16 @@ def test_scattered_field_matches_densities(flower_boundary, flower_smatrix):
     u_exp = (hankel1(ns[None, :], (k2 * r)[:, None] + 0j)
              * np.exp(1j * np.outer(a, ns))) @ S.entries[:, col]
     assert np.abs(u_dens - u_exp).max() <= 1e-8 * np.abs(u_dens).max()
+
+
+def test_near_singular_system_rejected(flower_boundary, monkeypatch):
+    """A Nystrom system whose smallest singular value is 1e-16 of its
+    largest (the flower's own reads cond 1.44) raises instead of returning
+    densities that are mostly rounding error."""
+    A = particle.assemble_muller(flower_boundary, 3.0, 2.0)
+    U, s, Vh = np.linalg.svd(A)
+    s[-1] = 1e-16 * s[0]
+    monkeypatch.setattr(particle, "assemble_muller",
+                        lambda *args: (U * s) @ Vh)
+    with pytest.raises(RuntimeError, match="singular"):
+        scattering_matrix_nystrom(flower_boundary, 3.0, 2.0, 10)

@@ -155,36 +155,32 @@ class PlaneWaveTable:
         return SpectralUpdate(sigma_plus=sp, sigma_minus=sm)
 
 
-def subtract_order0_layered(out, contour, layers, centers, srow, mix):
-    """out -= [R+ R-] [X+ X-]^T: the order-0 rows and columns of
-    S_theta C A^{-1} B, through the plane waves of ``contour``.
+def subtract_order0_layered(out, contour, layers, centers, s00, mix):
+    """out -= s00 L, L the order-0 block of C A^{-1} B through the plane
+    waves E of ``contour`` and s00 the scattering matrix's order-0 entry.
 
-    B_s = E_s at the mirrored nodes times b_s's order-0 column are the B
-    rows of unit order-0 betas, and X_a = sum_s mix[:, a, s] B_s mixes them
-    per node by ``mix``, the (N_S, 2, 2) map of the sourceless interface
-    solve from (sigma+, sigma-) to the middle-layer densities.  R_s = E_s
-    (srow @ c_s^T) are the C rows contracted with ``srow``, the (M, 2p+1)
-    order-0 rows of S_theta.  X is stored whole, 32 M N_S bytes, in an
-    anonymous memory map of its own, so that its pages go back to the
-    system on return instead of staying in the heap under the later
-    plane-wave table (on band600 that kept 9.6 MB on top of the solve's
-    peak).  B and R come in blocks of BLAS_BLOCK centres, each block of R
-    times X subtracted from its rows of the (M, M) ``out``."""
-    M, p = len(centers), (srow.shape[1] - 1) // 2
-    g2, c, b = _table_factors(contour, layers, p)
+    At order 0 C's node factor is w/(4 pi gamma2), B's is -4i and B reads E
+    in reversed node order, so s00 L = sum_s R_s[:, ::-1] E_s^T with
+    R_s = sum_a E_a f_sa, f = -4i s00 w/(4 pi gamma2) mix^T and ``mix`` the
+    (N_S, 2, 2) map of the sourceless interface solve from (sigma+, sigma-)
+    to the middle-layer densities; L is symmetric by reciprocity.  One pass
+    of rows fills E, 32 M N_S bytes, in an anonymous memory map, so that
+    its pages go back to the system on return instead of staying in the
+    heap under the later plane-wave table (on band600 that kept 9.6 MB on
+    top of the solve's peak).  R comes BLAS_BLOCK rows at a time."""
+    M = len(centers)
+    g2, c, b = _table_factors(contour, layers, 0)
     lam = contour.nodes
-    X = np.frombuffer(mmap.mmap(-1, 32 * lam.size * M), dtype=complex) \
-        .reshape(2, lam.size, M)
+    E = np.frombuffer(mmap.mmap(-1, 32 * lam.size * M), dtype=complex) \
+        .reshape(2, M, lam.size)
+    f = (s00 * c[0, :, 0] * b[0, :, 0] * mix.T)[..., ::-1]     # (s, a, N_S)
+    for lo in range(0, M, BLAS_BLOCK):
+        _plane_wave_rows(centers[lo:lo + BLAS_BLOCK], lam, g2, layers,
+                         E[:, lo:lo + BLAS_BLOCK])
     for lo in range(0, M, BLAS_BLOCK):
         blk = slice(lo, lo + BLAS_BLOCK)
-        B = _plane_wave_rows(centers[blk], lam[::-1], g2[::-1], layers)
-        B *= b[:, None, :, p]
-        X[:, :, blk] = np.einsum("jas,smj->ajm", mix, B)
-    for lo in range(0, M, BLAS_BLOCK):
-        blk = slice(lo, lo + BLAS_BLOCK)
-        R = _plane_wave_rows(centers[blk], lam, g2, layers)
-        R *= srow[blk] @ c.transpose(0, 2, 1)
-        out[blk] -= R[0] @ X[0] + R[1] @ X[1]
+        R = f[:, 0, None] * E[0, blk, ::-1] + f[:, 1, None] * E[1, blk, ::-1]
+        out[blk] -= R[0] @ E[0].T + R[1] @ E[1].T
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@ __all__ = ["ExpansionVector", "ParticleInstance", "m2l", "point_source_local",
            "eval_multipole_field", "disk_owners", "COUPLING_TOL",
            "BOX_CROSSOVER"]
 
-# tolerance of the fast couplings: the NUFFT plans and the box M2L
+# tolerance of the fast couplings: the NUFFT plans and the box M2L.  The
+# box M2L sizes P from one Graf tail at this tolerance (``_expansion_order``)
+# and ignores p, so its far pass measures 3.6e-7 on band600, not 1e-13
+# (ROADMAP aim 3)
 COUPLING_TOL = 1e-13
 # from this many centres on, PairCoupling applies M2L through boxes.  On 2
 # cores the dense build and apply (7 ms + 4 ms at M = 100 on example1) beat

@@ -230,12 +230,15 @@ def shape_fingerprint(params):
     return hashlib.sha256(blob).digest()
 
 
+def enclosing_radius(boundary):
+    """The prototype's enclosing radius: 1.1 times its largest node radius."""
+    return float(1.1 * np.hypot(*boundary.nodes.T).max())
+
+
 def scattering_matrix_nystrom(boundary, k2, kp, p):
     """Scattering matrix of a smooth inclusion by solving the Muller system
     for each incident cylindrical mode and projecting onto the outgoing
-    multipole basis; returns it and the per-mode boundary densities.  The
-    enclosing radius R is 1.1 times the largest node radius."""
-    R = 1.1 * np.hypot(boundary.nodes[:, 0], boundary.nodes[:, 1]).max()
+    multipole basis; returns it and the per-mode boundary densities."""
     A = assemble_muller(boundary, k2, kp)
     rhs = -np.concatenate(_cylindrical_modes(boundary, k2, p))  # -u, -du/dn
     try:
@@ -250,7 +253,8 @@ def scattering_matrix_nystrom(boundary, k2, kp, p):
     dens = PrecomputedDensities(p, *np.split(sol, 2))
     w_sigma, w_mu = _multipole_projection(boundary, k2, p)
     entries = w_sigma.T @ dens.sigma + w_mu.T @ dens.mu
-    S = ScatteringMatrix(p=p, entries=entries, R=float(R), k2=k2, kp=kp,
+    S = ScatteringMatrix(p=p, entries=entries, R=enclosing_radius(boundary),
+                         k2=k2, kp=kp,
                          fingerprint=shape_fingerprint(boundary.params))
     return S, dens
 

@@ -24,8 +24,8 @@ import numpy as np
 from .layers import LayerStack, build_contour_adaptive
 from .multiscat import ParticleInstance
 from .particle import (PrecomputedDensities, ScatteringMatrix, ShapeParams,
-                       discretize_boundary, scattering_matrix_nystrom,
-                       shape_fingerprint)
+                       discretize_boundary, enclosing_radius,
+                       scattering_matrix_nystrom, shape_fingerprint)
 from .solver import GmresConfig, SchurOperator, eval_total_field, \
     solve_layered_scene
 
@@ -97,9 +97,11 @@ class SceneConfig:
             raise ValueError(
                 f"region bottom {self.region_y0} within half a wavelength "
                 f"({inset:.4g}) of the interface y = {-self.d}")
-        # the layer stack, shape and GMRES settings check themselves
+        # the layer stack, shape and GMRES settings check themselves, and
+        # the region must hold M inclusions before any precompute runs
         self.layers()
-        self.shape()
+        _require_capacity(self.region(), self.M,
+                          enclosing_radius(discretize_boundary(self.shape())))
         self.gmres_config()
 
     def layers(self):
@@ -164,6 +166,15 @@ def placement_capacity(region, R):
     return nx * ny
 
 
+def _require_capacity(region, M, R):
+    """ValueError unless the region holds M particles of enclosing radius R."""
+    capacity = placement_capacity(region, R)
+    if M > capacity:
+        raise ValueError(
+            f"region {region} holds at most {capacity} particles at "
+            f"separation {SEPARATION_FACTOR * R:.4g}; requested {M}")
+
+
 def place_particles(region, M, R, seed):
     """Random non-overlapping placement: perturbed-grid with repeated sweeps.
 
@@ -174,11 +185,7 @@ def place_particles(region, M, R, seed):
     seed.  Rotations are uniform on [0, 2 pi).
     """
     x0, x1, y0, y1 = region
-    capacity = placement_capacity(region, R)
-    if M > capacity:
-        raise ValueError(
-            f"region {region} holds at most {capacity} particles at "
-            f"separation {SEPARATION_FACTOR * R:.4g}; requested {M}")
+    _require_capacity(region, M, R)
     if M == 0:
         return []
     rng = np.random.default_rng(seed)

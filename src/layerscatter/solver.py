@@ -303,21 +303,20 @@ class SchurOperator:
                                       locs)).ravel()
 
     def coarse_block(self, contour=None):
-        """K, the order-0 rows and columns of I - S_theta (T + C A^{-1} B),
-        an (M, M) array: ``order0_block`` (the free part, S's
-        order-0 row cut to s00) less the layered part from
-        ``subtract_order0_layered`` on ``contour``.  By default that is a
-        coarse contour sized for twice the smallest centre-to-interface
-        distance, the shortest path between two particles through an
-        interface.  Logs the contour size, K's bytes and the build time."""
+        """K = I - s00 (H_0 + L), the Foldy-Lax monopole system, (M, M),
+        complex symmetric and free of the rotations: the order-0 rows and
+        columns of I - S (T + C A^{-1} B) with S cut to its entry s00.
+        ``order0_block`` gives the free part and ``subtract_order0_layered``
+        L on ``contour``, by default one sized for twice the smallest
+        centre-to-interface distance, the shortest path between two
+        particles through an interface.  Logs N_S, K's bytes and the time."""
         t0 = time.perf_counter()
         if contour is None:
             y = self.centers[:, 1]
             depth = min(-y.max(), (y + self.layers.d).min())
             contour = build_contour_adaptive(self.layers, 2 * depth)
-        p, n = self.p, len(contour)
-        K = order0_block(self.centers, self.layers.k2,
-                         self.smatrix.entries[p, p])
+        n, s00 = len(contour), self.smatrix.entries[self.p, self.p]
+        K = order0_block(self.centers, self.layers.k2, s00)
         # the sourceless interface solve of unit sigma+ and unit sigma-:
         # per node, the 2x2 map to the middle-layer densities
         iface = InterfaceSolver(contour, self.layers)
@@ -325,8 +324,8 @@ class SchurOperator:
         mix = np.stack([iface.solve(SpectralUpdate(sp, sm),
                                     include_source=False).values[:, 1:3]
                         for sp, sm in ((one, zero), (zero, one))], axis=-1)
-        subtract_order0_layered(K, contour, self.layers, self.centers,
-                                self.phases * self.smatrix.entries[p], mix)
+        subtract_order0_layered(K, contour, self.layers, self.centers, s00,
+                                mix)
         logging.getLogger("layerscatter").debug(
             "coarse block: N_S %d, %d bytes, built in %.3f s", n, K.nbytes,
             time.perf_counter() - t0)

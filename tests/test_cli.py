@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from layerscatter.cli import main
-from layerscatter.scene import load_field_grid, load_scene
+from layerscatter.particle import discretize_boundary, enclosing_radius
+from layerscatter.scene import load_field_grid, load_scene, \
+    placement_capacity
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -225,6 +227,26 @@ def test_non_finite_scene_value_rejected(scene_file, line):
         main(["solve", "--scene", str(scene_file)])
     msg = str(exc.value.code)
     assert key in msg and "\n" not in msg
+    assert not list(scene_file.parent.glob("cache/*"))
+
+
+def test_scene_over_placement_capacity_rejected(scene_file, flower_smatrix):
+    """M above the region's placement capacity, for the prototype's
+    enclosing radius as the Nystrom build computes it, fails at load and
+    stops the CLI with a one-line message before any precompute; M at the
+    capacity loads."""
+    R = enclosing_radius(discretize_boundary(load_scene(scene_file).shape()))
+    assert R == flower_smatrix[0].R
+    cap = placement_capacity((-4.0, 4.0, -20.0, -12.0), R)
+    scene_file.write_text(SMALL_SCENE.replace("M = 3", f"M = {cap}"))
+    assert load_scene(scene_file).M == cap
+    scene_file.write_text(SMALL_SCENE.replace("M = 3", f"M = {cap + 1}"))
+    with pytest.raises(ValueError, match=f"holds at most {cap} particles"):
+        load_scene(scene_file)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--scene", str(scene_file)])
+    msg = str(exc.value.code)
+    assert f"requested {cap + 1}" in msg and "\n" not in msg
     assert not list(scene_file.parent.glob("cache/*"))
 
 

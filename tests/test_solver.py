@@ -479,13 +479,20 @@ def test_lu_solve_matches_numpy_solve(n):
 def test_coarse_block_assembly(contour131, layers131, flower_smatrix):
     """K on the operator's own contour: its free part is s00 times the dense
     PairCoupling's H_0 (zero diagonal), and its layered part is the order-0
-    column of e_j - op.apply(e_j) less that of S_theta T e_j, to 1e-12."""
+    column of e_j - op.apply(e_j) less that of S_theta T e_j, to 1e-12, for
+    an operator whose scattering matrix keeps only its order-0 entry s00
+    (K is the Foldy-Lax monopole system)."""
     smat, _ = flower_smatrix
     rng = np.random.default_rng(3)
-    cents = np.c_[rng.uniform(-8, 8, 12), rng.uniform(-30, -2, 12)]
-    op = _operator(contour131, layers131, smat, rots=rng.uniform(0, 6, 12),
-                   cents=[tuple(c) for c in cents])
+    cents = [tuple(c) for c in np.c_[rng.uniform(-8, 8, 12),
+                                     rng.uniform(-30, -2, 12)]]
+    rots = rng.uniform(0, 6, 12)
+    op = _operator(contour131, layers131, smat, rots=rots, cents=cents)
     p, M = op.p, op.M
+    entries = np.zeros_like(smat.entries)
+    entries[p, p] = smat.entries[p, p]
+    cut = replace(smat, entries=entries)
+    op00 = _operator(contour131, layers131, cut, rots=rots, cents=cents)
     free = np.eye(M) - order0_block(op.centers, op.layers.k2,
                                     smat.entries[p, p])
     pair = multiscat_mod.PairCoupling(op.centers, op.layers.k2, p)
@@ -495,10 +502,74 @@ def test_coarse_block_assembly(contour131, layers131, flower_smatrix):
     for j in (0, 5, 11):
         e = np.zeros((M, 2 * p + 1), dtype=complex)
         e[j, p] = 1.0
-        col = (e.ravel() - op.apply(e.ravel())).reshape(M, -1)
-        col -= apply_rotated(smat, op.phases, pair.apply_m2l(e))
+        col = (e.ravel() - op00.apply(e.ravel())).reshape(M, -1)
+        col -= apply_rotated(cut, op00.phases, pair.apply_m2l(e))
         assert np.abs(layered[:, j] - col[:, p]).max() <= \
             1e-12 * np.abs(col[:, p]).max()
+
+
+def _coarse_scene(contour, layers, smat, rots):
+    cents = np.c_[np.linspace(-8, 8, 12), np.linspace(-30, -2, 12)[::-1]]
+    return _operator(contour, layers, smat, rots=rots,
+                     cents=[tuple(c) for c in cents])
+
+
+def test_coarse_block_is_symmetric(contour131, layers131, flower_smatrix):
+    """K = I - s00 (H_0 + L) is complex symmetric, to 1e-13 of its largest
+    off-diagonal entry: H_0 is, and L by reciprocity of the layers."""
+    K = _coarse_scene(contour131, layers131, flower_smatrix[0],
+                      np.linspace(0, 6, 12)).coarse_block()
+    off = np.abs(K - np.diag(np.diag(K))).max()
+    assert np.abs(K - K.T).max() <= 1e-13 * off
+
+
+def test_coarse_block_ignores_rotations(contour131, layers131,
+                                        flower_smatrix):
+    """K depends on the centres only: two sets of rotations give the same
+    K."""
+    smat = flower_smatrix[0]
+    rng = np.random.default_rng(4)
+    K1, K2 = (_coarse_scene(contour131, layers131, smat,
+                            rng.uniform(0, 2 * np.pi, 12)).coarse_block()
+              for _ in range(2))
+    assert np.array_equal(K1, K2)
+
+
+def test_coarse_block_free_space_limit(flower_boundary):
+    """With k1 = k2 = k3 the interfaces reflect nothing, so the layered
+    solve's K is the free-space solve's ``order0_block``, to 1e-14."""
+    from layerscatter.particle import scattering_matrix_nystrom
+    k = 3.0
+    layers = LayerStack(k1=k, k2=k, k3=k, d=32.0, source=(1.0, 1.0))
+    contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
+                                     max_horiz=10.0)
+    smat, _ = scattering_matrix_nystrom(flower_boundary, k, 2.0, 10)
+    op = _coarse_scene(contour, layers, smat, np.zeros(12))
+    free = order0_block(op.centers, k, smat.entries[op.p, op.p])
+    assert np.abs(op.coarse_block() - free).max() <= 1e-14
+
+
+def test_coarse_block_built_before_plane_wave_table(
+        contour131, layers131, flower_smatrix, monkeypatch):
+    """``solve_layered_scene`` builds K, and so frees its 32 M N_c bytes of
+    coarse plane-wave rows, before it constructs the plane-wave table of
+    32 M N_S bytes."""
+    calls = []
+    coarse_block = SchurOperator.coarse_block
+    table = solver_mod.PlaneWaveTable
+
+    def spy_block(self, *args):
+        calls.append("coarse block")
+        return coarse_block(self, *args)
+
+    def spy_table(*args):
+        calls.append("plane-wave table")
+        return table(*args)
+
+    monkeypatch.setattr(SchurOperator, "coarse_block", spy_block)
+    monkeypatch.setattr(solver_mod, "PlaneWaveTable", spy_table)
+    solve_layered_scene(_operator(contour131, layers131, flower_smatrix[0]))
+    assert calls == ["coarse block", "plane-wave table"]
 
 
 def test_coarse_block_logged(contour131, layers131, flower_smatrix,

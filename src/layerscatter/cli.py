@@ -152,6 +152,8 @@ def _check(name, value, bound, failures):
 
 
 def _selftest_fast(failures):
+    from .layers import (LayerStack, build_contour_adaptive,
+                         sommerfeld_point_source)
     from .multiscat import m2l, ExpansionVector, eval_expansion
     from .particle import scattering_matrix_disk
     from .quadrature import gauss_legendre
@@ -210,6 +212,25 @@ def _selftest_fast(failures):
            np.abs(Nufft3Plan(s, t).apply(c) - direct).max()
            / np.abs(direct).max(),
            1e-11, failures)
+
+    # contour sum of the point source against (i/4) H0(k r), 0.5 or more
+    # from the source, at scattered points (row dots) and on a grid (tensor)
+    layers = LayerStack(k1=1.0, k2=3.0, k3=1.0, d=32.0, source=(1.0, 1.0))
+    contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
+                                     max_horiz=12.0)
+    x0, y0 = layers.source
+    scattered = np.stack([x0 + rng.uniform(-3, 3, 6),
+                          y0 + rng.choice([-1.0, 1.0], 6)
+                          * rng.uniform(0.5, 2.0, 6)], -1)
+    X, Y = np.meshgrid(x0 + np.linspace(-3, 3, 7),
+                       y0 + np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]))
+    err = 0.0
+    for pts in (scattered, np.stack([X.ravel(), Y.ravel()], -1)):
+        ref = 0.25j * hankel1(0, np.hypot(pts[:, 0] - x0, pts[:, 1] - y0)
+                              + 0j)
+        got = sommerfeld_point_source(contour, 1.0, (x0, y0), pts)
+        err = max(err, np.abs(got - ref).max() / np.abs(ref).max())
+    _check("sommerfeld point source", err, 1e-8, failures)
 
     # field-grid round trip (bitwise)
     import tempfile, os

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .layers import gamma
+from .layers import _mirror_half, gamma
 from .multiscat import BLAS_BLOCK, _graf_rows, _shift_up
 from .nufft import Nufft3Plan
 from .special import bessel_j, bessel_j_prime
@@ -106,21 +106,33 @@ def _plane_wave_rows(centers, lam, g2, layers, out=None):
     """A block of rows of the plane-wave table, into ``out`` if given, shape
     (2, len(centers), lam.size): e^{i lam (x - x0) + g2 y} and
     e^{i lam (x - x0) - g2 (y + d)} about each of ``centers``, g2 the
-    middle-layer gamma of the nodes ``lam``."""
+    middle-layer gamma of the nodes ``lam`` of a contour that is its own
+    mirror (``_table_factors`` checks it).  The exponentials are taken on
+    the right half of the nodes; the left half, in reversed order, has the
+    reciprocal phase and, gamma being even, the same vertical factor."""
     if out is None:
         out = np.empty((2, len(centers), lam.size), dtype=complex)
-    phase = 1j * (centers[:, :1] - layers.source[0]) * lam
-    np.exp(phase + centers[:, 1:] * g2, out=out[0])
-    np.exp(phase - (centers[:, 1:] + layers.d) * g2, out=out[1])
+    h = lam.size // 2
+    lam, g2 = lam[h:], g2[h:]
+    phase = np.multiply.outer(centers[:, 0] - layers.source[0], 1j * lam)
+    np.exp(phase, out=phase)
+    inverse = np.reciprocal(phase)[:, ::-1]
+    for s, vert in enumerate((centers[:, 1], -(centers[:, 1] + layers.d))):
+        right = out[s, :, h:]
+        np.multiply.outer(vert, g2, out=right)
+        np.exp(right, out=right)
+        np.multiply(right[:, ::-1], inverse, out=out[s, :, :h])
+        right *= phase
     return out
 
 
 def _table_factors(contour, layers, p):
     """g2 and the per-node factors of C (with the quadrature weight and
-    1/(4 pi g2)) and of B, each (2, N_S, 2p+1), upper interface first."""
+    1/(4 pi g2)) and of B, each (2, N_S, 2p+1), upper interface first.
+    The contour must be its own mirror (``_mirror_half``): B reads the
+    table in reversed node order, and its rows are built from one half."""
+    _mirror_half(contour)
     lam = contour.nodes
-    if not np.array_equal(lam[::-1], -lam):
-        raise ValueError("the plane-wave table needs lam[::-1] == -lam")
     g2 = gamma(lam, layers.k2)
     base = (contour.weights / (4 * np.pi * g2))[:, None]
     c = np.stack([base * f for f in _ja_powers(lam, g2, layers.k2, p)])
@@ -167,7 +179,8 @@ def subtract_order0_layered(out, contour, layers, centers, s00, mix):
     of rows fills E, 32 M N_S bytes, in an anonymous memory map, so that
     its pages go back to the system on return instead of staying in the
     heap under the later plane-wave table (on band600 that kept 9.6 MB on
-    top of the solve's peak).  R comes BLAS_BLOCK rows at a time."""
+    top of the solve's peak).  R comes BLAS_BLOCK rows at a time, and each
+    block of rows of L is computed up to the diagonal and mirrored."""
     M = len(centers)
     g2, c, b = _table_factors(contour, layers, 0)
     lam = contour.nodes
@@ -178,9 +191,11 @@ def subtract_order0_layered(out, contour, layers, centers, s00, mix):
         _plane_wave_rows(centers[lo:lo + BLAS_BLOCK], lam, g2, layers,
                          E[:, lo:lo + BLAS_BLOCK])
     for lo in range(0, M, BLAS_BLOCK):
-        blk = slice(lo, lo + BLAS_BLOCK)
+        blk, hi = slice(lo, lo + BLAS_BLOCK), lo + BLAS_BLOCK
         R = f[:, 0, None] * E[0, blk, ::-1] + f[:, 1, None] * E[1, blk, ::-1]
-        out[blk] -= R[0] @ E[0].T + R[1] @ E[1].T
+        L = R[0] @ E[0, :hi].T + R[1] @ E[1, :hi].T
+        out[blk, :hi] -= L
+        out[:lo, blk] -= L[:, :lo].T
 
 
 # ---------------------------------------------------------------------------

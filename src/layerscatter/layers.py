@@ -239,23 +239,45 @@ class InterfaceSolver:
         return SpectralDensities(values=vals)
 
 
-def _vertical_rows(weights, terms, y, want_gradient):
-    """Per (height, node): the sum of w c e^{a t} over the (c, a, yref,
-    fold) terms -- c and a per node, t = y - yref, or |y - yref| if
-    ``fold`` -- and, with ``want_gradient``, its y-derivative."""
-    vert = np.zeros((y.size, weights.size), dtype=complex)
+def _mirror_half(contour):
+    """The number h of node pairs of a contour that is its own mirror,
+    nodes[::-1] == -nodes exactly, with an even node count: node h + j and
+    node h - 1 - j are lam and -lam.  Raises ValueError otherwise."""
+    lam = contour.nodes
+    if lam.size % 2 or not np.array_equal(lam[::-1], -lam):
+        raise ValueError("the contour must be its own mirror: "
+                         "lam[::-1] == -lam over an even node count")
+    return lam.size // 2
+
+
+def _node_pairs(v, h):
+    """A per-node array as (2, h): the right half, then the left half in
+    reversed order, so that column j holds the nodes lam_j and -lam_j."""
+    return np.stack([v[h:], v[h - 1::-1]])
+
+
+def _vertical_rows(terms, y, want_gradient):
+    """Per (height, node pair), shape (y.size, 2, h): the sum of c e^{a t}
+    over the (c, a, yref, fold) terms -- a per right-half node, c (2, h) per
+    node pair (``_node_pairs``), t = y - yref, or |y - yref| if ``fold`` --
+    and, with ``want_gradient``, its y-derivative.  a is even in lam, so
+    each exponential serves both nodes of a pair."""
+    h = terms[0][1].size
+    vert = np.zeros((y.size, 2, h), dtype=complex)
     dvert = np.zeros_like(vert) if want_gradient else None
-    e = np.empty_like(vert)
+    e = np.empty((y.size, h), dtype=complex)
+    tmp = np.empty_like(e)
     for c, a, yref, fold in terms:
         s = np.sign(y - yref) if fold else np.ones_like(y)
         np.multiply.outer(s * (y - yref), a, out=e)
         np.exp(e, out=e)
-        e *= weights * c
-        vert += e
+        for half in (0, 1):
+            vert[:, half] += np.multiply(e, c[half], out=tmp)
         if want_gradient:
             e *= a
             e *= s[:, None]
-            dvert += e
+            for half in (0, 1):
+                dvert[:, half] += np.multiply(e, c[half], out=tmp)
     return vert, dvert
 
 
@@ -268,68 +290,89 @@ def _grid_axes(dx, y):
     return (xu, ix, yu, iy) if xu.size * yu.size <= 2 * dx.size else None
 
 
-def _tensor_sum(contour, xu, ix, yu, iy, terms, want_gradient):
+def _tensor_sum(lam, xu, ix, yu, iy, terms, want_gradient):
     """The spectral sum on the grid xu x yu, one block at a time as the
-    product phase(x-block) @ vert(y-block).T, and the gradient as the same
-    product with i lam phase and with dvert; point i reads its values at
-    (ix[i], iy[i]).  Each block has at most CHUNK_ELEMENTS // N_S (and at
-    most sqrt(CHUNK_ELEMENTS)) rows on either axis, a quarter as many with
-    ``want_gradient``: dvert and its copy for the product add to vert's."""
-    lam = contour.nodes
-    w = contour.weights / (4 * np.pi)
-    step = max(1, min(CHUNK_ELEMENTS // lam.size, isqrt(CHUNK_ELEMENTS))
+    product phase(x-block) @ vert(y-block).T over all N_S = 2 lam.size
+    nodes, pairs side by side, and the gradient as the same product with
+    i lam phase and with dvert; point i reads its values at (ix[i], iy[i]).
+    The phases e^{i lam x} are computed on the right half only; the left
+    half's are their reciprocals.  Each block has at most
+    CHUNK_ELEMENTS // N_S (and at most sqrt(CHUNK_ELEMENTS)) rows on either
+    axis, a quarter as many with ``want_gradient``: dvert and its copy for
+    the product add to vert's."""
+    h = lam.size
+    ilam = np.concatenate([1j * lam, -1j * lam])
+    step = max(1, min(CHUNK_ELEMENTS // (2 * h), isqrt(CHUNK_ELEMENTS))
                // (4 if want_gradient else 1))
     table = np.empty((3 if want_gradient else 1, xu.size, yu.size),
                      dtype=complex)
     for ylo in range(0, yu.size, step):
         ys = slice(ylo, ylo + step)
-        vert, dvert = _vertical_rows(w, terms, yu[ys], want_gradient)
+        vert, dvert = _vertical_rows(terms, yu[ys], want_gradient)
+        vert = vert.reshape(vert.shape[0], -1)
         for xlo in range(0, xu.size, step):
             xs = slice(xlo, xlo + step)
-            phase = np.multiply.outer(xu[xs], 1j * lam)
-            np.exp(phase, out=phase)
+            phase = np.empty((xu[xs].size, 2, h), dtype=complex)
+            np.multiply.outer(xu[xs], ilam[:h], out=phase[:, 0])
+            np.exp(phase[:, 0], out=phase[:, 0])
+            np.reciprocal(phase[:, 0], out=phase[:, 1])
+            phase = phase.reshape(phase.shape[0], -1)
             table[0, xs, ys] = phase @ vert.T
             if want_gradient:
-                table[2, xs, ys] = phase @ dvert.T
-                phase *= 1j * lam
+                table[2, xs, ys] = phase @ dvert.reshape(vert.shape).T
+                phase *= ilam
                 table[1, xs, ys] = phase @ vert.T
     out = table[:, ix, iy]
     return out[0], (out[1:].T if want_gradient else None)
 
 
-def _row_dots(contour, dx, y, terms, want_gradient):
-    """The spectral sum at scattered points: in chunks of
-    CHUNK_ELEMENTS // N_S points, the phase is computed once per distinct
-    dx and V once per distinct y, and the gathered rows are dotted."""
-    lam = contour.nodes
-    w = contour.weights / (4 * np.pi)
-    val = np.empty(dx.size, dtype=complex)
-    grad = np.empty((dx.size, 2), dtype=complex) if want_gradient else None
-    step = max(1, CHUNK_ELEMENTS // lam.size)
+def _row_dots(lam, dx, y, terms, want_gradient):
+    """The spectral sum at scattered points, in chunks of
+    CHUNK_ELEMENTS // N_S points: the phase e^{i lam dx} is computed on the
+    right half once per distinct dx and V once per distinct y, and each
+    half of the gathered rows is dotted in turn, the left half's phase the
+    reciprocal of the right half's, taken in place."""
+    ilam = 1j * lam
+    val = np.zeros(dx.size, dtype=complex)
+    grad = np.zeros((dx.size, 2), dtype=complex) if want_gradient else None
+    step = max(1, CHUNK_ELEMENTS // (2 * lam.size))
     for lo in range(0, dx.size, step):
         sl = slice(lo, lo + step)
         xu, ix = np.unique(dx[sl], return_inverse=True)
         yu, iy = np.unique(y[sl], return_inverse=True)
-        phase = np.exp(np.multiply.outer(xu, 1j * lam))
-        vert, dvert = _vertical_rows(w, terms, yu, want_gradient)
-        rows = vert[iy]
-        val[sl] = np.einsum("ij,ij->i", phase[ix], rows)
-        if want_gradient:
-            grad[sl, 0] = np.einsum("ij,ij->i", (phase * (1j * lam))[ix], rows)
-            grad[sl, 1] = np.einsum("ij,ij->i", phase[ix], dvert[iy])
+        vert, dvert = _vertical_rows(terms, yu, want_gradient)
+        phase = np.multiply.outer(xu, ilam)
+        np.exp(phase, out=phase)
+        phase = phase[ix]
+        rows = np.empty_like(phase)
+        for half, sign in ((0, 1), (1, -1)):
+            if half:
+                np.reciprocal(phase, out=phase)
+            # mode="clip" writes straight into rows ("raise" buffers a copy)
+            np.take(vert[:, half], iy, axis=0, out=rows, mode="clip")
+            val[sl] += np.einsum("ij,ij->i", phase, rows)
+            if want_gradient:
+                rows *= sign * ilam
+                grad[sl, 0] += np.einsum("ij,ij->i", phase, rows)
+                np.take(dvert[:, half], iy, axis=0, out=rows, mode="clip")
+                grad[sl, 1] += np.einsum("ij,ij->i", phase, rows)
+        # free this chunk's arrays before the next chunk builds its own
+        del vert, dvert, phase, rows
     return val, grad
 
 
-def _spectral_sum(contour, dx, y, terms, want_gradient):
-    """Contour quadrature of sum_j w_j / (4 pi) e^{i lam_j dx} V_j(y) at
-    points with offsets ``dx`` from the source and heights ``y``, V given
-    as terms (see _vertical_rows); returns the values and the (n, 2)
-    gradients, or None without ``want_gradient``.  Grid-like points (see
-    ``_grid_axes``) take ``_tensor_sum``, scattered ones ``_row_dots``."""
+def _spectral_sum(lam, dx, y, terms, want_gradient):
+    """Contour quadrature of sum_j e^{i lam_j dx} V_j(y) over the node pairs
+    (lam_j, -lam_j), lam the right half of a mirrored contour, at points
+    with offsets ``dx`` from the source and heights ``y``, V given as terms
+    (see _vertical_rows) that carry the weights; returns the values and the
+    (n, 2) gradients, or None without ``want_gradient``.  Grid-like points
+    (see ``_grid_axes``) take ``_tensor_sum``, scattered ones
+    ``_row_dots``."""
     axes = _grid_axes(dx, y)
     if axes is None:
-        return _row_dots(contour, dx, y, terms, want_gradient)
-    return _tensor_sum(contour, *axes, terms, want_gradient)
+        return _row_dots(lam, dx, y, terms, want_gradient)
+    return _tensor_sum(lam, *axes, terms, want_gradient)
 
 
 def _layer_masks(layers, y):
@@ -358,17 +401,22 @@ def eval_sommerfeld_field(densities, contour, layers, points, *,
     One contour sum per layer, with the layer's vertical factors added
     before the x-phase is applied: a matrix product over the distinct x and
     y for grid-like points, row dots for scattered ones (``_spectral_sum``).
-    Gradients differentiate the integrand analytically.
+    Each exponential is computed once per mirrored node pair (lam, -lam),
+    so the contour must be its own mirror (``_mirror_half``).  Gradients
+    differentiate the integrand analytically.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = pts[:, 0], pts[:, 1]
-    g1, g2, g3 = (gamma(contour.nodes, k) for k in layers.ks)
-    s1, sp, sm, s3 = densities.values.T
+    h = _mirror_half(contour)
+    lam = contour.nodes[h:]
+    g1, g2, g3 = (gamma(lam, k) for k in layers.ks)
+    w = _node_pairs(contour.weights, h) / (4 * np.pi)
+    s1, sp, sm, s3 = (_node_pairs(s, h) * w for s in densities.values.T)
     x0, y0 = layers.source
     d = layers.d
     top, mid, bot = _layer_masks(layers, y)
     by_layer = (
-        (top, [(s1 / g1, -g1, 0.0, False), (1 / g1, -g1, y0, True)]),
+        (top, [(s1 / g1, -g1, 0.0, False), (w / g1, -g1, y0, True)]),
         (mid, [(sp / g2, g2, 0.0, False), (sm / g2, -g2, -d, False)]),
         (bot, [(s3 / g3, g3, -d, False)]),
     )
@@ -376,7 +424,7 @@ def eval_sommerfeld_field(densities, contour, layers, points, *,
     grad = np.empty((len(pts), 2), dtype=complex) if want_gradient else None
     for sel, terms in by_layer:
         if sel.any():
-            val[sel], g = _spectral_sum(contour, x[sel] - x0, y[sel],
+            val[sel], g = _spectral_sum(lam, x[sel] - x0, y[sel],
                                         terms, want_gradient)
             if want_gradient:
                 grad[sel] = g
@@ -394,7 +442,9 @@ def sommerfeld_point_source(contour, k, source, points):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x0, y0 = source
-    g = gamma(contour.nodes, k)
-    val, _ = _spectral_sum(contour, pts[:, 0] - x0, pts[:, 1],
-                           [(1 / g, -g, y0, True)], False)
+    h = _mirror_half(contour)
+    g = gamma(contour.nodes[h:], k)
+    c = _node_pairs(contour.weights, h) / (4 * np.pi * g)
+    val, _ = _spectral_sum(contour.nodes[h:], pts[:, 0] - x0, pts[:, 1],
+                           [(c, -g, y0, True)], False)
     return val[0] if np.asarray(points).ndim == 1 else val

@@ -254,6 +254,7 @@ def test_selftest_fast(scene_file, capsys):
     assert main(["selftest", "--level", "fast"]) == 0
     out = capsys.readouterr().out
     assert "selftest passed" in out
+    assert "PASS  sommerfeld point source" in out
     assert "FAIL" not in out
 
 

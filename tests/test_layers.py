@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -233,12 +234,103 @@ def test_chunked_field_matches_pointwise(layers131, contour131, monkeypatch):
         assert np.abs(grad[sel] - ref_grad[sel]).max() <= 1e-13 * scale
 
 
+def _direct_node_sum(dens, contour, layers, pts):
+    """The layered field and its gradient at each point as a plain sum over
+    all N_S nodes, sum_j w_j / (4 pi) c_j e^{i lam_j dx + a_j t}, each
+    exponent evaluated whole: the oracle of both forms of the sum."""
+    lam = contour.nodes
+    w = contour.weights / (4 * np.pi)
+    g1, g2, g3 = (gamma(lam, k) for k in layers.ks)
+    s1, sp, sm, s3 = dens.values.T
+    x0, y0 = layers.source
+    d = layers.d
+    val = np.empty(len(pts), dtype=complex)
+    grad = np.empty((len(pts), 2), dtype=complex)
+    for i, (x, y) in enumerate(pts):
+        # (c, a, t, dt/dy) of each term of the point's layer
+        if y >= 0:
+            terms = [(s1 / g1, -g1, y, 1.0),
+                     (1 / g1, -g1, abs(y - y0), np.sign(y - y0))]
+        elif y >= -d:
+            terms = [(sp / g2, g2, y, 1.0), (sm / g2, -g2, y + d, 1.0)]
+        else:
+            terms = [(s3 / g3, g3, y + d, 1.0)]
+        val[i] = grad[i] = 0.0
+        for c, a, t, dt in terms:
+            e = w * c * np.exp(1j * lam * (x - x0) + a * t)
+            val[i] += e.sum()
+            grad[i, 0] += (1j * lam * e).sum()
+            grad[i, 1] += (a * dt * e).sum()
+    return val, grad
+
+
+def test_field_matches_direct_node_sum(layers131, contour131, monkeypatch):
+    """Both forms of the layered sum match the plain per-node sum in values
+    and gradients to 1e-13 in all three layers: 9 scattered points per
+    layer (row dots) and a 6 x 4 grid per layer (tensor), with dx of both
+    signs and top-layer heights above and below the source height, in
+    blocks of 7 rows so that blocks split and partial blocks occur."""
+    monkeypatch.setattr(layers_mod, "CHUNK_ELEMENTS", 7 * len(contour131) + 3)
+    dens = InterfaceSolver(contour131, layers131).solve()
+    x0, y0 = layers131.source
+    rng = np.random.default_rng(5)
+    bands = ((0.1, 3.0), (-31.9, -0.1), (-45.0, -32.1))
+    scattered = np.concatenate([
+        np.stack([x0 + rng.uniform(-5, 5, 9), rng.uniform(lo, hi, 9)], -1)
+        for lo, hi in bands])
+    X, Y = np.meshgrid(x0 + np.linspace(-5.0, 5.0, 6), np.concatenate(
+        [np.linspace(lo, hi, 4) for lo, hi in bands]))
+    grid = np.stack([X.ravel(), Y.ravel()], -1)
+    for pts, path in ((scattered, "rows"), (grid, "tensor")):
+        assert layered_sum_paths(layers131, pts) == (path,) * 3
+        val, grad = eval_sommerfeld_field(dens, contour131, layers131, pts,
+                                          want_gradient=True)
+        plain = eval_sommerfeld_field(dens, contour131, layers131, pts)
+        ref_val, ref_grad = _direct_node_sum(dens, contour131, layers131,
+                                             pts)
+        x, y = pts[:, 0] - x0, pts[:, 1]
+        for sel in (y >= 0, (y < 0) & (y >= -32.0), y < -32.0):
+            assert (x[sel] > 0).any() and (x[sel] < 0).any()
+            scale = np.abs(ref_val[sel]).max()
+            assert np.abs(val[sel] - ref_val[sel]).max() <= 1e-13 * scale
+            assert np.abs(plain[sel] - ref_val[sel]).max() <= 1e-13 * scale
+            scale = np.abs(ref_grad[sel]).max()
+            assert np.abs(grad[sel] - ref_grad[sel]).max() <= 1e-13 * scale
+        assert (y > y0).any() and ((y < y0) & (y >= 0)).any()
+
+
+def test_field_rejects_unmirrored_contour(layers131, contour131):
+    """The sums take each left-half node as the mirror of a right-half one:
+    a contour with one node off by an ulp, or with an odd node count, is
+    refused with the mirror check's ValueError, not summed wrongly."""
+    nodes = contour131.nodes.copy()
+    nodes[0] = np.nextafter(nodes[0].real, 0) + 1j * nodes[0].imag
+    h = len(contour131) // 2
+    odd = replace(contour131, nodes=np.insert(contour131.nodes, h, 0j),
+                  weights=np.insert(contour131.weights, h, 0j),
+                  segments=np.insert(contour131.segments, h, 2))
+    dens = InterfaceSolver(contour131, layers131).solve()
+    pts = np.array([[0.3, 1.8], [-0.7, -5.0], [0.5, -33.5]])
+    for bad in (replace(contour131, nodes=nodes), odd):
+        with pytest.raises(ValueError, match="mirror"):
+            eval_sommerfeld_field(dens, bad, layers131, pts)
+        with pytest.raises(ValueError, match="mirror"):
+            sommerfeld_point_source(bad, 1.0, layers131.source, pts)
+
+
 # tracemalloc peak of the layered field on example1's contour: three
 # CHUNK_ELEMENTS blocks (16 MB each) plus the points-sized arrays of a
 # 400 x 560 grid.  The 100 x 140 benchmark grid peaks at 10 MB, the
 # 400 x 560 grid at 47 MB; a dense points x N_S evaluation of the 100 x 140
 # grid needs about 860 MB
 FIELD_PEAK_BOUND = 64 * 2 ** 20
+
+
+# tracemalloc peak of the row form at 1,334 scattered middle-layer points on
+# band600's solve contour (N_S 5052): the vertical rows of both halves and,
+# per chunk, the gathered right-half phases and one gathered half of the
+# rows, 8 MB each, read 41 MB; full-contour phases and rows read 81 MB
+ROWS_PEAK_BOUND = 48 * 2 ** 20
 
 
 def _example1_field_peak(nx, ny, want_gradient=False):
@@ -285,6 +377,28 @@ def test_field_memory_bound_large_grid_gradient():
     (vals, grad), peak = _example1_field_peak(400, 560, want_gradient=True)
     assert np.isfinite(vals).all() and np.isfinite(grad).all()
     assert peak < FIELD_PEAK_BOUND, f"peak {peak / 2 ** 20:.0f} MB"
+
+
+def test_row_form_memory_bound_band600():
+    """1,334 scattered middle-layer points on band600's solve contour take
+    the row form and stay under ROWS_PEAK_BOUND."""
+    layers = LayerStack(k1=1.0, k2=3.0, k3=1.5, d=8.0, source=(0.0, 1.0))
+    contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
+                                     max_horiz=56.0)
+    assert len(contour) == 5052
+    dens = InterfaceSolver(contour, layers).solve()
+    rng = np.random.default_rng(1)
+    pts = np.stack([rng.uniform(-28.0, 28.0, 1334),
+                    rng.uniform(-7.9, -0.1, 1334)], -1)
+    assert layered_sum_paths(layers, pts) == ("none", "rows", "none")
+    tracemalloc.start()
+    try:
+        vals = eval_sommerfeld_field(dens, contour, layers, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(vals).all()
+    assert peak < ROWS_PEAK_BOUND, f"peak {peak / 2 ** 20:.0f} MB"
 
 
 def test_equal_wavenumbers_transmit_source():

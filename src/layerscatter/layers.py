@@ -7,6 +7,8 @@ fourth quadrants to avoid the square-root branch points at +-k_i, and each
 value of the spectral parameter decouples into a 4x4 interface system.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -26,8 +28,40 @@ CONTOUR_B = 0.2
 N_MID = 20
 # the tails end where the slowest-decaying evanescent factor is this small
 CONTOUR_TOL = 1e-12
-# element budget of each (points x nodes) temporary of the spectral sum
+# element budget of each (points x nodes) temporary of the spectral sum; the
+# row dots split it between the blocks in flight
 CHUNK_ELEMENTS = 2 ** 20
+
+
+def usable_cores():
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def in_blocks(fn, n, size):
+    """fn(slice) over range(n) in blocks of size // usable_cores() items (at
+    least 1), one thread per core, or inline for one block or one core.
+    numpy and scipy's ufuncs release the interpreter lock, so blocks that
+    each write their own slice of preallocated arrays run in parallel with
+    results equal to the serial ones; the blocks in flight together stay
+    within ``size``.  An error in a block reaches the caller.  The pool
+    lives for this call only: threads kept between calls would be missing
+    in a forked child, whose next call would wait on them forever.  fn must
+    not call in_blocks again."""
+    workers = usable_cores()
+    step = max(1, size // workers)
+    blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    workers = min(workers, len(blocks))
+    if workers <= 1:
+        for sl in blocks:
+            fn(sl)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(fn, blocks):
+            pass
 
 
 @dataclass(frozen=True)
@@ -327,17 +361,17 @@ def _tensor_sum(lam, xu, ix, yu, iy, terms, want_gradient):
 
 
 def _row_dots(lam, dx, y, terms, want_gradient):
-    """The spectral sum at scattered points, in chunks of
-    CHUNK_ELEMENTS // N_S points: the phase e^{i lam dx} is computed on the
-    right half once per distinct dx and V once per distinct y, and each
-    half of the gathered rows is dotted in turn, the left half's phase the
-    reciprocal of the right half's, taken in place."""
+    """The spectral sum at scattered points, in blocks of
+    CHUNK_ELEMENTS // N_S points split between the cores (``in_blocks``):
+    the phase e^{i lam dx} is computed on the right half once per distinct
+    dx and V once per distinct y, and each half of the gathered rows is
+    dotted in turn, the left half's phase the reciprocal of the right
+    half's, taken in place."""
     ilam = 1j * lam
     val = np.zeros(dx.size, dtype=complex)
     grad = np.zeros((dx.size, 2), dtype=complex) if want_gradient else None
-    step = max(1, CHUNK_ELEMENTS // (2 * lam.size))
-    for lo in range(0, dx.size, step):
-        sl = slice(lo, lo + step)
+
+    def block(sl):
         xu, ix = np.unique(dx[sl], return_inverse=True)
         yu, iy = np.unique(y[sl], return_inverse=True)
         vert, dvert = _vertical_rows(terms, yu, want_gradient)
@@ -356,8 +390,8 @@ def _row_dots(lam, dx, y, terms, want_gradient):
                 grad[sl, 0] += np.einsum("ij,ij->i", phase, rows)
                 np.take(dvert[:, half], iy, axis=0, out=rows, mode="clip")
                 grad[sl, 1] += np.einsum("ij,ij->i", phase, rows)
-        # free this chunk's arrays before the next chunk builds its own
-        del vert, dvert, phase, rows
+
+    in_blocks(block, dx.size, CHUNK_ELEMENTS // (2 * lam.size))
     return val, grad
 
 

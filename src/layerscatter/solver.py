@@ -32,7 +32,8 @@ from .coupling import (MultipoleToSommerfeldPlan, PlaneWaveTable,
                        sommerfeld_to_local_direct, sommerfeld_to_local_nufft,
                        subtract_order0_layered)
 from .layers import (InterfaceSolver, build_contour_adaptive,
-                     eval_sommerfeld_field, layered_sum_paths)
+                     eval_sommerfeld_field, in_blocks, layered_sum_paths,
+                     usable_cores)
 from .multiscat import (BLAS_BLOCK, COUPLING_TOL, PairCoupling,
                         _eval_locals, apply_rotated, disk_owners,
                         eval_multipole_field, order0_block, rotation_phases)
@@ -387,21 +388,21 @@ def solve_layered_scene(operator, config=None, boundary=None,
 # refinement of the boundary quadrature for near-boundary field evaluation;
 # plain trapezoid then holds ~1e-10 down to distances of about 1e-3
 UPSAMPLE = 8
-# targets x boundary nodes per block of the in-disk layer potentials: a few
-# MB of temporaries per block on the 8x upsampled 300-node boundary
+# targets x boundary nodes of the in-disk layer potentials' temporaries, split
+# between the blocks in flight: a few MB on the 8x upsampled 300-node boundary
 DISK_CHUNK_ELEMENTS = 2 ** 15
 
 
 def _layer_potentials(k, nodes, normals, wts, sigma, mu, targets):
     """Trapezoidal S[sigma_n](x) + D[mu_n](x) of the (N, 2p+1) per-mode
     densities at off-boundary targets, wavenumber k scalar or one per
-    target; (targets, 2p+1), in blocks of DISK_CHUNK_ELEMENTS."""
+    target; (targets, 2p+1), in blocks of DISK_CHUNK_ELEMENTS // N targets
+    split between the cores (``in_blocks``)."""
     k = np.broadcast_to(k, targets.shape[:1])
     w_single, w_double = wts[:, None] * sigma, wts[:, None] * mu
     out = np.empty((targets.shape[0], sigma.shape[1]), dtype=complex)
-    step = max(1, DISK_CHUNK_ELEMENTS // nodes.shape[0])
-    for s in range(0, targets.shape[0], step):
-        blk = slice(s, s + step)
+
+    def block(blk):
         dx = targets[blk, 0][:, None] - nodes[:, 0]
         dy = targets[blk, 1][:, None] - nodes[:, 1]
         r = np.hypot(dx, dy)
@@ -409,6 +410,8 @@ def _layer_potentials(k, nodes, normals, wts, sigma, mu, targets):
         h0, h1 = hankel1_01(k[blk, None] * r)
         out[blk] = 0.25j * (h0 @ w_single
                             + k[blk, None] * ((h1 * cosn) @ w_double))
+
+    in_blocks(block, targets.shape[0], DISK_CHUNK_ELEMENTS // nodes.shape[0])
     return out
 
 
@@ -466,10 +469,11 @@ def eval_total_field(solution, points):
     log = logging.getLogger("layerscatter")
     if log.isEnabledFor(logging.DEBUG):
         log.debug("field at %d top, %d bottom, %d free middle and %d in-disk "
-                  "points; layered sums: top %s, middle %s, bottom %s",
+                  "points; layered sums: top %s, middle %s, bottom %s; row "
+                  "dots and in-disk potentials on up to %d threads",
                   np.sum(pts[:, 1] >= 0), np.sum(pts[:, 1] < -layers.d),
                   free.sum(), disk.sum(),
-                  *layered_sum_paths(layers, pts[~disk]))
+                  *layered_sum_paths(layers, pts[~disk]), usable_cores())
     if not np.all(disk):
         out[~disk] = eval_sommerfeld_field(solution.densities, op.contour,
                                            layers, pts[~disk])

@@ -198,14 +198,23 @@ def test_field_gradient_matches_differences(layers131, contour131):
         eval_sommerfeld_field(dens, contour131, layers131, pts, True)
 
 
-def test_chunked_field_matches_pointwise(layers131, contour131, monkeypatch):
+def _on_workers(monkeypatch, workers):
+    """Make ``in_blocks`` see ``workers`` usable cores."""
+    monkeypatch.setattr(layers_mod, "usable_cores", lambda: workers)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_chunked_field_matches_pointwise(layers131, contour131, monkeypatch,
+                                         workers):
     """The tensor-product layered sum agrees with the row dots called
     directly, point by point, in values and gradients to 1e-13 in all three
     layers: a grid of 15 x values and 9 heights per layer (top-layer
     heights above and below the source height) plus 3 scattered points per
-    layer, permuted, with blocks of 7 rows so that blocks split on both
-    axes and partial blocks occur."""
+    layer, permuted, with blocks of 7 rows (of 2 rows per thread on 3
+    threads) so that blocks split on both axes and partial blocks occur.
+    The row dots on ``workers`` threads equal those on one, bit for bit."""
     monkeypatch.setattr(layers_mod, "CHUNK_ELEMENTS", 7 * len(contour131) + 3)
+    _on_workers(monkeypatch, workers)
     dens = InterfaceSolver(contour131, layers131).solve()
     X, Y = np.meshgrid(np.linspace(-5.0, 5.0, 15), np.concatenate([
         np.linspace(0.0, 2.5, 9), np.linspace(-31.5, -0.5, 9),
@@ -224,6 +233,11 @@ def test_chunked_field_matches_pointwise(layers131, contour131, monkeypatch):
     monkeypatch.setattr(layers_mod, "_spectral_sum", layers_mod._row_dots)
     ref_val, ref_grad = eval_sommerfeld_field(dens, contour131, layers131,
                                               pts, want_gradient=True)
+    _on_workers(monkeypatch, 1)
+    one_val, one_grad = eval_sommerfeld_field(dens, contour131, layers131,
+                                              pts, want_gradient=True)
+    assert np.array_equal(ref_val, one_val)
+    assert np.array_equal(ref_grad, one_grad)
     for sel in (pts[:, 1] >= 0, (pts[:, 1] < 0) & (pts[:, 1] >= -32.0),
                 pts[:, 1] < -32.0):
         assert sel.sum() == 9 * 15 + 3
@@ -264,13 +278,18 @@ def _direct_node_sum(dens, contour, layers, pts):
     return val, grad
 
 
-def test_field_matches_direct_node_sum(layers131, contour131, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_field_matches_direct_node_sum(layers131, contour131, monkeypatch,
+                                       workers):
     """Both forms of the layered sum match the plain per-node sum in values
     and gradients to 1e-13 in all three layers: 9 scattered points per
     layer (row dots) and a 6 x 4 grid per layer (tensor), with dx of both
     signs and top-layer heights above and below the source height, in
-    blocks of 7 rows so that blocks split and partial blocks occur."""
+    blocks of 7 rows (of 2 per thread on 3 threads) so that blocks split
+    and partial blocks occur.  The row dots on ``workers`` threads equal
+    those on one, bit for bit."""
     monkeypatch.setattr(layers_mod, "CHUNK_ELEMENTS", 7 * len(contour131) + 3)
+    _on_workers(monkeypatch, workers)
     dens = InterfaceSolver(contour131, layers131).solve()
     x0, y0 = layers131.source
     rng = np.random.default_rng(5)
@@ -297,6 +316,12 @@ def test_field_matches_direct_node_sum(layers131, contour131, monkeypatch):
             scale = np.abs(ref_grad[sel]).max()
             assert np.abs(grad[sel] - ref_grad[sel]).max() <= 1e-13 * scale
         assert (y > y0).any() and ((y < y0) & (y >= 0)).any()
+    val, grad = eval_sommerfeld_field(dens, contour131, layers131, scattered,
+                                      want_gradient=True)
+    _on_workers(monkeypatch, 1)
+    one_val, one_grad = eval_sommerfeld_field(dens, contour131, layers131,
+                                              scattered, want_gradient=True)
+    assert np.array_equal(val, one_val) and np.array_equal(grad, one_grad)
 
 
 def test_field_rejects_unmirrored_contour(layers131, contour131):

@@ -1,7 +1,9 @@
 import gc
 import logging
+import multiprocessing
 import re
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -14,9 +16,9 @@ from layerscatter.layers import LayerStack, build_contour_adaptive, \
     sommerfeld_point_source
 from layerscatter.multiscat import ParticleInstance, apply_rotated, \
     order0_block, point_source_local, solve_free_space, eval_multipole_field
-from layerscatter.particle import scattering_matrix_disk
+from layerscatter.particle import discretize_boundary, scattering_matrix_disk
 from layerscatter.scene import build_scene, load_scene, solve_scene
-from layerscatter import multiscat as multiscat_mod, \
+from layerscatter import layers as layers_mod, multiscat as multiscat_mod, \
     particle as particle_mod, solver as solver_mod
 from layerscatter.solver import (GmresConfig, GmresError, SchurOperator,
                                  eval_total_field, gmres, solve_layered_scene)
@@ -252,11 +254,14 @@ def test_empty_scene_is_interface_only(contour131, layers131):
     assert np.all(np.isfinite(u))
 
 
+@pytest.mark.parametrize("workers", [1, 3])
 def test_disk_field_chunks_match_pointwise(layered_solution, flower_params,
-                                          monkeypatch):
+                                          monkeypatch, workers):
     """In-disk evaluation in blocks of a few points agrees with one point at
     a time, for points inside the inclusions and in the annuli of all three
-    (differently rotated) instances."""
+    (differently rotated) instances.  The 30 points go in blocks of 13 (of
+    4 per thread on 3 threads), so that partial blocks occur, and on
+    ``workers`` threads they agree with one thread to 1e-15."""
     R = layered_solution.operator.R
     th = np.linspace(0, 2 * np.pi, 5, endpoint=False)
     rho = flower_params.a1 + flower_params.a2 * np.cos(flower_params.a3 * th)
@@ -265,21 +270,97 @@ def test_disk_field_chunks_match_pointwise(layered_solution, flower_params,
                  -1)
         for c, rot in zip(CENTS, ROTS) for f in (0.6 * rho, (rho + R) / 2)])
     N2 = solver_mod.UPSAMPLE * flower_params.N
-    monkeypatch.setattr(solver_mod, "DISK_CHUNK_ELEMENTS", 3 * N2 + 1)
+    monkeypatch.setattr(solver_mod, "DISK_CHUNK_ELEMENTS", 13 * N2 + 1)
+    monkeypatch.setattr(layers_mod, "usable_cores", lambda: workers)
     got = eval_total_field(layered_solution, pts)
+    monkeypatch.setattr(layers_mod, "usable_cores", lambda: 1)
+    one = eval_total_field(layered_solution, pts)
     monkeypatch.undo()
     ref = np.array([eval_total_field(layered_solution, q) for q in pts])
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(got - one).max() <= 1e-15 * np.abs(one).max()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_disk_block_error_reaches_caller(flower_params, monkeypatch):
+    """A target exactly on an upsampled boundary node makes hankel1_01 raise
+    its ValueError inside one of several blocks on 3 threads: the caller
+    gets that error, within 60 s, and no thread is left behind."""
+    fine = discretize_boundary(replace(flower_params,
+                                       N=solver_mod.UPSAMPLE * flower_params.N))
+    n, modes = len(fine.nodes), np.ones((len(fine.nodes), 3), dtype=complex)
+    targets = np.concatenate([0.5 * fine.nodes[:20], fine.nodes[7:8],
+                              0.5 * fine.nodes[20:40]])
+    monkeypatch.setattr(solver_mod, "DISK_CHUNK_ELEMENTS", 4 * n)
+    monkeypatch.setattr(layers_mod, "usable_cores", lambda: 3)
+    before = threading.active_count()
+    caught = []
+
+    def call():
+        try:
+            solver_mod._layer_potentials(3.0, fine.nodes, fine.normals,
+                                         fine.h * fine.speed, modes, modes,
+                                         targets)
+        except ValueError as exc:
+            caught.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(60)
+    assert not caller.is_alive(), "blocked on a failed block"
+    assert len(caught) == 1 and "z = 0" in str(caught[0])
+    assert threading.active_count() == before
+
+
+def _eval_in_child(solution, pts, conn):
+    conn.send(eval_total_field(solution, pts))
+    conn.close()
+
+
+def test_eval_in_forked_child(layered_solution, flower_params, monkeypatch):
+    """After the parent has evaluated scattered layered and in-disk points
+    on 3 threads, a forked child evaluates the same points, within 60 s, to
+    the same values: no thread pool outlives a call, so the child waits on
+    none.  The call leaves the parent's thread count as it found it."""
+    rng = np.random.default_rng(7)
+    th = rng.uniform(0.0, 2 * np.pi, 6)
+    pts = np.concatenate([
+        np.stack([rng.uniform(-6.0, 6.0, 12), rng.uniform(-40.0, 2.0, 12)],
+                 -1),
+        np.array(CENTS)[[0, 1, 2, 0, 1, 2]]
+        + 0.1 * np.stack([np.cos(th), np.sin(th)], -1)])
+    monkeypatch.setattr(layers_mod, "CHUNK_ELEMENTS",
+                        5 * len(layered_solution.operator.contour))
+    monkeypatch.setattr(solver_mod, "DISK_CHUNK_ELEMENTS",
+                        2 * solver_mod.UPSAMPLE * flower_params.N)
+    monkeypatch.setattr(layers_mod, "usable_cores", lambda: 3)
+    before = threading.active_count()
+    parent = eval_total_field(layered_solution, pts)
+    assert threading.active_count() == before
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_eval_in_child,
+                        args=(layered_solution, pts, send))
+    child.start()
+    send.close()
+    got = recv.recv() if recv.poll(60) else None
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+    assert got is not None, "forked child did not evaluate within 60 s"
+    assert child.exitcode == 0
+    assert np.array_equal(got, parent)
 
 
 EXAMPLE1 = Path(__file__).resolve().parents[1] / "scenes" / "example1.scene"
 
 
 def test_field_evaluation_logged(layered_solution, monkeypatch, caplog):
-    """eval_total_field's debug line counts the points per region and names
-    each layer's sum: the tensor product on a grid, the row dots on
-    scattered points.  With debug logging off it computes nothing for the
-    line."""
+    """eval_total_field's debug line counts the points per region, names
+    each layer's sum (the tensor product on a grid, the row dots on
+    scattered points) and the most threads the row dots and the in-disk
+    potentials use, one per usable core.  With debug logging off it computes
+    nothing for the line."""
     X, Y = np.meshgrid(np.linspace(-6.0, 6.0, 7),
                        [2.0, 0.5, -5.0, -10.0, -36.0, -40.0])
     grid = np.concatenate([np.stack([X.ravel(), Y.ravel()], -1), [CENTS[0]]])
@@ -290,12 +371,14 @@ def test_field_evaluation_logged(layered_solution, monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="layerscatter"):
         eval_total_field(layered_solution, grid)
         eval_total_field(layered_solution, scattered)
+    threads = (f"; row dots and in-disk potentials on up to "
+               f"{layers_mod.usable_cores()} threads")
     assert [r.getMessage() for r in caplog.records] == [
         "field at 14 top, 14 bottom, 14 free middle and 1 in-disk points; "
-        "layered sums: top tensor, middle tensor, bottom tensor",
+        "layered sums: top tensor, middle tensor, bottom tensor" + threads,
         "multipole field at 14 points from 3 instances: per instance",
         "field at 3 top, 3 bottom, 3 free middle and 0 in-disk points; "
-        "layered sums: top rows, middle rows, bottom rows",
+        "layered sums: top rows, middle rows, bottom rows" + threads,
         "multipole field at 3 points from 3 instances: per instance"]
 
     def fail(*args):
@@ -389,6 +472,41 @@ def test_nufft_path_agrees_on_band600(tmp_path, monkeypatch):
     u_d = eval_total_field(sol_d, pts)
     u_n = eval_total_field(sol_n, pts)
     assert np.abs(u_d - u_n).max() <= 1e-8 * np.abs(u_d).max()
+
+
+# tracemalloc peak of the in-disk field at band600's 500 in-disk probes
+# (its 300-node boundary upsampled 8x, p = 10): the upsampled densities and,
+# per block in flight, 13 targets x 2,400 nodes of distances, cosines and
+# Hankel values read 6.8 MB with all blocks in one loop and 5.9-6.1 MB on 1
+# to 4 threads, each thread's blocks a share of DISK_CHUNK_ELEMENTS
+DISK_PEAK_BOUND = 8 * 2 ** 20
+
+
+def test_disk_field_memory_bound_band600(tmp_path, monkeypatch):
+    """500 probes in the enclosing disks of band600's inclusions (M = 4),
+    alternately inside the inclusion and in the annulus, evaluated on 1 and
+    on 3 threads: the in-disk field stays under DISK_PEAK_BOUND."""
+    monkeypatch.setenv("LAYERSCATTER_CACHE_DIR", str(tmp_path))
+    cfg = replace(load_scene(BAND600), M=4)
+    _, sol = solve_scene(cfg)
+    op = sol.operator
+    rng = np.random.default_rng(1)
+    owner = np.arange(500) % op.M
+    ang = rng.uniform(0.0, 2 * np.pi, 500)
+    rho = cfg.a1 + cfg.a2 * np.cos(cfg.a3 * (ang - op.rotations[owner]))
+    r = np.where(np.arange(500) % 2, (rho + op.R) / 2, 0.5 * rho)
+    pts = op.centers[owner] + r[:, None] * np.stack([np.cos(ang),
+                                                     np.sin(ang)], -1)
+    for workers in (1, 3):
+        monkeypatch.setattr(layers_mod, "usable_cores", lambda: workers)
+        tracemalloc.start()
+        try:
+            vals = solver_mod._disk_field(sol, pts, owner)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(vals).all()
+        assert peak < DISK_PEAK_BOUND, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 def _assert_preconditioned_matches_oracle(op, tol, pts):

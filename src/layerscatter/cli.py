@@ -8,6 +8,7 @@ Subcommands: ``precompute`` (build and cache the scattering matrix),
 
 import argparse
 import logging
+import os
 import sys
 import time
 import zipfile
@@ -33,6 +34,15 @@ def _load_config(args):
         raise SystemExit(str(exc)) from None
 
 
+def _check_out_dir(path):
+    """Exits with a one-line message naming ``path`` unless its directory
+    exists and is writable; creates nothing."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise SystemExit(f"cannot write {path}: directory {folder} is "
+                         "missing or not writable")
+
+
 def cmd_precompute(args):
     cfg = _load_config(args)
     t0 = time.perf_counter()
@@ -46,6 +56,8 @@ def cmd_precompute(args):
 
 def cmd_solve(args):
     cfg = _load_config(args)
+    if args.out:
+        _check_out_dir(args.out)
     t0 = time.perf_counter()
     try:
         build, sol = solve_scene(cfg)
@@ -119,6 +131,7 @@ def cmd_eval(args):
     if min(nx, ny) < 1:
         raise SystemExit(f"--grid expects counts of at least 1, got {nx},{ny}")
     extent = tuple(_parse_pair(args.extent, 4, "extent", float))
+    _check_out_dir(args.out)
     if args.solution:
         saved = _read_solution(args.solution, cfg)
         build = build_scene(cfg)

@@ -290,29 +290,22 @@ def _node_pairs(v, h):
     return np.stack([v[h:], v[h - 1::-1]])
 
 
-def _vertical_rows(terms, y, want_gradient):
+def _vertical_rows(terms, y):
     """Per (height, node pair), shape (y.size, 2, h): the sum of c e^{a t}
     over the (c, a, yref, fold) terms -- a per right-half node, c (2, h) per
-    node pair (``_node_pairs``), t = y - yref, or |y - yref| if ``fold`` --
-    and, with ``want_gradient``, its y-derivative.  a is even in lam, so
-    each exponential serves both nodes of a pair."""
+    node pair (``_node_pairs``), t = y - yref, or |y - yref| if ``fold``.
+    a is even in lam, so each exponential serves both nodes of a pair."""
     h = terms[0][1].size
     vert = np.zeros((y.size, 2, h), dtype=complex)
-    dvert = np.zeros_like(vert) if want_gradient else None
     e = np.empty((y.size, h), dtype=complex)
     tmp = np.empty_like(e)
     for c, a, yref, fold in terms:
-        s = np.sign(y - yref) if fold else np.ones_like(y)
-        np.multiply.outer(s * (y - yref), a, out=e)
+        t = y - yref
+        np.multiply.outer(np.abs(t) if fold else t, a, out=e)
         np.exp(e, out=e)
         for half in (0, 1):
             vert[:, half] += np.multiply(e, c[half], out=tmp)
-        if want_gradient:
-            e *= a
-            e *= s[:, None]
-            for half in (0, 1):
-                dvert[:, half] += np.multiply(e, c[half], out=tmp)
-    return vert, dvert
+    return vert
 
 
 def _grid_axes(dx, y):
@@ -324,43 +317,33 @@ def _grid_axes(dx, y):
     return (xu, ix, yu, iy) if xu.size * yu.size <= 2 * dx.size else None
 
 
-def _tensor_sum(lam, xu, ix, yu, iy, terms, want_gradient):
+def _tensor_sum(lam, xu, ix, yu, iy, terms):
     """The spectral sum on the grid xu x yu, one block at a time as the
     product phase(x-block) @ vert(y-block).T over all N_S = 2 lam.size
-    nodes, pairs side by side, and the gradient as the same product with
-    i lam phase and with dvert; point i reads its values at (ix[i], iy[i]).
+    nodes, pairs side by side; point i reads its value at (ix[i], iy[i]).
     The phases e^{i lam x} are computed on the right half only; the left
     half's are their reciprocals.  Each block has at most
     CHUNK_ELEMENTS // N_S (and at most sqrt(CHUNK_ELEMENTS)) rows on either
-    axis, a quarter as many with ``want_gradient``: dvert and its copy for
-    the product add to vert's."""
+    axis."""
     h = lam.size
-    ilam = np.concatenate([1j * lam, -1j * lam])
-    step = max(1, min(CHUNK_ELEMENTS // (2 * h), isqrt(CHUNK_ELEMENTS))
-               // (4 if want_gradient else 1))
-    table = np.empty((3 if want_gradient else 1, xu.size, yu.size),
-                     dtype=complex)
+    ilam = 1j * lam
+    step = max(1, min(CHUNK_ELEMENTS // (2 * h), isqrt(CHUNK_ELEMENTS)))
+    table = np.empty((xu.size, yu.size), dtype=complex)
     for ylo in range(0, yu.size, step):
         ys = slice(ylo, ylo + step)
-        vert, dvert = _vertical_rows(terms, yu[ys], want_gradient)
+        vert = _vertical_rows(terms, yu[ys])
         vert = vert.reshape(vert.shape[0], -1)
         for xlo in range(0, xu.size, step):
             xs = slice(xlo, xlo + step)
             phase = np.empty((xu[xs].size, 2, h), dtype=complex)
-            np.multiply.outer(xu[xs], ilam[:h], out=phase[:, 0])
+            np.multiply.outer(xu[xs], ilam, out=phase[:, 0])
             np.exp(phase[:, 0], out=phase[:, 0])
             np.reciprocal(phase[:, 0], out=phase[:, 1])
-            phase = phase.reshape(phase.shape[0], -1)
-            table[0, xs, ys] = phase @ vert.T
-            if want_gradient:
-                table[2, xs, ys] = phase @ dvert.reshape(vert.shape).T
-                phase *= ilam
-                table[1, xs, ys] = phase @ vert.T
-    out = table[:, ix, iy]
-    return out[0], (out[1:].T if want_gradient else None)
+            table[xs, ys] = phase.reshape(phase.shape[0], -1) @ vert.T
+    return table[ix, iy]
 
 
-def _row_dots(lam, dx, y, terms, want_gradient):
+def _row_dots(lam, dx, y, terms):
     """The spectral sum at scattered points, in blocks of
     CHUNK_ELEMENTS // N_S points split between the cores (``in_blocks``):
     the phase e^{i lam dx} is computed on the right half once per distinct
@@ -369,44 +352,37 @@ def _row_dots(lam, dx, y, terms, want_gradient):
     half's, taken in place."""
     ilam = 1j * lam
     val = np.zeros(dx.size, dtype=complex)
-    grad = np.zeros((dx.size, 2), dtype=complex) if want_gradient else None
 
     def block(sl):
         xu, ix = np.unique(dx[sl], return_inverse=True)
         yu, iy = np.unique(y[sl], return_inverse=True)
-        vert, dvert = _vertical_rows(terms, yu, want_gradient)
+        vert = _vertical_rows(terms, yu)
         phase = np.multiply.outer(xu, ilam)
         np.exp(phase, out=phase)
         phase = phase[ix]
         rows = np.empty_like(phase)
-        for half, sign in ((0, 1), (1, -1)):
+        for half in (0, 1):
             if half:
                 np.reciprocal(phase, out=phase)
             # mode="clip" writes straight into rows ("raise" buffers a copy)
             np.take(vert[:, half], iy, axis=0, out=rows, mode="clip")
             val[sl] += np.einsum("ij,ij->i", phase, rows)
-            if want_gradient:
-                rows *= sign * ilam
-                grad[sl, 0] += np.einsum("ij,ij->i", phase, rows)
-                np.take(dvert[:, half], iy, axis=0, out=rows, mode="clip")
-                grad[sl, 1] += np.einsum("ij,ij->i", phase, rows)
 
     in_blocks(block, dx.size, CHUNK_ELEMENTS // (2 * lam.size))
-    return val, grad
+    return val
 
 
-def _spectral_sum(lam, dx, y, terms, want_gradient):
+def _spectral_sum(lam, dx, y, terms):
     """Contour quadrature of sum_j e^{i lam_j dx} V_j(y) over the node pairs
     (lam_j, -lam_j), lam the right half of a mirrored contour, at points
     with offsets ``dx`` from the source and heights ``y``, V given as terms
-    (see _vertical_rows) that carry the weights; returns the values and the
-    (n, 2) gradients, or None without ``want_gradient``.  Grid-like points
-    (see ``_grid_axes``) take ``_tensor_sum``, scattered ones
-    ``_row_dots``."""
+    (see _vertical_rows) that carry the weights; returns the values.
+    Grid-like points (see ``_grid_axes``) take ``_tensor_sum``, scattered
+    ones ``_row_dots``."""
     axes = _grid_axes(dx, y)
     if axes is None:
-        return _row_dots(lam, dx, y, terms, want_gradient)
-    return _tensor_sum(lam, *axes, terms, want_gradient)
+        return _row_dots(lam, dx, y, terms)
+    return _tensor_sum(lam, *axes, terms)
 
 
 def _layer_masks(layers, y):
@@ -425,8 +401,7 @@ def layered_sum_paths(layers, points):
                  else "tensor" for sel in _layer_masks(layers, y))
 
 
-def eval_sommerfeld_field(densities, contour, layers, points, *,
-                          want_gradient=False):
+def eval_sommerfeld_field(densities, contour, layers, points):
     """The layered field at one point or an (n, 2) array of points, each
     from its own layer: the point source plus the reflected field in the
     top layer (y >= 0), the transmitted field in the bottom layer (y < -d),
@@ -436,8 +411,7 @@ def eval_sommerfeld_field(densities, contour, layers, points, *,
     before the x-phase is applied: a matrix product over the distinct x and
     y for grid-like points, row dots for scattered ones (``_spectral_sum``).
     Each exponential is computed once per mirrored node pair (lam, -lam),
-    so the contour must be its own mirror (``_mirror_half``).  Gradients
-    differentiate the integrand analytically.
+    so the contour must be its own mirror (``_mirror_half``).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = pts[:, 0], pts[:, 1]
@@ -455,17 +429,10 @@ def eval_sommerfeld_field(densities, contour, layers, points, *,
         (bot, [(s3 / g3, g3, -d, False)]),
     )
     val = np.empty(len(pts), dtype=complex)
-    grad = np.empty((len(pts), 2), dtype=complex) if want_gradient else None
     for sel, terms in by_layer:
         if sel.any():
-            val[sel], g = _spectral_sum(lam, x[sel] - x0, y[sel],
-                                        terms, want_gradient)
-            if want_gradient:
-                grad[sel] = g
-    scalar = np.asarray(points).ndim == 1
-    if not want_gradient:
-        return val[0] if scalar else val
-    return (val[0], grad[0]) if scalar else (val, grad)
+            val[sel] = _spectral_sum(lam, x[sel] - x0, y[sel], terms)
+    return val[0] if np.asarray(points).ndim == 1 else val
 
 
 def sommerfeld_point_source(contour, k, source, points):
@@ -479,6 +446,6 @@ def sommerfeld_point_source(contour, k, source, points):
     h = _mirror_half(contour)
     g = gamma(contour.nodes[h:], k)
     c = _node_pairs(contour.weights, h) / (4 * np.pi * g)
-    val, _ = _spectral_sum(contour.nodes[h:], pts[:, 0] - x0, pts[:, 1],
-                           [(c, -g, y0, True)], False)
+    val = _spectral_sum(contour.nodes[h:], pts[:, 0] - x0, pts[:, 1],
+                        [(c, -g, y0, True)])
     return val[0] if np.asarray(points).ndim == 1 else val

@@ -128,7 +128,7 @@ class SceneConfig:
 def load_scene(path):
     """Parse and validate a ``key = value`` scene file."""
     known = {f.name: f for f in fields(SceneConfig)}
-    values = {}
+    values, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -141,6 +141,10 @@ def load_scene(path):
             key, val = key.strip(), val.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice, "
+                                 f"on lines {lines[key]} and {lineno}")
+            lines[key] = lineno
             try:
                 values[key] = known[key].type(val)
             except ValueError as exc:

@@ -8,6 +8,8 @@ from layerscatter.particle import discretize_boundary, enclosing_radius
 from layerscatter.scene import load_field_grid, load_scene, \
     placement_capacity
 
+from test_scene import with_setting
+
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 SMALL_SCENE = """\
@@ -186,6 +188,23 @@ def test_solve_out_writes_the_named_file(scene_file, tmp_path):
                  "--out", str(tmp_path / "g.lsfg")]) == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["solve"], ["eval", "--grid", "4,4", "--extent=-5,5,-24,-8"]])
+def test_out_in_missing_directory_exits_before_solving(scene_file, tmp_path,
+                                                       command):
+    """An --out file whose directory does not exist stops solve and eval
+    with a one-line message naming the file, before the scattering matrix
+    is built and without creating anything."""
+    out = tmp_path / "nowhere" / "result.bin"
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--scene", str(scene_file), *command[1:],
+              "--out", str(out)])
+    msg = str(exc.value.code)
+    assert str(out) in msg and "\n" not in msg
+    assert not out.parent.exists()
+    assert not list(scene_file.parent.glob("cache/*"))
+
+
 def test_tol_override(scene_file, tmp_path, capsys):
     assert main(["solve", "--scene", str(scene_file), "--tol", "1e-4"]) == 0
     out = capsys.readouterr().out
@@ -220,7 +239,7 @@ def test_non_finite_scene_value_rejected(scene_file, line):
     """A nan or inf value fails validation at load, naming its key, and
     stops the CLI with a one-line message before any precompute."""
     key = line.split()[0]
-    scene_file.write_text(SMALL_SCENE + line + "\n")
+    scene_file.write_text(with_setting(SMALL_SCENE, line))
     with pytest.raises(ValueError, match=f"{key} must be finite"):
         load_scene(scene_file)
     with pytest.raises(SystemExit) as exc:

@@ -16,6 +16,8 @@ from layerscatter.quadrature import gauss_legendre
 from layerscatter.scene import load_scene
 from layerscatter.special import hankel1
 
+from oracle_layered import direct_node_sum
+
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
@@ -154,48 +156,28 @@ def test_interface_rows_satisfied(layers131, contour131):
 
 def test_interface_field_continuity(layers131, contour131):
     """Value and normal-derivative continuity of the layered field across
-    both interfaces."""
+    both interfaces, the derivative on each side from values by the
+    one-sided 5-point stencil at spacing 1e-3."""
     dens = InterfaceSolver(contour131, layers131).solve()
     xs = np.linspace(-6.0, 6.0, 9)
+    eps, h = 1e-8, 1e-3
+    stencil = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+    offs = eps + h * np.arange(stencil.size)
 
-    def field(y):
-        pts = np.stack([xs, np.full_like(xs, y)], -1)
-        return eval_sommerfeld_field(dens, contour131, layers131, pts,
-                                     want_gradient=True)
+    def side(y_iface, sign):
+        """The value at y_iface + sign eps and the y-derivative there."""
+        pts = np.stack(np.broadcast_arrays(xs[:, None],
+                                           y_iface + sign * offs), -1)
+        u = eval_sommerfeld_field(dens, contour131, layers131,
+                                  pts.reshape(-1, 2)).reshape(pts.shape[:2])
+        return u[:, 0], sign * (u @ stencil) / h
 
-    eps = 1e-8
     # each pair is normalised by the field outside the middle layer
     for y_iface, outer in ((0.0, 0), (-layers131.d, 1)):
-        (ua, ga), (ub, gb) = field(y_iface + eps), field(y_iface - eps)
+        (ua, ga), (ub, gb) = side(y_iface, 1.0), side(y_iface, -1.0)
         uo, go = ((ua, ga), (ub, gb))[outer]
         assert np.abs(ua - ub).max() / np.abs(uo).max() <= 1e-6
-        assert np.abs(ga[:, 1] - gb[:, 1]).max() / np.abs(go[:, 1]).max() \
-            <= 1e-6
-
-
-def test_field_gradient_matches_differences(layers131, contour131):
-    """The analytic gradient agrees with central differences in every
-    layer, including top-layer points above and below the source height,
-    where the derivative of the source term changes sign."""
-    dens = InterfaceSolver(contour131, layers131).solve()
-    pts = np.array([[0.3, 1.8], [-0.7, 0.5], [2.0, -5.0], [-1.0, -20.0],
-                    [0.5, -33.5]])
-    _, g = eval_sommerfeld_field(dens, contour131, layers131, pts,
-                                 want_gradient=True)
-    h = 1e-5
-    fd = np.empty_like(g)
-    for axis in (0, 1):
-        step = np.zeros(2)
-        step[axis] = h
-        fd[:, axis] = (eval_sommerfeld_field(dens, contour131, layers131,
-                                             pts + step)
-                       - eval_sommerfeld_field(dens, contour131, layers131,
-                                               pts - step)) / (2 * h)
-    scale = np.abs(g).max(axis=1)
-    assert (np.abs(g - fd).max(axis=1) <= 1e-6 * scale).all()
-    # want_gradient is keyword-only
-    with pytest.raises(TypeError):
-        eval_sommerfeld_field(dens, contour131, layers131, pts, True)
+        assert np.abs(ga - gb).max() / np.abs(go).max() <= 1e-6
 
 
 def _on_workers(monkeypatch, workers):
@@ -207,12 +189,12 @@ def _on_workers(monkeypatch, workers):
 def test_chunked_field_matches_pointwise(layers131, contour131, monkeypatch,
                                          workers):
     """The tensor-product layered sum agrees with the row dots called
-    directly, point by point, in values and gradients to 1e-13 in all three
-    layers: a grid of 15 x values and 9 heights per layer (top-layer
-    heights above and below the source height) plus 3 scattered points per
-    layer, permuted, with blocks of 7 rows (of 2 rows per thread on 3
-    threads) so that blocks split on both axes and partial blocks occur.
-    The row dots on ``workers`` threads equal those on one, bit for bit."""
+    directly, point by point, to 1e-13 in all three layers: a grid of 15 x
+    values and 9 heights per layer (top-layer heights above and below the
+    source height) plus 3 scattered points per layer, permuted, with blocks
+    of 7 rows (of 2 rows per thread on 3 threads) so that blocks split on
+    both axes and partial blocks occur.  The row dots on ``workers``
+    threads equal those on one, bit for bit."""
     monkeypatch.setattr(layers_mod, "CHUNK_ELEMENTS", 7 * len(contour131) + 3)
     _on_workers(monkeypatch, workers)
     dens = InterfaceSolver(contour131, layers131).solve()
@@ -227,64 +209,26 @@ def test_chunked_field_matches_pointwise(layers131, contour131, monkeypatch,
     pts = pts[rng.permutation(len(pts))]
     assert layered_sum_paths(layers131, pts) == ("tensor",) * 3
     assert layered_sum_paths(layers131, scattered) == ("rows",) * 3
-    val, grad = eval_sommerfeld_field(dens, contour131, layers131, pts,
-                                      want_gradient=True)
-    plain = eval_sommerfeld_field(dens, contour131, layers131, pts)
+    val = eval_sommerfeld_field(dens, contour131, layers131, pts)
     monkeypatch.setattr(layers_mod, "_spectral_sum", layers_mod._row_dots)
-    ref_val, ref_grad = eval_sommerfeld_field(dens, contour131, layers131,
-                                              pts, want_gradient=True)
+    ref = eval_sommerfeld_field(dens, contour131, layers131, pts)
     _on_workers(monkeypatch, 1)
-    one_val, one_grad = eval_sommerfeld_field(dens, contour131, layers131,
-                                              pts, want_gradient=True)
-    assert np.array_equal(ref_val, one_val)
-    assert np.array_equal(ref_grad, one_grad)
+    one = eval_sommerfeld_field(dens, contour131, layers131, pts)
+    assert np.array_equal(ref, one)
     for sel in (pts[:, 1] >= 0, (pts[:, 1] < 0) & (pts[:, 1] >= -32.0),
                 pts[:, 1] < -32.0):
         assert sel.sum() == 9 * 15 + 3
-        scale = np.abs(ref_val[sel]).max()
-        assert np.abs(val[sel] - ref_val[sel]).max() <= 1e-13 * scale
-        assert np.abs(plain[sel] - ref_val[sel]).max() <= 1e-13 * scale
-        scale = np.abs(ref_grad[sel]).max()
-        assert np.abs(grad[sel] - ref_grad[sel]).max() <= 1e-13 * scale
-
-
-def _direct_node_sum(dens, contour, layers, pts):
-    """The layered field and its gradient at each point as a plain sum over
-    all N_S nodes, sum_j w_j / (4 pi) c_j e^{i lam_j dx + a_j t}, each
-    exponent evaluated whole: the oracle of both forms of the sum."""
-    lam = contour.nodes
-    w = contour.weights / (4 * np.pi)
-    g1, g2, g3 = (gamma(lam, k) for k in layers.ks)
-    s1, sp, sm, s3 = dens.values.T
-    x0, y0 = layers.source
-    d = layers.d
-    val = np.empty(len(pts), dtype=complex)
-    grad = np.empty((len(pts), 2), dtype=complex)
-    for i, (x, y) in enumerate(pts):
-        # (c, a, t, dt/dy) of each term of the point's layer
-        if y >= 0:
-            terms = [(s1 / g1, -g1, y, 1.0),
-                     (1 / g1, -g1, abs(y - y0), np.sign(y - y0))]
-        elif y >= -d:
-            terms = [(sp / g2, g2, y, 1.0), (sm / g2, -g2, y + d, 1.0)]
-        else:
-            terms = [(s3 / g3, g3, y + d, 1.0)]
-        val[i] = grad[i] = 0.0
-        for c, a, t, dt in terms:
-            e = w * c * np.exp(1j * lam * (x - x0) + a * t)
-            val[i] += e.sum()
-            grad[i, 0] += (1j * lam * e).sum()
-            grad[i, 1] += (a * dt * e).sum()
-    return val, grad
+        scale = np.abs(ref[sel]).max()
+        assert np.abs(val[sel] - ref[sel]).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_field_matches_direct_node_sum(layers131, contour131, monkeypatch,
                                        workers):
-    """Both forms of the layered sum match the plain per-node sum in values
-    and gradients to 1e-13 in all three layers: 9 scattered points per
-    layer (row dots) and a 6 x 4 grid per layer (tensor), with dx of both
-    signs and top-layer heights above and below the source height, in
+    """Both forms of the layered sum match the plain per-node sum
+    (``oracle_layered``) to 1e-13 in all three layers: 9 scattered points
+    per layer (row dots) and a 6 x 4 grid per layer (tensor), with dx of
+    both signs and top-layer heights above and below the source height, in
     blocks of 7 rows (of 2 per thread on 3 threads) so that blocks split
     and partial blocks occur.  The row dots on ``workers`` threads equal
     those on one, bit for bit."""
@@ -302,26 +246,18 @@ def test_field_matches_direct_node_sum(layers131, contour131, monkeypatch,
     grid = np.stack([X.ravel(), Y.ravel()], -1)
     for pts, path in ((scattered, "rows"), (grid, "tensor")):
         assert layered_sum_paths(layers131, pts) == (path,) * 3
-        val, grad = eval_sommerfeld_field(dens, contour131, layers131, pts,
-                                          want_gradient=True)
-        plain = eval_sommerfeld_field(dens, contour131, layers131, pts)
-        ref_val, ref_grad = _direct_node_sum(dens, contour131, layers131,
-                                             pts)
+        val = eval_sommerfeld_field(dens, contour131, layers131, pts)
+        ref, _ = direct_node_sum(dens, contour131, layers131, pts)
         x, y = pts[:, 0] - x0, pts[:, 1]
         for sel in (y >= 0, (y < 0) & (y >= -32.0), y < -32.0):
             assert (x[sel] > 0).any() and (x[sel] < 0).any()
-            scale = np.abs(ref_val[sel]).max()
-            assert np.abs(val[sel] - ref_val[sel]).max() <= 1e-13 * scale
-            assert np.abs(plain[sel] - ref_val[sel]).max() <= 1e-13 * scale
-            scale = np.abs(ref_grad[sel]).max()
-            assert np.abs(grad[sel] - ref_grad[sel]).max() <= 1e-13 * scale
+            scale = np.abs(ref[sel]).max()
+            assert np.abs(val[sel] - ref[sel]).max() <= 1e-13 * scale
         assert (y > y0).any() and ((y < y0) & (y >= 0)).any()
-    val, grad = eval_sommerfeld_field(dens, contour131, layers131, scattered,
-                                      want_gradient=True)
+    val = eval_sommerfeld_field(dens, contour131, layers131, scattered)
     _on_workers(monkeypatch, 1)
-    one_val, one_grad = eval_sommerfeld_field(dens, contour131, layers131,
-                                              scattered, want_gradient=True)
-    assert np.array_equal(val, one_val) and np.array_equal(grad, one_grad)
+    one = eval_sommerfeld_field(dens, contour131, layers131, scattered)
+    assert np.array_equal(val, one)
 
 
 def test_field_rejects_unmirrored_contour(layers131, contour131):
@@ -358,7 +294,7 @@ FIELD_PEAK_BOUND = 64 * 2 ** 20
 ROWS_PEAK_BOUND = 48 * 2 ** 20
 
 
-def _example1_field_peak(nx, ny, want_gradient=False):
+def _example1_field_peak(nx, ny):
     """Values and tracemalloc peak of the layered field of example1 on an
     nx x ny grid over its extent."""
     cfg = load_scene(SCENES / "example1.scene")
@@ -372,8 +308,7 @@ def _example1_field_peak(nx, ny, want_gradient=False):
     pts = np.stack([X.ravel(), Y.ravel()], -1)
     tracemalloc.start()
     try:
-        vals = eval_sommerfeld_field(dens, contour, layers, pts,
-                                     want_gradient=want_gradient)
+        vals = eval_sommerfeld_field(dens, contour, layers, pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -393,14 +328,6 @@ def test_field_memory_bound_large_grid():
     same bound: no array grows with points x N_S."""
     vals, peak = _example1_field_peak(400, 560)
     assert np.isfinite(vals).all()
-    assert peak < FIELD_PEAK_BOUND, f"peak {peak / 2 ** 20:.0f} MB"
-
-
-def test_field_memory_bound_large_grid_gradient():
-    """With gradients the same grid stays under the same bound: its tensor
-    blocks are a quarter as tall, 50 MB against 78 MB with full ones."""
-    (vals, grad), peak = _example1_field_peak(400, 560, want_gradient=True)
-    assert np.isfinite(vals).all() and np.isfinite(grad).all()
     assert peak < FIELD_PEAK_BOUND, f"peak {peak / 2 ** 20:.0f} MB"
 
 

@@ -18,6 +18,14 @@ from layerscatter.scene import (FieldGrid, SceneConfig, build_scene,
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
+def with_setting(text, line):
+    """Scene text with ``line`` in place of the line that sets its key, or
+    appended if none does."""
+    key = line.split("=")[0].strip()
+    kept = [ln for ln in text.splitlines() if ln.split("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
 def small_config(**over):
     kw = dict(k1=1.0, k2=3.0, k3=1.0, d=32.0, source_x=1.0, source_y=1.0,
               a1=0.12, a2=0.04, a3=3, kp=2.0, M=3, region_x0=-4.0,
@@ -81,8 +89,21 @@ def test_bad_solver_or_shape_setting_rejected_at_load(tmp_path, line, match):
     matrix would reject after the precompute, or in it, are rejected when
     the scene is loaded."""
     p = tmp_path / "bad.scene"
-    p.write_text((SCENES / "example1.scene").read_text() + f"\n{line}\n")
+    p.write_text(with_setting((SCENES / "example1.scene").read_text(), line))
     with pytest.raises(ValueError, match=match):
+        load_scene(p)
+
+
+def test_repeated_key_rejected(tmp_path):
+    """A key given twice is refused, naming the key and both lines, instead
+    of the later value silently winning."""
+    p = tmp_path / "twice.scene"
+    base = (SCENES / "example1.scene").read_text()
+    p.write_text(base + "M = 4\n")
+    first = 1 + base.splitlines().index("M = 100")
+    last = 1 + base.count("\n")
+    with pytest.raises(ValueError,
+                       match=f"'M' given twice, on lines {first} and {last}"):
         load_scene(p)
 
 

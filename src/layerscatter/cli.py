@@ -131,6 +131,9 @@ def cmd_eval(args):
     if min(nx, ny) < 1:
         raise SystemExit(f"--grid expects counts of at least 1, got {nx},{ny}")
     extent = tuple(_parse_pair(args.extent, 4, "extent", float))
+    if not np.isfinite(extent).all():
+        raise SystemExit(f"--extent expects finite values, "
+                         f"got {args.extent!r}")
     _check_out_dir(args.out)
     if args.solution:
         saved = _read_solution(args.solution, cfg)

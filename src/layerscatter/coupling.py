@@ -102,16 +102,14 @@ def multipole_to_sommerfeld_direct(betas, centers, contour, layers):
     return SpectralUpdate(sigma_plus=sp, sigma_minus=sm)
 
 
-def _plane_wave_rows(centers, lam, g2, layers, out=None):
-    """A block of rows of the plane-wave table, into ``out`` if given, shape
+def _plane_wave_rows(centers, lam, g2, layers, out):
+    """A block of rows of the plane-wave table into ``out``, shape
     (2, len(centers), lam.size): e^{i lam (x - x0) + g2 y} and
     e^{i lam (x - x0) - g2 (y + d)} about each of ``centers``, g2 the
     middle-layer gamma of the nodes ``lam`` of a contour that is its own
-    mirror (``_table_factors`` checks it).  The exponentials are taken on
+    mirror (``PlaneWaveTable`` checks it).  The exponentials are taken on
     the right half of the nodes; the left half, in reversed order, has the
     reciprocal phase and, gamma being even, the same vertical factor."""
-    if out is None:
-        out = np.empty((2, len(centers), lam.size), dtype=complex)
     h = lam.size // 2
     lam, g2 = lam[h:], g2[h:]
     phase = np.multiply.outer(centers[:, 0] - layers.source[0], 1j * lam)
@@ -123,35 +121,37 @@ def _plane_wave_rows(centers, lam, g2, layers, out=None):
         np.exp(right, out=right)
         np.multiply(right[:, ::-1], inverse, out=out[s, :, :h])
         right *= phase
-    return out
-
-
-def _table_factors(contour, layers, p):
-    """g2 and the per-node factors of C (with the quadrature weight and
-    1/(4 pi g2)) and of B, each (2, N_S, 2p+1), upper interface first.
-    The contour must be its own mirror (``_mirror_half``): B reads the
-    table in reversed node order, and its rows are built from one half."""
-    _mirror_half(contour)
-    lam = contour.nodes
-    g2 = gamma(lam, layers.k2)
-    base = (contour.weights / (4 * np.pi * g2))[:, None]
-    c = np.stack([base * f for f in _ja_powers(lam, g2, layers.k2, p)])
-    return g2, c, -4j * np.stack(_hankel_factors(lam, g2, layers.k2, p))
 
 
 class PlaneWaveTable:
     """B and C, exactly, from one stored table of 32 M N_S bytes,
     E[0, m, j] = e^{i lam_j (x_m - x0) + gamma2_j y_m} and
-    E[1, m, j] = e^{i lam_j (x_m - x0) - gamma2_j (y_m + d)}, built a row at
-    a time.  B reads it in reversed node order: lam_{N_S-1-j} = -lam_j and
-    gamma2 is even."""
+    E[1, m, j] = e^{i lam_j (x_m - x0) - gamma2_j (y_m + d)}, and the per-node
+    factors of C (with the quadrature weight and 1/(4 pi gamma2)) and of B,
+    each (2, N_S, 2p+1), upper interface first.  B reads E in reversed node
+    order, lam_{N_S-1-j} = -lam_j with gamma2 even, and its rows are built
+    from one half of the nodes, so the contour must be its own mirror
+    (``_mirror_half``).  E lives in an anonymous memory map, so that its
+    pages go back to the system when the table is dropped instead of
+    staying in the heap under later allocations (on band600 the coarse
+    block's rows kept 9.6 MB on top of the solve's peak)."""
 
     def __init__(self, contour, layers, centers, p):
+        _mirror_half(contour)
         centers = np.asarray(centers, dtype=float)
-        g2, self._c, self._b = _table_factors(contour, layers, p)
-        self.E = np.empty((2, len(centers), g2.size), dtype=complex)
+        lam = contour.nodes
+        g2 = gamma(lam, layers.k2)
+        base = (contour.weights / (4 * np.pi * g2))[:, None]
+        self._c = np.stack([base * f
+                            for f in _ja_powers(lam, g2, layers.k2, p)])
+        self._b = -4j * np.stack(_hankel_factors(lam, g2, layers.k2, p))
+        # a zero-length map is refused; an empty table maps one byte
+        nbytes = 32 * len(centers) * lam.size
+        self.E = np.ndarray((2, len(centers), lam.size), complex,
+                            mmap.mmap(-1, max(nbytes, 1)))
+        # a row at a time: blocks of rows raise the solve's peak RSS
         for m in range(len(centers)):
-            _plane_wave_rows(centers[m:m + 1], contour.nodes, g2, layers,
+            _plane_wave_rows(centers[m:m + 1], lam, g2, layers,
                              self.E[:, m:m + 1])
 
     def sommerfeld_to_local(self, densities):
@@ -175,22 +175,14 @@ def subtract_order0_layered(out, contour, layers, centers, s00, mix):
     in reversed node order, so s00 L = sum_s R_s[:, ::-1] E_s^T with
     R_s = sum_a E_a f_sa, f = -4i s00 w/(4 pi gamma2) mix^T and ``mix`` the
     (N_S, 2, 2) map of the sourceless interface solve from (sigma+, sigma-)
-    to the middle-layer densities; L is symmetric by reciprocity.  One pass
-    of rows fills E, 32 M N_S bytes, in an anonymous memory map, so that
-    its pages go back to the system on return instead of staying in the
-    heap under the later plane-wave table (on band600 that kept 9.6 MB on
-    top of the solve's peak).  R comes BLAS_BLOCK rows at a time, and each
+    to the middle-layer densities; L is symmetric by reciprocity.  E and
+    the factors come from an order-0 ``PlaneWaveTable``, whose memory map
+    is released on return.  R comes BLAS_BLOCK rows at a time, and each
     block of rows of L is computed up to the diagonal and mirrored."""
-    M = len(centers)
-    g2, c, b = _table_factors(contour, layers, 0)
-    lam = contour.nodes
-    E = np.frombuffer(mmap.mmap(-1, 32 * lam.size * M), dtype=complex) \
-        .reshape(2, M, lam.size)
-    f = (s00 * c[0, :, 0] * b[0, :, 0] * mix.T)[..., ::-1]     # (s, a, N_S)
-    for lo in range(0, M, BLAS_BLOCK):
-        _plane_wave_rows(centers[lo:lo + BLAS_BLOCK], lam, g2, layers,
-                         E[:, lo:lo + BLAS_BLOCK])
-    for lo in range(0, M, BLAS_BLOCK):
+    table = PlaneWaveTable(contour, layers, centers, 0)
+    E = table.E
+    f = (s00 * table._c[0, :, 0] * table._b[0, :, 0] * mix.T)[..., ::-1]
+    for lo in range(0, len(centers), BLAS_BLOCK):
         blk, hi = slice(lo, lo + BLAS_BLOCK), lo + BLAS_BLOCK
         R = f[:, 0, None] * E[0, blk, ::-1] + f[:, 1, None] * E[1, blk, ::-1]
         L = R[0] @ E[0, :hi].T + R[1] @ E[1, :hi].T
@@ -392,7 +384,8 @@ class MultipoleToSommerfeldPlan:
     by one batched type-3 NUFFT per row and tail segment, each a
     restriction of one plan per tail over all centers.  The horizontal
     coordinates need no snapping (the NUFFT accepts them exactly), and the
-    20-node vertical segment is summed directly.
+    20-node vertical segment, its own mirror, is read from a
+    ``PlaneWaveTable`` of its nodes at the exact centers, built once.
 
     Accuracy contract: accurate only for betas whose order-p content is
     small.  Its relative error against ``multipole_to_sommerfeld_direct``
@@ -412,7 +405,7 @@ class MultipoleToSommerfeldPlan:
         self.contour = contour
         self.layers = layers
         self.p = p
-        self.centers = centers = np.asarray(centers, dtype=float)
+        centers = np.asarray(centers, dtype=float)
         row_spacing = 0.2 / abs(layers.k2)
         ylo = centers[:, 1].min()
         self.rows_y = ylo + row_spacing * np.arange(
@@ -447,9 +440,9 @@ class MultipoleToSommerfeldPlan:
         self._x0phase = np.exp(1j * layers.source[0] * lam)
         mid = seg == 2
         self._mid = np.flatnonzero(mid)
-        self._mid_contour = replace(contour, nodes=lam[mid],
-                                    weights=contour.weights[mid],
-                                    segments=seg[mid])
+        self._mid_table = PlaneWaveTable(
+            replace(contour, nodes=lam[mid], weights=contour.weights[mid],
+                    segments=seg[mid]), layers, centers, p)
 
     def apply(self, betas):
         betas = np.asarray(betas, dtype=complex)
@@ -469,9 +462,8 @@ class MultipoleToSommerfeldPlan:
                             * (G * fdn).sum(1))
         sp *= -4j * self._x0phase
         sm *= -4j * self._x0phase
-        # vertical segment: direct with exact (unsnapped) centers
-        mid = multipole_to_sommerfeld_direct(betas, self.centers,
-                                             self._mid_contour, self.layers)
+        # vertical segment: exact (unsnapped) centers
+        mid = self._mid_table.multipole_to_sommerfeld(betas)
         sp[self._mid] = mid.sigma_plus
         sm[self._mid] = mid.sigma_minus
         return SpectralUpdate(sigma_plus=sp, sigma_minus=sm)

@@ -457,9 +457,12 @@ def eval_total_field(solution, points):
     points on a particle boundary from the exterior side.  Inside an
     enclosing disk the field combines the incoming local expansion with the
     instance's own boundary-potential representation; inside the inclusion
-    itself only the interior representation applies.
+    itself only the interior representation applies.  Raises ValueError
+    for a non-finite point.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.isfinite(pts).all():
+        raise ValueError("evaluation points must be finite")
     op, layers = solution.operator, solution.operator.layers
     out = np.empty(pts.shape[0], dtype=complex)
     mid = (pts[:, 1] < 0) & (pts[:, 1] >= -layers.d)

@@ -32,11 +32,7 @@ def _check_order(n):
 def bessel_j(n, z):
     """J_n(z) for integer order n and complex argument z."""
     _check_order(n)
-    z = np.asarray(z)
-    if np.iscomplexobj(z):
-        out = sp.jv(n, z)
-    else:
-        out = sp.jn(np.asarray(n), z)
+    out = sp.jv(n, z)
     if np.any(~np.isfinite(np.atleast_1d(out))):
         raise FloatingPointError("bessel_j overflowed or returned non-finite")
     return out

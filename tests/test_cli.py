@@ -99,12 +99,14 @@ def test_eval_rejects_nonpositive_grid_counts(scene_file, tmp_path, grid):
 
 @pytest.mark.parametrize("flag,grid,extent", [
     ("grid", "a,5", "-5,5,-24,-8"),
-    ("extent", "5,4", "-5,5,x,-8")])
+    ("extent", "5,4", "-5,5,x,-8"),
+    ("extent", "5,4", "nan,1,-5,-1"),
+    ("extent", "5,4", "-5,inf,-24,-8")])
 def test_eval_rejects_non_numeric_values(scene_file, tmp_path, flag, grid,
                                          extent):
-    """A --grid or --extent value that is not a number stops eval with one
-    line naming the flag, before the scene is built or anything is
-    written."""
+    """A --grid or --extent value that is not a number, or an --extent
+    value that is not finite, stops eval with one line naming the flag,
+    before the scene is built or anything is written."""
     out = tmp_path / "g.lsfg"
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--scene", str(scene_file), f"--grid={grid}",

@@ -188,6 +188,29 @@ def test_plane_wave_table_matches_direct(contour131, layers131,
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
+def test_plane_wave_table_rows_match_per_centre_rows(layers131,
+                                                     scattered_centers):
+    """The table's E equals, bitwise, the rows ``_plane_wave_rows`` builds
+    one centre at a time, on example1's contour (N_S = 2540) and on
+    band600's (N_S = 5052)."""
+    band600 = LayerStack(k1=1.0, k2=3.0, k3=1.5, d=8.0, source=(0.0, 1.0))
+    band_centers = [i.center for i in place_particles(
+        (-28.0, 28.0, -3.0, -1.1), 40, 0.165, seed=7)]
+    for layers, max_horiz, centers, n in (
+            (layers131, 28.0, scattered_centers, 2540),
+            (band600, 56.0, np.array(band_centers), 5052)):
+        contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
+                                         max_horiz=max_horiz)
+        assert len(contour) == n
+        table = PlaneWaveTable(contour, layers, centers, 10)
+        g2 = gamma(contour.nodes, layers.k2)
+        row = np.empty((2, 1, n), dtype=complex)
+        for m in range(len(centers)):
+            coupling._plane_wave_rows(centers[m:m + 1], contour.nodes, g2,
+                                      layers, row)
+            assert np.array_equal(table.E[:, m:m + 1], row)
+
+
 def test_plane_wave_table_rejects_asymmetric_contour(contour131, layers131):
     """B reads the table in reversed node order, which needs
     lam[::-1] == -lam exactly: one node off by an ulp is refused."""
@@ -199,24 +222,27 @@ def test_plane_wave_table_rejects_asymmetric_contour(contour131, layers131):
 
 
 def _b_plan_retained_mb(contour, layers, centers):
-    """The B plan (p = 10, tol 1e-13) and the MB it retains (tracemalloc)."""
+    """The B plan (p = 10, tol 1e-13) and the MB it retains: its heap as
+    tracemalloc counts it, plus the vertical segment's plane-wave table,
+    whose memory map tracemalloc cannot see."""
     gc.collect()
     tracemalloc.start()
     try:
         plan = MultipoleToSommerfeldPlan(contour, layers, centers, 10,
                                          tol=1e-13)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] / 2 ** 20
+        retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    return plan, retained
+    return plan, (retained + plan._mid_table.E.nbytes) / 2 ** 20
 
 
 def test_b_plan_memory_band600():
     """The B plan shares one type-3 plan per tail among its snap rows and
     keeps each snap as one Graf row: on a 600-inclusion thin band
-    (N_S = 5052) it retains 7.5 MB, at most 10 MB, where one full plan per
-    row retained 97 MB and a (2p+1)^2 shift matrix per centre 11.1 MB."""
+    (N_S = 5052) it retains 7.9 MB (0.37 MB of it the vertical segment's
+    mapped table), at most 10 MB, where one full plan per row retained
+    97 MB and a (2p+1)^2 shift matrix per centre 11.1 MB."""
     layers = LayerStack(k1=1.0, k2=3.0, k3=1.5, d=8.0, source=(0.0, 1.0))
     contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
                                      max_horiz=56.0)
@@ -231,7 +257,8 @@ def test_b_plan_memory_band600():
 def test_b_plan_memory_example1_m1000(layers131, flower_smatrix):
     """The B plan keeps no per-row copies of the evanescent factors and
     one Graf row per centre for its snap: with example1's contour and 1000
-    inclusions (390 snap rows) it retains 7.0 MB, at most 10 MB, where two
+    inclusions (390 snap rows) it retains 7.7 MB (0.61 MB of it the
+    vertical segment's mapped table), at most 10 MB, where two
     N_S-long rows per snap row retained 43.5 MB and a (2p+1)^2 shift
     matrix per centre 13.1 MB."""
     S, _ = flower_smatrix

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -242,6 +243,16 @@ def test_solution_field_deterministic(layered_solution, contour131, layers131,
                                boundary=flower_boundary,
                                mode_densities=dens_modes)
     assert np.array_equal(sol2.betas, layered_solution.betas)
+
+
+@pytest.mark.parametrize("point", [(np.nan, 2.0), (0.0, np.nan),
+                                   (np.inf, -10.0), (0.0, -np.inf)])
+def test_eval_rejects_non_finite_points(layered_solution, point):
+    """A non-finite evaluation point, in any layer, raises one ValueError
+    instead of a NaN value or an unrelated error."""
+    pts = np.array([[0.5, -5.0], point])
+    with pytest.raises(ValueError, match="finite"):
+        eval_total_field(layered_solution, pts)
 
 
 def test_empty_scene_is_interface_only(contour131, layers131):
@@ -710,10 +721,19 @@ def test_coarse_block_logged(contour131, layers131, flower_smatrix,
 
 
 def test_solve_releases_plane_wave_table(contour131, layers131,
-                                         flower_smatrix):
+                                         flower_smatrix, monkeypatch):
     """A solve builds the plane-wave table and drops it before returning:
-    the operator retains less than the table's 32 M N_S bytes, and a second
-    solve on the same operator gives the same betas."""
+    the table, and with it the memory map of its rows, is freed, the
+    operator retains less heap than the table's 32 M N_S bytes, and a
+    second solve on the same operator gives the same betas."""
+    tables = []
+    table = solver_mod.PlaneWaveTable
+
+    def spy_table(*args):
+        tables.append(table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(solver_mod, "PlaneWaveTable", spy_table)
     smat, _ = flower_smatrix
     cents = [(-3.0 + 0.5 * (i % 12), -16.0 + 0.5 * (i // 12))
              for i in range(24)]
@@ -726,10 +746,12 @@ def test_solve_releases_plane_wave_table(contour131, layers131,
     try:
         before = tracemalloc.get_traced_memory()[0]
         first = solve_layered_scene(op, GmresConfig(tol=1e-10))
+        made = weakref.ref(tables.pop())
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    assert made() is None
     assert retained - before < table_bytes / 4
     second = solve_layered_scene(op, GmresConfig(tol=1e-10))
     assert np.array_equal(second.betas, first.betas)

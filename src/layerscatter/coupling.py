@@ -123,6 +123,22 @@ def _plane_wave_rows(centers, lam, g2, layers, out):
         right *= phase
 
 
+def _anonymous_map(nbytes):
+    """An anonymous memory map of ``nbytes``: private, and advised to take
+    transparent huge pages where the platform offers both (a shared map
+    gets none under the ``madvise`` setting, and faults in every 4 kB
+    page)."""
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return mmap.mmap(-1, nbytes)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        try:
+            buf.madvise(mmap.MADV_HUGEPAGE)
+        except OSError:     # a kernel built without huge pages
+            pass
+    return buf
+
+
 class PlaneWaveTable:
     """B and C, exactly, from one stored table of 32 M N_S bytes,
     E[0, m, j] = e^{i lam_j (x_m - x0) + gamma2_j y_m} and
@@ -131,10 +147,11 @@ class PlaneWaveTable:
     each (2, N_S, 2p+1), upper interface first.  B reads E in reversed node
     order, lam_{N_S-1-j} = -lam_j with gamma2 even, and its rows are built
     from one half of the nodes, so the contour must be its own mirror
-    (``_mirror_half``).  E lives in an anonymous memory map, so that its
-    pages go back to the system when the table is dropped instead of
-    staying in the heap under later allocations (on band600 the coarse
-    block's rows kept 9.6 MB on top of the solve's peak)."""
+    (``_mirror_half``).  E lives in an anonymous memory map
+    (``_anonymous_map``), so that its pages go back to the system when the
+    table is dropped instead of staying in the heap under later
+    allocations (on band600 the coarse block's rows kept 9.6 MB on top of
+    the solve's peak)."""
 
     def __init__(self, contour, layers, centers, p):
         _mirror_half(contour)
@@ -148,7 +165,7 @@ class PlaneWaveTable:
         # a zero-length map is refused; an empty table maps one byte
         nbytes = 32 * len(centers) * lam.size
         self.E = np.ndarray((2, len(centers), lam.size), complex,
-                            mmap.mmap(-1, max(nbytes, 1)))
+                            _anonymous_map(max(nbytes, 1)))
         # a row at a time: blocks of rows raise the solve's peak RSS
         for m in range(len(centers)):
             _plane_wave_rows(centers[m:m + 1], lam, g2, layers,

@@ -28,6 +28,10 @@ CONTOUR_B = 0.2
 N_MID = 20
 # the tails end where the slowest-decaying evanescent factor is this small
 CONTOUR_TOL = 1e-12
+# tail nodes per oscillation of e^{i lam dx} across a panel, and the largest
+# Gauss-Legendre rule (the cost of ``leggauss`` grows faster than n)
+N_PER_OSC = 3
+MAX_RULE = 64
 # element budget of each (points x nodes) temporary of the spectral sum; the
 # row dots split it between the blocks in flight
 CHUNK_ELEMENTS = 2 ** 20
@@ -105,6 +109,7 @@ class SommerfeldContour:
     nodes: np.ndarray      # complex lambda_j, in traversal order
     weights: np.ndarray    # complex, direction times Gauss-Legendre weight
     segments: np.ndarray   # 1, 2 or 3 per node
+    tail_rules: tuple = ()  # rule size of each sub-panel of one tail
 
     def __len__(self):
         return self.nodes.size
@@ -161,6 +166,32 @@ def _tail_edges(ks, b, t_max):
     return np.array(edges)
 
 
+def _tail_rule(edges, t_max, max_horiz):
+    """Nodes, weights and rule sizes of the Gauss-Legendre rule on the tail
+    panels ``edges``.  Panel j gets base + ceil(N_PER_OSC * width_j *
+    max_horiz / 2 pi) nodes, base the equal share of max(240, 2 t_max)
+    (at least 6); a panel over MAX_RULE nodes is split into equal
+    sub-panels of at most MAX_RULE nodes.  One ``gauss_legendre`` call per
+    rule size."""
+    widths = np.diff(edges)
+    floor = max(240, int(np.ceil(2.0 * t_max)))
+    base = max(6, int(np.ceil(floor / widths.size)))
+    n = base + np.ceil(N_PER_OSC * widths * max_horiz / (2 * np.pi)).astype(int)
+    split = -(-n // MAX_RULE)
+    ends = [np.linspace(a, b, s + 1)
+            for a, b, s in zip(edges[:-1], edges[1:], split)]
+    lo = np.concatenate([e[:-1] for e in ends])
+    hi = np.concatenate([e[1:] for e in ends])
+    sizes = np.repeat(-(-n // split), split)
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    t, w = np.empty(start[-1]), np.empty(start[-1])
+    for size in np.unique(sizes):
+        sel = sizes == size
+        idx = start[:-1][sel][:, None] + np.arange(size)
+        t[idx], w[idx] = gauss_legendre(size, lo[sel], hi[sel])
+    return t, w, tuple(sizes.tolist())
+
+
 def build_contour_adaptive(layers, min_vertical_sep, max_horiz=0.0):
     """Gauss-Legendre discretization of the three-segment contour, sized
     for a given worst-case vertical separation.
@@ -169,27 +200,25 @@ def build_contour_adaptive(layers, min_vertical_sep, max_horiz=0.0):
     evanescent factor e^{-t * sep} falls below CONTOUR_TOL (with a safety
     margin; pad >= 20).  Each is split into panels graded toward the
     branch-point abscissas |k_i| (at distance b = CONTOUR_B above/below the
-    tails the integrand varies on that scale), with at least 240 nodes per
-    tail, more as the tail grows and, if ``max_horiz`` (the largest
-    |x - x0| to be evaluated) is given, with the number of oscillations of
-    e^{i lam dx} along the tail.  The short vertical segment gets a single
-    N_MID-point panel.  The left tail is the right tail's exact mirror,
-    so that nodes[::-1] == -nodes and weights[::-1] == weights hold by
-    construction on the tails.
+    tails the integrand varies on that scale).  Every panel gets an equal
+    share of max(240, 2 t_max) nodes and, if ``max_horiz`` (the largest
+    |x - x0| to be evaluated) is given, N_PER_OSC more per oscillation of
+    e^{i lam dx} across its own width; panels over MAX_RULE nodes are split
+    into equal sub-panels (``_tail_rule``).  The short vertical segment
+    gets a single N_MID-point panel.  The left tail is the right tail's
+    exact mirror, so that nodes[::-1] == -nodes and weights[::-1] ==
+    weights hold by construction on the tails.
     """
     if min_vertical_sep <= 0:
         raise ValueError("need a positive vertical separation")
     b = CONTOUR_B
     pad = max(20.0, -np.log(CONTOUR_TOL * 1e-2) / min_vertical_sep)
     t_max = max(abs(k) for k in layers.ks) + pad
-    n_osc = int(np.ceil(8.0 * t_max * max_horiz / (2 * np.pi)))
-    n_tail = max(240, int(np.ceil(2.0 * t_max)), n_osc)
     edges = _tail_edges(layers.ks, b, t_max)
-    n_per = max(6, int(np.ceil(n_tail / (edges.size - 1))))
 
-    # Gamma_1: lambda = t - ib, t from 0 to t_max, one row per panel
-    t, w = gauss_legendre(n_per, edges[:-1], edges[1:])
-    tail, tail_w = t.ravel() - 1j * b, w.ravel().astype(complex)
+    # Gamma_1: lambda = t - ib, t from 0 to t_max
+    t, w, rules = _tail_rule(edges, t_max, max_horiz)
+    tail, tail_w = t - 1j * b, w.astype(complex)
     # Gamma_2: lambda = it, t from b down to -b  => d(lambda) = -i dt (ascending t)
     t, w = gauss_legendre(N_MID, -b, b)
     # Gamma_3 (lambda = t + ib, t from -t_max to 0) mirrors Gamma_1
@@ -197,7 +226,8 @@ def build_contour_adaptive(layers, min_vertical_sep, max_horiz=0.0):
         b=b, t_max=t_max,
         nodes=np.concatenate([-tail[::-1], 1j * t, tail]),
         weights=np.concatenate([tail_w[::-1], -1j * w, tail_w]),
-        segments=np.repeat([3, 2, 1], [tail.size, N_MID, tail.size]))
+        segments=np.repeat([3, 2, 1], [tail.size, N_MID, tail.size]),
+        tail_rules=rules)
     for k in layers.ks:
         dist = np.abs(contour.nodes[:, None] - np.array([k, -k])[None, :]).min()
         if dist < MIN_BRANCH_DISTANCE:

@@ -251,10 +251,14 @@ class SchurOperator:
         m2l = ("none" if pair is None else "dense" if pair.grid is None
                else f"boxes {pair.grid[0]}x{pair.grid[1]} of width "
                f"{pair.width:.3g}, P {pair.P}, {pair.near_pairs} near pairs")
+        rules = contour.tail_rules
         logging.getLogger("layerscatter").debug(
-            "coupling path %s (%s): plane-wave table %d bytes, budget %d; "
+            "coupling path %s (%s): N_S %d, t_max %.4g, %d tail sub-panels "
+            "of at most %d nodes; plane-wave table %d bytes, budget %d; "
             "M2L %s", "nufft" if self.use_nufft else "table",
-            "auto" if auto else "set", table_bytes, TABLE_BUDGET, m2l)
+            "auto" if auto else "set", len(contour), contour.t_max,
+            len(rules), max(rules, default=0), table_bytes, TABLE_BUDGET,
+            m2l)
         self._table = None
         if self.use_nufft:
             self._grid_plan = SommerfeldGridPlan(

@@ -163,12 +163,12 @@ def test_plane_wave_table_matches_direct(contour131, layers131,
                                          scattered_centers):
     """The table's C and B (B read in reversed node order) agree with the
     direct sums to 1e-12 relative, on the test contour and on the one
-    ``build_scene`` makes for example1 (N_S = 2540)."""
+    ``build_scene`` makes for example1 (N_S = 1478)."""
     centers = scattered_centers
     p = 10
     example1 = build_contour_adaptive(layers131, min_vertical_sep=1.0,
                                       max_horiz=28.0)
-    assert len(example1) == 2540
+    assert len(example1) == 1478
     for contour in (contour131, example1):
         dens = InterfaceSolver(contour, layers131).solve()
         table = PlaneWaveTable(contour, layers131, centers, p)
@@ -191,14 +191,14 @@ def test_plane_wave_table_matches_direct(contour131, layers131,
 def test_plane_wave_table_rows_match_per_centre_rows(layers131,
                                                      scattered_centers):
     """The table's E equals, bitwise, the rows ``_plane_wave_rows`` builds
-    one centre at a time, on example1's contour (N_S = 2540) and on
-    band600's (N_S = 5052)."""
+    one centre at a time, on example1's contour (N_S = 1478) and on
+    band600's (N_S = 2448)."""
     band600 = LayerStack(k1=1.0, k2=3.0, k3=1.5, d=8.0, source=(0.0, 1.0))
     band_centers = [i.center for i in place_particles(
         (-28.0, 28.0, -3.0, -1.1), 40, 0.165, seed=7)]
     for layers, max_horiz, centers, n in (
-            (layers131, 28.0, scattered_centers, 2540),
-            (band600, 56.0, np.array(band_centers), 5052)):
+            (layers131, 28.0, scattered_centers, 1478),
+            (band600, 56.0, np.array(band_centers), 2448)):
         contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
                                          max_horiz=max_horiz)
         assert len(contour) == n
@@ -240,13 +240,13 @@ def _b_plan_retained_mb(contour, layers, centers):
 def test_b_plan_memory_band600():
     """The B plan shares one type-3 plan per tail among its snap rows and
     keeps each snap as one Graf row: on a 600-inclusion thin band
-    (N_S = 5052) it retains 7.9 MB (0.37 MB of it the vertical segment's
+    (N_S = 2448) it retains 4.7 MB (0.37 MB of it the vertical segment's
     mapped table), at most 10 MB, where one full plan per row retained
     97 MB and a (2p+1)^2 shift matrix per centre 11.1 MB."""
     layers = LayerStack(k1=1.0, k2=3.0, k3=1.5, d=8.0, source=(0.0, 1.0))
     contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
                                      max_horiz=56.0)
-    assert len(contour) == 5052
+    assert len(contour) == 2448
     insts = place_particles((-28.0, 28.0, -3.0, -1.1), 600, 0.165, seed=7)
     plan, retained = _b_plan_retained_mb(contour, layers,
                                          [i.center for i in insts])
@@ -257,14 +257,14 @@ def test_b_plan_memory_band600():
 def test_b_plan_memory_example1_m1000(layers131, flower_smatrix):
     """The B plan keeps no per-row copies of the evanescent factors and
     one Graf row per centre for its snap: with example1's contour and 1000
-    inclusions (390 snap rows) it retains 7.7 MB (0.61 MB of it the
+    inclusions (390 snap rows) it retains 6.4 MB (0.61 MB of it the
     vertical segment's mapped table), at most 10 MB, where two
     N_S-long rows per snap row retained 43.5 MB and a (2p+1)^2 shift
     matrix per centre 13.1 MB."""
     S, _ = flower_smatrix
     contour = build_contour_adaptive(layers131, min_vertical_sep=1.0,
                                      max_horiz=28.0)
-    assert len(contour) == 2540
+    assert len(contour) == 1478
     insts = place_particles((-14.0, 14.0, -30.0, -2.0), 1000, S.R, seed=7)
     plan, retained = _b_plan_retained_mb(contour, layers131,
                                          [i.center for i in insts])

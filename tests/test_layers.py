@@ -58,23 +58,32 @@ def test_contour_structure():
 
 def _contour_per_panel(layers, sep, max_horiz=0.0):
     """(t_max, nodes, weights, segments) of the contour built one
-    Gauss-Legendre rule per panel, left tail, vertical segment, right
-    tail: the oracle of ``build_contour_adaptive``."""
+    Gauss-Legendre rule per sub-panel, left tail, vertical segment, right
+    tail: the oracle of ``build_contour_adaptive``.  Panel j of a tail gets
+    base + ceil(N_PER_OSC * width_j * max_horiz / 2 pi) nodes, split into
+    ceil(n / MAX_RULE) equal sub-panels of ceil(n / s) nodes; the left
+    tail's sub-panels are the right tail's, negated."""
     b = layers_mod.CONTOUR_B
     t_max = max(abs(k) for k in layers.ks) \
         + max(20.0, -np.log(layers_mod.CONTOUR_TOL * 1e-2) / sep)
-    n_tail = max(240, int(np.ceil(2.0 * t_max)),
-                 int(np.ceil(8.0 * t_max * max_horiz / (2 * np.pi))))
     edges = layers_mod._tail_edges(layers.ks, b, t_max)
-    n_per = max(6, int(np.ceil(n_tail / (edges.size - 1))))
+    base = max(6, int(np.ceil(max(240, int(np.ceil(2.0 * t_max)))
+                              / (edges.size - 1))))
+    right = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        n = base + int(np.ceil(layers_mod.N_PER_OSC * (hi - lo) * max_horiz
+                               / (2 * np.pi)))
+        s = -(-n // layers_mod.MAX_RULE)
+        ends = np.linspace(lo, hi, s + 1)
+        right += [(-(-n // s), a, c) for a, c in zip(ends[:-1], ends[1:])]
     panels = []
-    for lo, hi in zip(-edges[::-1][:-1], -edges[::-1][1:]):
-        x, w = gauss_legendre(n_per, lo, hi)
+    for n, a, c in right[::-1]:
+        x, w = gauss_legendre(n, -c, -a)
         panels.append((x + 1j * b, w.astype(complex), 3))
     x, w = gauss_legendre(layers_mod.N_MID, -b, b)
     panels.append((1j * x, -1j * w, 2))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(n_per, lo, hi)
+    for n, a, c in right:
+        x, w = gauss_legendre(n, a, c)
         panels.append((x - 1j * b, w.astype(complex), 1))
     nodes, weights, _ = zip(*panels)
     return (t_max, np.concatenate(nodes), np.concatenate(weights),
@@ -82,8 +91,9 @@ def _contour_per_panel(layers, sep, max_horiz=0.0):
 
 
 def _check_against_per_panel(layers, sep, max_horiz=0.0):
-    """The contour equals the per-panel oracle bitwise, and its nodes and
-    weights are exactly odd and even under reversal; returns N_S."""
+    """The contour equals the per-panel oracle bitwise, its nodes and
+    weights are exactly odd and even under reversal, and no tail rule
+    exceeds MAX_RULE nodes; returns N_S."""
     c = build_contour_adaptive(layers, sep, max_horiz)
     t_max, nodes, weights, segments = _contour_per_panel(layers, sep,
                                                          max_horiz)
@@ -93,6 +103,8 @@ def _check_against_per_panel(layers, sep, max_horiz=0.0):
     assert np.array_equal(c.segments, segments)
     assert np.array_equal(c.nodes[::-1], -c.nodes)
     assert np.array_equal(c.weights[::-1], c.weights)
+    assert sum(c.tail_rules) == (segments == 1).sum()
+    assert max(c.tail_rules) <= layers_mod.MAX_RULE
     return len(c)
 
 
@@ -103,10 +115,11 @@ def test_contour_matches_per_panel_build(contour131):
     contour and the test fixture's."""
     example1 = LayerStack(k1=1.0, k2=3.0, k3=1.0, d=32.0, source=(1.0, 1.0))
     band600 = LayerStack(k1=1.0, k2=3.0, k3=1.5, d=8.0, source=(0.0, 1.0))
-    assert _check_against_per_panel(example1, 1.0, 28.0) == 2540
-    assert _check_against_per_panel(band600, 1.0, 56.0) == 5052
+    assert _check_against_per_panel(example1, 1.0, 28.0) == 1478
+    assert _check_against_per_panel(band600, 1.0, 56.0) == 2448
     assert _check_against_per_panel(example1, 2.0) == 524
-    assert _check_against_per_panel(example1, 1.0, 12.0) == len(contour131)
+    assert _check_against_per_panel(example1, 1.0, 12.0) == len(contour131) \
+        == 918
 
 
 @settings(deadline=None, max_examples=40)
@@ -120,6 +133,26 @@ def test_contour_matches_per_panel_build_random_stacks(k1, k2, loss, k3, d,
     layers = LayerStack(k1=k1, k2=k2 + 1j * loss, k3=k3, d=d,
                         source=(0.0, 1.0))
     _check_against_per_panel(layers, sep, max_horiz)
+
+
+@pytest.mark.parametrize("span, bound", [(28.0, 1e-12), (56.0, 1e-9)])
+@pytest.mark.parametrize("k", [1.0, 3.0])
+def test_point_source_across_scene_span(k, span, bound):
+    """The contour sum of the point source against (i/4)H0 on a
+    homogeneous stack, on the contour of a scene's separation 1 and
+    horizontal span (example1 28, band600 56): at vertical separations 1,
+    2 and 4 and every |dx| <= span, relative to the row's largest value.
+    Equal nodes per panel read 3.5e-10 on example1 and 7.0e-8 on
+    band600, the widest panels having too few nodes per oscillation."""
+    layers = LayerStack(k1=k, k2=k, k3=k, d=10.0, source=(0.0, 1.0))
+    contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
+                                     max_horiz=span)
+    dx = np.linspace(-span, span, 401)
+    for sep in (1.0, 2.0, 4.0):
+        pts = np.stack([dx, np.full_like(dx, 1.0 + sep)], -1)
+        ref = 0.25j * hankel1(0, k * np.hypot(dx, sep) + 0j)
+        got = sommerfeld_point_source(contour, k, (0.0, 1.0), pts)
+        assert np.abs(got - ref).max() <= bound * np.abs(ref).max()
 
 
 def test_sommerfeld_identity_free_space():
@@ -288,7 +321,7 @@ FIELD_PEAK_BOUND = 64 * 2 ** 20
 
 
 # tracemalloc peak of the row form at 1,334 scattered middle-layer points on
-# band600's solve contour (N_S 5052): the vertical rows of both halves and,
+# band600's solve contour (N_S 2448): the vertical rows of both halves and,
 # per chunk, the gathered right-half phases and one gathered half of the
 # rows, 8 MB each, read 41 MB; full-contour phases and rows read 81 MB
 ROWS_PEAK_BOUND = 48 * 2 ** 20
@@ -337,7 +370,7 @@ def test_row_form_memory_bound_band600():
     layers = LayerStack(k1=1.0, k2=3.0, k3=1.5, d=8.0, source=(0.0, 1.0))
     contour = build_contour_adaptive(layers, min_vertical_sep=1.0,
                                      max_horiz=56.0)
-    assert len(contour) == 5052
+    assert len(contour) == 2448
     dens = InterfaceSolver(contour, layers).solve()
     rng = np.random.default_rng(1)
     pts = np.stack([rng.uniform(-28.0, 28.0, 1334),

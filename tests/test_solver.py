@@ -464,7 +464,7 @@ BAND600 = Path(__file__).resolve().parents[1] / "perfbench" / "scenes" \
 
 def test_nufft_path_agrees_on_band600(tmp_path, monkeypatch):
     """The NUFFT path solved end to end on production geometry: band600's
-    thin band at M = 40 (N_S = 5052) against the table path, GMRES tol
+    thin band at M = 40 (N_S = 2448) against the table path, GMRES tol
     1e-10.  The betas, and the field at 60 points in all three layers,
     agree to 1e-8."""
     monkeypatch.setenv("LAYERSCATTER_CACHE_DIR", str(tmp_path))
@@ -472,7 +472,7 @@ def test_nufft_path_agrees_on_band600(tmp_path, monkeypatch):
     sol_d, sol_n = (solve_scene(replace(cfg, path=path))[1]
                     for path in ("direct", "nufft"))
     assert sol_n.operator.use_nufft and not sol_d.operator.use_nufft
-    assert len(sol_n.operator.contour) == 5052
+    assert len(sol_n.operator.contour) == 2448
     assert np.abs(sol_d.betas - sol_n.betas).max() <= \
         1e-8 * np.abs(sol_d.betas).max()
     rng = np.random.default_rng(0)
@@ -760,9 +760,12 @@ def test_solve_releases_plane_wave_table(contour131, layers131,
 def test_auto_path_by_table_budget(contour131, layers131, flower_smatrix,
                                    monkeypatch, caplog):
     """``auto`` couples through the table while it fits TABLE_BUDGET and
-    through the NUFFT plans above it, and logs the choice and its reason."""
+    through the NUFFT plans above it, and logs the choice, its reason and
+    the contour's size: N_S, t_max, the number of sub-panels of one tail
+    and the largest Gauss-Legendre rule."""
     smat, _ = flower_smatrix
-    table = f"plane-wave table {32 * 3 * len(contour131)} bytes"
+    table = ("N_S 918, t_max 35.24, 16 tail sub-panels of at most 61 "
+             f"nodes; plane-wave table {32 * 3 * 918} bytes")
     with caplog.at_level(logging.DEBUG, logger="layerscatter"):
         assert not _operator(contour131, layers131, smat).use_nufft
         monkeypatch.setattr(solver_mod, "TABLE_BUDGET", 1024)

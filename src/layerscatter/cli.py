@@ -35,8 +35,10 @@ def _load_config(args):
 
 
 def _check_out_dir(path):
-    """Exits with a one-line message naming ``path`` unless its directory
-    exists and is writable; creates nothing."""
+    """Exits with a one-line message naming ``path`` if it is a directory,
+    or unless its directory exists and is writable; creates nothing."""
+    if os.path.isdir(path):
+        raise SystemExit(f"cannot write {path}: it is a directory")
     folder = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
         raise SystemExit(f"cannot write {path}: directory {folder} is "

@@ -19,6 +19,7 @@ import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft
 
 from .layers import _mirror_half, gamma
 from .multiscat import BLAS_BLOCK, _graf_rows, _shift_up
@@ -381,8 +382,8 @@ def sommerfeld_to_local_nufft(plan, values):
     u, ux, uy = samples.T.reshape(3, -1, nang)
     dur = ux * plan._cos + uy * plan._sin
     ns = np.arange(-plan.p, plan.p + 1) % nang
-    un = np.fft.fft(u, axis=-1)[:, ns] / nang
-    upn = np.fft.fft(dur, axis=-1)[:, ns] / nang
+    un = scipy.fft.fft(u, axis=-1, norm="forward", overwrite_x=True)[:, ns]
+    upn = scipy.fft.fft(dur, axis=-1, norm="forward", overwrite_x=True)[:, ns]
     jn, jnp = plan._jn, plan._jnp
     return (un * jn + upn * jnp) / (jn ** 2 + jnp ** 2)
 

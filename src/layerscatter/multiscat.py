@@ -8,6 +8,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.sparse
 import scipy.special as sp
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,8 +36,6 @@ BOX_CROSSOVER = 200
 BOX_BUFFER = 2
 # largest transformed m2l kernel (bytes) a box width may need
 BOX_KERNEL_BYTES = 2 ** 26
-# order columns per FFT call of the box m2l
-FFT_ORDERS = 8
 # near pairs per block of the box field evaluation
 PAIR_BLOCK = 2 ** 14
 # rows or columns per block of the order-0 block's products and LU: tall
@@ -304,22 +303,10 @@ def _box_offsets(n):
     return (np.arange(n) + n // 2) % n - n // 2
 
 
-def _fft_orders(transform, a, pad):
-    """``a`` (one row per cell of the ``pad`` grid) with ``transform``
-    (``np.fft.fft2`` or ``ifft2``) applied over the cells of each column,
-    in place, FFT_ORDERS columns at a time: the result is bitwise that of
-    one call, with temporaries a fraction of ``a``."""
-    grid = a.reshape(tuple(pad) + (-1,))
-    for lo in range(0, grid.shape[2], FFT_ORDERS):
-        cols = slice(lo, lo + FFT_ORDERS)
-        grid[..., cols] = transform(grid[..., cols], axes=(0, 1))
-    return a
-
-
 def _m2l_kernel(pad, width, k, P):
     """The box-to-box m2l kernel W_q = H_q(k |D|) e^{i q theta_D}, q =
     -2P..2P, at every far box offset D (zero at the near ones) of the
-    ``pad`` grid, transformed over the offsets: (prod(pad), 4P + 1)."""
+    ``pad`` grid, transformed over the offsets: pad + (4P + 1,)."""
     off = np.stack(np.meshgrid(*map(_box_offsets, pad), indexing="ij"),
                    axis=-1).reshape(-1, 2)
     far = np.abs(off).max(axis=1) > BOX_BUFFER
@@ -330,20 +317,23 @@ def _m2l_kernel(pad, width, k, P):
     for q, wq, wmq in _hankel_terms(z, eith, h0, h1, 2 * P):
         kern[far, 2 * P + q] = wq
         kern[far, 2 * P - q] = wmq
-    return _fft_orders(np.fft.fft2, kern, pad)
+    return scipy.fft.fft2(kern.reshape(tuple(pad) + (-1,)), axes=(0, 1),
+                          overwrite_x=True)
 
 
-def _box_m2l(kernel, pad, cell, mults):
+def _box_m2l(kernel, cell, mults):
     """m2l: L_l = sum_n B_n H_{n-l}(k |D|) e^{i (n-l) theta_D}, summed over
     far boxes, as a convolution per order pair; only the box offsets are
-    transformed, never the orders.  B sums the order-P multipoles ``mults``
-    of the centres in each ``cell`` of the ``pad`` grid; returns L per cell."""
-    boxes = np.zeros((kernel.shape[0], mults.shape[1]), dtype=complex)
-    np.add.at(boxes, cell, mults)
-    loc = np.einsum("fin,fn->fi",
-                    sliding_window_view(kernel, boxes.shape[1], axis=1),
-                    _fft_orders(np.fft.fft2, boxes, pad))
-    return _fft_orders(np.fft.ifft2, loc, pad)[:, ::-1]
+    transformed, never the orders, on arrays scipy may overwrite.  B sums
+    the order-P multipoles ``mults`` of the centres in each flat ``cell``
+    of the kernel's grid; returns L per flat cell."""
+    boxes = np.zeros(kernel.shape[:2] + mults.shape[1:], dtype=complex)
+    np.add.at(boxes.reshape(-1, mults.shape[1]), cell, mults)
+    loc = np.einsum("xyin,xyn->xyi",
+                    sliding_window_view(kernel, mults.shape[1], axis=2),
+                    scipy.fft.fft2(boxes, axes=(0, 1), overwrite_x=True))
+    loc = scipy.fft.ifft2(loc, axes=(0, 1), overwrite_x=True)
+    return loc.reshape(-1, mults.shape[1])[:, ::-1]
 
 
 class PairCoupling:
@@ -409,9 +399,9 @@ class PairCoupling:
                                  k, P + p)
         # the convolution grid: 2n - 1 points along each axis hold every box
         # offset without wrap-around
-        self._pad = tuple(2 * shape - 1)
-        self._cell = cells[:, 0] * self._pad[1] + cells[:, 1]
-        self._kernel = _m2l_kernel(self._pad, width, k, P)
+        pad = tuple(2 * shape - 1)
+        self._cell = cells[:, 0] * pad[1] + cells[:, 1]
+        self._kernel = _m2l_kernel(pad, width, k, P)
 
     def apply_m2l(self, betas):
         """Incoming locals alpha[m, n] = sum_{j != m} sum_nu
@@ -424,7 +414,7 @@ class PairCoupling:
             return scipy.sparse.csr_matrix((w, *pattern), shape=(M, M)) @ x
 
         alphas = _translate(betas, *self._pairs, sparse)
-        loc = _box_m2l(self._kernel, self._pad, self._cell,
+        loc = _box_m2l(self._kernel, self._cell,
                        _shift_up(self._shift, betas))[self._cell]
         return alphas + _shift_down(self._shift, loc)
 
@@ -552,7 +542,7 @@ def _eval_boxes(betas, centers, R, k, pts, width, P):
     rel = both - (origin + (cells + 0.5) * width)
     pad = tuple(2 * shape - 1)
     cell = cells[:, 0] * pad[1] + cells[:, 1]
-    locs = _box_m2l(_m2l_kernel(pad, width, k, P), pad, cell[:M],
+    locs = _box_m2l(_m2l_kernel(pad, width, k, P), cell[:M],
                     _shift_up(_graf_rows(rel[:M], k, P + p), betas))
     used, cell = np.unique(cell[M:], return_inverse=True)
     locs = np.ascontiguousarray(locs[used].T)

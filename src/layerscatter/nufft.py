@@ -102,5 +102,5 @@ class Nufft3Plan:
         spec = np.zeros((self._n2,) + c.shape[1:], dtype=complex)
         spec[self._slots] = ((self._spread @ (c * self._phase_c[col]))
                              * self._deconv_k[col])
-        grid = self._n2 * scipy.fft.ifft(spec, axis=0)
+        grid = scipy.fft.ifft(spec, axis=0, norm="forward", overwrite_x=True)
         return (self._gather.T @ grid) * (self._deconv_x * self._phase_f)[col]

@@ -1,20 +1,25 @@
 """Quadrature rules: Gauss-Legendre and trigonometric interpolation."""
 
+import functools
+
 import numpy as np
 
 __all__ = ["gauss_legendre", "trig_interp_matrix"]
+
+# one reference rule per n, never written: ``leggauss`` takes 0.2-0.8 ms a rule
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)
 
 
 def gauss_legendre(n, a, b):
     """Nodes and weights of the n-point Gauss-Legendre rule on (a, b);
     exact to degree 2n-1.  1-D for scalar ends; for arrays of panel ends,
-    one row per panel, all from one ``leggauss`` rule."""
+    one row per panel, all from one cached ``leggauss`` rule."""
     if n < 1:
         raise ValueError("need n >= 1")
     a, b = np.asarray(a), np.asarray(b)
     if not np.all(a < b):
         raise ValueError("need a < b")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     mid, half = 0.5 * (a + b)[..., None], 0.5 * (b - a)[..., None]
     return mid + half * x, half * w
 

@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft
 
 # the direct oracles stay importable from here for perfbench/tracing.py
 from .coupling import (MultipoleToSommerfeldPlan, PlaneWaveTable,
@@ -422,10 +423,10 @@ def _layer_potentials(k, nodes, normals, wts, sigma, mu, targets):
 def _trig_upsample(f, m):
     """Trigonometric m-times upsampling of periodic samples (zero-padded FFT)."""
     N = f.shape[0]
-    F = np.fft.fft(f, axis=0)
+    F = scipy.fft.fft(f, axis=0, norm="forward")
     F = np.concatenate([F[:N // 2], np.zeros(((m - 1) * N,) + f.shape[1:]),
                         F[N // 2:]])
-    return np.fft.ifft(F, axis=0) * m
+    return scipy.fft.ifft(F, axis=0, norm="forward", overwrite_x=True)
 
 
 def _disk_field(solution, pts, owner):

@@ -190,20 +190,33 @@ def test_solve_out_writes_the_named_file(scene_file, tmp_path):
                  "--out", str(tmp_path / "g.lsfg")]) == 0
 
 
-@pytest.mark.parametrize("command", [
-    ["solve"], ["eval", "--grid", "4,4", "--extent=-5,5,-24,-8"]])
+EVAL_4X4 = ["eval", "--grid", "4,4", "--extent=-5,5,-24,-8"]
+
+
+@pytest.mark.parametrize("command, out_is_dir", [
+    pytest.param(["solve"], False, id="command0"),
+    pytest.param(EVAL_4X4, False, id="command1"),
+    pytest.param(["solve"], True, id="command0-dir"),
+    pytest.param(EVAL_4X4, True, id="command1-dir")])
 def test_out_in_missing_directory_exits_before_solving(scene_file, tmp_path,
-                                                       command):
-    """An --out file whose directory does not exist stops solve and eval
-    with a one-line message naming the file, before the scattering matrix
-    is built and without creating anything."""
+                                                       command, out_is_dir):
+    """An --out file whose directory does not exist, or an --out that is an
+    existing directory, stops solve and eval with a one-line message naming
+    it, before the scattering matrix is built and without creating
+    anything."""
     out = tmp_path / "nowhere" / "result.bin"
+    if out_is_dir:
+        out = out.parent
+        out.mkdir()
     with pytest.raises(SystemExit) as exc:
         main([command[0], "--scene", str(scene_file), *command[1:],
               "--out", str(out)])
     msg = str(exc.value.code)
     assert str(out) in msg and "\n" not in msg
-    assert not out.parent.exists()
+    if out_is_dir:
+        assert not list(out.iterdir())
+    else:
+        assert not out.parent.exists()
     assert not list(scene_file.parent.glob("cache/*"))
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerscatter import layers as layers_mod
+from layerscatter import quadrature
 from layerscatter.coupling import SpectralUpdate
 from layerscatter.layers import (InterfaceSolver, LayerStack,
                                  build_contour_adaptive, eval_sommerfeld_field,
@@ -120,6 +121,21 @@ def test_contour_matches_per_panel_build(contour131):
     assert _check_against_per_panel(example1, 2.0) == 524
     assert _check_against_per_panel(example1, 1.0, 12.0) == len(contour131) \
         == 918
+
+
+def test_repeat_contour_build_computes_no_rule():
+    """A second contour build on the same layers takes every
+    Gauss-Legendre reference rule from the cache and is bitwise the
+    first."""
+    band600 = LayerStack(k1=1.0, k2=3.0, k3=1.5, d=8.0, source=(0.0, 1.0))
+    first = build_contour_adaptive(band600, 1.0, 56.0)
+    before = quadrature._leggauss.cache_info()
+    again = build_contour_adaptive(band600, 1.0, 56.0)
+    after = quadrature._leggauss.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == len(np.unique(first.tail_rules)) + 1
+    assert first.nodes.tobytes() == again.nodes.tobytes()
+    assert first.weights.tobytes() == again.weights.tobytes()
 
 
 @settings(deadline=None, max_examples=40)

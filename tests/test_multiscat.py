@@ -190,7 +190,7 @@ def test_box_m2l_far_pass_matches_dense_far_pairs(monkeypatch, scene, M):
                  + 1j * rng.standard_normal((M, 2 * p + 1))) \
             * np.exp(-decay * np.abs(np.arange(-p, p + 1)))
         ref = _translate(betas, z, eith, h0, h1, np.matmul)
-        loc = _box_m2l(boxes._kernel, boxes._pad, boxes._cell,
+        loc = _box_m2l(boxes._kernel, boxes._cell,
                        _shift_up(boxes._shift, betas))[boxes._cell]
         err = np.abs(_shift_down(boxes._shift, loc) - ref) @ weight
         assert np.all(err <= 1e-6 * (np.abs(ref) @ weight))

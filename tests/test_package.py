@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,20 @@ def test_library_does_not_print():
              and isinstance(node.func, ast.Name) and node.func.id == "print"]
     assert not calls
     assert len(list(src.glob("*.py"))) > 10
+
+
+def test_library_uses_no_numpy_fft():
+    """Every transform of the library goes through ``scipy.fft``, which
+    can overwrite its input: no module names ``np.fft`` or ``numpy.fft``,
+    so an out-of-place or column-chunked transform cannot come back."""
+    src = Path(layerscatter.__file__).parent
+    uses = [f"{path.name}:{i}"
+            for path in sorted(src.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"\b(np|numpy)\.fft\b|from numpy import .*\bfft\b",
+                         line)]
+    assert not uses
+    assert "scipy.fft" in (src / "multiscat.py").read_text()
 
 
 def test_benchmark_trace_targets_resolve(monkeypatch):

@@ -27,7 +27,7 @@ from .particle import (PrecomputedDensities, ScatteringMatrix, ShapeParams,
                        discretize_boundary, enclosing_radius,
                        scattering_matrix_nystrom, shape_fingerprint)
 from .solver import GmresConfig, SchurOperator, eval_total_field, \
-    solve_layered_scene
+    require_int, solve_layered_scene
 
 SEPARATION_FACTOR = 2.2     # centre separation in units of R (10% margin)
 PLACEMENT_SWEEPS = 5
@@ -68,9 +68,12 @@ class SceneConfig:
         # canonicalize types so fingerprints do not depend on how the
         # config was constructed (e.g. float vs complex wavenumbers)
         for f in fields(self):
-            if f.type in (complex, float, int):
+            if f.type is int:
+                setattr(self, f.name,
+                        require_int(f.name, getattr(self, f.name)))
+            elif f.type in (complex, float):
                 value = f.type(getattr(self, f.name))
-                if f.type is not int and not np.isfinite(value):
+                if not np.isfinite(value):
                     raise ValueError(f"{f.name} must be finite, got {value}")
                 setattr(self, f.name, value)
         if self.path not in ("auto", "direct", "nufft"):

@@ -21,7 +21,7 @@ local coefficients of the transmitted incident field.
 
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 import scipy.fft
@@ -51,6 +51,13 @@ __all__ = ["GmresConfig", "GmresError", "gmres", "order0_preconditioner",
 TABLE_BUDGET = 2 ** 28
 
 
+def require_int(name, value):
+    """int(value), or a ValueError naming ``name`` if it is not whole."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 @dataclass
 class GmresConfig:
     tol: float = 1e-6
@@ -58,6 +65,8 @@ class GmresConfig:
     restart: int = 100
 
     def __post_init__(self):
+        self.maxiter = require_int("maxiter", self.maxiter)
+        self.restart = require_int("restart", self.restart)
         if not self.tol > 0:
             raise ValueError(
                 f"GMRES tolerance must be positive, got {self.tol}")
@@ -67,8 +76,8 @@ class GmresConfig:
 
 
 class GmresError(RuntimeError):
-    """Non-convergence (iteration cap, stagnation or breakdown); carries the
-    residual history in ``history``."""
+    """GMRES failure (iteration cap, stagnation, breakdown or a
+    non-finite vector); carries the residual history in ``history``."""
 
     def __init__(self, message, history):
         super().__init__(message)
@@ -76,80 +85,67 @@ class GmresError(RuntimeError):
 
 
 def gmres(op, b, tol=1e-6, maxiter=1000, restart=100):
-    """Restarted GMRES with modified Gram-Schmidt and Givens rotations.
+    """Restarted GMRES with modified Gram-Schmidt Arnoldi.
 
     Solves op(x) = b to relative residual ``tol``; returns (x, history)
-    with one relative-residual entry per Arnoldi step.  Raises GmresError
-    on hitting the iteration cap, on stagnation (residual reduction by
-    less than a factor 1e-12 over a full restart cycle) or on a breakdown
-    (a singular Hessenberg matrix, as when b is not in the range of op).
+    with one relative-residual entry per Arnoldi step, that of one
+    least-squares solve of the step's Hessenberg system on numpy's LAPACK.
+    Raises GmresError on hitting the iteration cap, on stagnation (residual
+    reduction by less than a factor 1e-12 over a full restart cycle), on a
+    breakdown (a rank-deficient Hessenberg matrix, as when b is not in the
+    range of op) or on a non-finite b or operator output.
     """
-    GmresConfig(tol, maxiter, restart)          # ValueError if invalid
+    tol, maxiter, restart = astuple(GmresConfig(tol, maxiter, restart))
     b = np.asarray(b, dtype=complex)
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return np.zeros_like(b), [0.0]
     x = np.zeros_like(b)
     history = []
-    total = 0
     while True:
-        r = b - op(x) if total else b.copy()
+        r = b - op(x) if history else b.copy()
         beta = np.linalg.norm(r)
+        if not np.isfinite(beta):
+            raise GmresError("GMRES right-hand side or residual is not finite",
+                             history)
         if beta / bnorm <= tol:
             return x, history or [beta / bnorm]
-        m = min(restart, maxiter - total)
+        m = min(restart, maxiter - len(history))
         V = np.empty((m + 1, b.size), dtype=complex)
         H = np.zeros((m + 1, m), dtype=complex)
-        cs = np.zeros(m, dtype=complex)
-        sn = np.zeros(m, dtype=complex)
         g = np.zeros(m + 1, dtype=complex)
         g[0] = beta
         V[0] = r / beta
-        j_used = 0
         for j in range(m):
             w = np.array(op(V[j]), dtype=complex)   # copy: op may alias input
+            if not np.isfinite(np.linalg.norm(w)):
+                raise GmresError("GMRES operator output is not finite at "
+                                 f"iteration {len(history) + 1}", history)
             for i in range(j + 1):
                 H[i, j] = np.vdot(V[i], w)
                 w -= H[i, j] * V[i]
             H[j + 1, j] = np.linalg.norm(w)
-            if H[j + 1, j] > 0:
-                V[j + 1] = w / H[j + 1, j]
-            for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -np.conj(sn[i]) * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            h1, h2 = H[j, j], H[j + 1, j]
-            denom = np.hypot(abs(h1), abs(h2))
-            if denom == 0:
-                cs[j], sn[j] = 1.0, 0.0
-            elif h1 == 0:
-                cs[j], sn[j] = 0.0, np.conj(h2) / abs(h2)
-            else:
-                cs[j] = abs(h1) / denom
-                sn[j] = (h1 / abs(h1)) * np.conj(h2) / denom
-            H[j, j] = cs[j] * h1 + sn[j] * h2
-            H[j + 1, j] = 0.0
-            g[j + 1] = -np.conj(sn[j]) * g[j]
-            g[j] = cs[j] * g[j]
-            res = abs(g[j + 1]) / bnorm
-            history.append(res)
-            total += 1
-            j_used = j + 1
-            if res <= tol or total >= maxiter:
+            y, _, rank, _ = np.linalg.lstsq(H[:j + 2, :j + 1], g[:j + 2],
+                                            rcond=None)
+            res = np.linalg.norm(g[:j + 2] - H[:j + 2, :j + 1] @ y)
+            history.append(res / bnorm)
+            if rank <= j:
+                raise GmresError(f"GMRES broke down after {len(history)} "
+                                 "iterations (singular Hessenberg matrix)",
+                                 history)
+            # a zero H[j+1, j] means the Krylov space is exhausted
+            if history[-1] <= tol or len(history) >= maxiter \
+                    or H[j + 1, j] == 0:
                 break
-        try:
-            y = np.linalg.solve(H[:j_used, :j_used], g[:j_used])
-        except np.linalg.LinAlgError:
-            raise GmresError(f"GMRES broke down after {total} iterations "
-                             "(singular Hessenberg matrix)", history) from None
-        x = x + y @ V[:j_used]
+            V[j + 1] = w / H[j + 1, j]
+        x = x + y @ V[:j + 1]
         if history[-1] <= tol:
             return x, history
-        if total >= maxiter:
+        if len(history) >= maxiter:
             raise GmresError(
                 f"GMRES did not reach tol={tol} in {maxiter} iterations "
                 f"(residual {history[-1]:.3e})", history)
-        if beta > 0 and abs(g[j_used]) / beta > 1 - 1e-12:
+        if res / beta > 1 - 1e-12:
             raise GmresError(
                 f"GMRES stagnated at residual {history[-1]:.3e}", history)
 

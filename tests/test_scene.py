@@ -72,6 +72,18 @@ def test_region_too_close_to_interface_rejected():
         small_config(region_y0=-31.9)
 
 
+@pytest.mark.parametrize("name", ["M", "p", "N", "a3", "seed", "maxiter",
+                                  "restart"])
+def test_non_integral_int_setting_rejected(name):
+    """An integer setting given a fractional or infinite value is refused
+    with a ValueError naming it, not truncated (a3 = 3.5 is not a
+    three-petal flower)."""
+    base = small_config()
+    for value in (getattr(base, name) + 0.5, float("inf")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            small_config(**{name: value})
+
+
 def test_unknown_key_rejected(tmp_path):
     p = tmp_path / "bad.scene"
     p.write_text((SCENES / "example1.scene").read_text() + "\nwhat = 3\n")

@@ -74,26 +74,80 @@ def test_gmres_iteration_cap_raises():
     assert len(info.value.history) >= 1
 
 
-@pytest.mark.parametrize("op, b, match", [
-    (lambda v: np.array([1.0, 0.0]) * v, [0.0, 1.0], "broke down"),
-    (lambda v: np.array([1.0, 0.0]) * v, [1.0, 1.0], "broke down"),
-    (lambda v: np.roll(v, 1), np.eye(20)[0], "stagnated")],
+@pytest.mark.parametrize("op, b, match, calls", [
+    (lambda v: np.array([1.0, 0.0]) * v, [0.0, 1.0], "broke down", 1),
+    (lambda v: np.array([1.0, 0.0]) * v, [1.0, 1.0], "broke down", 2),
+    (lambda v: np.roll(v, 1), np.eye(20)[0], "stagnated", 5)],
     ids=["singular-b-in-kernel", "singular-b-off-range", "cyclic-shift"])
-def test_gmres_failure_raises_gmres_error(op, b, match):
+def test_gmres_failure_raises_gmres_error(op, b, match, calls):
     """A breakdown (A = diag(1, 0), b outside its range: a singular
     Hessenberg matrix) and a stagnation (a cyclic shift of length 20,
-    restarted every 5 steps) raise GmresError with the history so far."""
+    restarted every 5 steps) raise GmresError with the history so far.
+    An exhausted Krylov space ends the cycle: the operator only ever sees
+    finite unit vectors, once per Arnoldi step."""
+    inputs = []
+
+    def recorded(v):
+        inputs.append(v.copy())
+        return op(v)
+
     with pytest.raises(GmresError, match=match) as info:
-        gmres(op, np.asarray(b, dtype=complex), restart=5)
+        gmres(recorded, np.asarray(b, dtype=complex), restart=5)
     assert len(info.value.history) >= 1
+    assert len(inputs) == calls
+    assert all(np.isfinite(v).all() and abs(np.linalg.norm(v) - 1) <= 1e-15
+               for v in inputs)
+
+
+@pytest.mark.parametrize("bad_call", [0, 3], ids=["nan-in-b", "nan-output"])
+def test_gmres_non_finite_vector_raises_gmres_error(bad_call):
+    """A NaN in b (found before any operator call) or in the operator's
+    output on its third call raises GmresError at once, not after the
+    iteration cap."""
+    rng = np.random.default_rng(6)
+    A = 2 * np.eye(30) + 0.3 * rng.standard_normal((30, 30))
+    b = rng.standard_normal(30) + 0j
+    calls = []
+
+    def op(v):
+        calls.append(1)
+        out = A @ v
+        if len(calls) == bad_call:
+            out[7] = np.nan
+        return out
+
+    if bad_call == 0:
+        b[7] = np.nan
+    with pytest.raises(GmresError, match="not finite"):
+        gmres(op, b, tol=1e-12)
+    assert len(calls) == bad_call
 
 
 @pytest.mark.parametrize("bad", [dict(maxiter=0), dict(restart=0),
-                                 dict(tol=0.0)])
+                                 dict(tol=0.0), dict(restart=2.5),
+                                 dict(maxiter=2.5)])
 def test_gmres_rejects_bad_settings(bad):
     """Settings GMRES cannot honour are rejected before the first apply."""
     with pytest.raises(ValueError):
         gmres(lambda v: v, np.ones(3, dtype=complex), **bad)
+
+
+def test_gmres_history_never_rises_within_a_cycle():
+    """Each Arnoldi step minimises the residual over a larger Krylov space,
+    so within a restart cycle no history entry exceeds its predecessor
+    (to 1e-14 relative).  Restarted every 7 steps (48 iterations) or not
+    at all (38), both solutions meet tol on their true residuals."""
+    rng = np.random.default_rng(2)
+    A = 3 * np.eye(80) + 0.15 * (rng.standard_normal((80, 80))
+                                 + 1j * rng.standard_normal((80, 80)))
+    b = rng.standard_normal(80) + 1j * rng.standard_normal(80)
+    for restart, iters in ((7, 48), (100, 38)):
+        x, hist = gmres(lambda v: A @ v, b, tol=1e-10, restart=restart)
+        assert len(hist) == iters
+        for start in range(0, len(hist), restart):
+            cycle = np.array(hist[start:start + restart])
+            assert np.all(cycle[1:] <= cycle[:-1] * (1 + 1e-14))
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_gmres_history_matches_recomputed_residuals():
